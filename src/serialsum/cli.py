@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 numerical/check failure, 2 usage error.
 ``--json`` emits the machine-readable envelope (stable key order); the
 default output is human-readable text.  The env var SERIALSUM_BUDGET
-overrides the series-oracle work budget.
+overrides the work budget of the series and finite-sum oracles.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -27,6 +28,23 @@ from .lambda_sums import (
 
 class UsageError(ValueError):
     pass
+
+
+#: Options whose comma-separated value may start with a minus sign.
+#: argparse reads "-0.9,0.1" as an option, since it is not one number.
+_LIST_OPTIONS = frozenset({"--lambdas", "--shifts", "--adjust", "--alpha"})
+_NEGATIVE_LIST = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Rewrite ``--lambdas -0.9,0.1`` as ``--lambdas=-0.9,0.1``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE_LIST.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_complex(text: str) -> complex:
@@ -170,7 +188,7 @@ def _cmd_oracle_finite(args) -> int:
         spec = FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    value = lambda_sums.finite_sum(spec)
+    value, err = lambda_sums._finite_sum_reduced(spec, _budget(args))
     inputs = {
         "lambdas": lams,
         "shifts": shifts,
@@ -178,7 +196,7 @@ def _cmd_oracle_finite(args) -> int:
         "adjust": list(spec.upper_adjust),
     }
     result = {"value": value, "exact": True}
-    _emit(args, "oracle finite", inputs, result, 0.0, started)
+    _emit(args, "oracle finite", inputs, result, err, started)
     return 0
 
 
@@ -311,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit JSON envelope")
         p.add_argument("--budget", type=int, default=None,
-                       help="series-oracle work budget override")
+                       help="work budget of the series and finite-sum "
+                            "oracles (default: SERIALSUM_BUDGET or 2e8)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form limit")
     p.add_argument("--lambdas", required=True)
@@ -378,8 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(list(argv)))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

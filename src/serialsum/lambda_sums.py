@@ -21,9 +21,9 @@ term by term, and it extends continuously to any multiplicities.
 
 Two independent oracles back every closed form: `series_oracle` (truncated
 infinite-lattice sum with a proven geometric tail bound) and `finite_sum`
-(the exact finite-n sum, both as an O((2n)**(l-1)) reduction and a direct
-enumerator), plus `linear_coefficient` which extracts the n-slope from
-finite sums.
+(the exact finite-n sum, both as the trace of a product of l Toeplitz
+matrices and as a direct enumerator), plus `linear_coefficient` which
+extracts the n-slope from finite sums.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import Jet, confluent_divided_difference_cond
 
@@ -45,10 +46,12 @@ CLUSTER_DELTA = 1e-6
 #: Tolerance for certifying a result as real.
 REALNESS_TOL = 1e-10
 
-#: Default work budget for the series oracle (accumulation operations).
+#: Default work budget of the series oracle (accumulation operations) and
+#: of the finite-sum oracle (multiply-adds).
 DEFAULT_BUDGET = 200_000_000
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 class CollisionError(ValueError):
@@ -56,9 +59,11 @@ class CollisionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The series oracle cannot reach the requested tolerance within budget.
+    """An oracle needs more work than its budget allows.
 
-    ``achievable_bound`` is the best tail bound attainable at the budget.
+    ``achievable_bound`` is the best error bound attainable at the budget:
+    the series oracle's tail bound, or inf for the finite-sum oracle, which
+    is exact or nothing.
     """
 
     def __init__(self, message: str, achievable_bound: float):
@@ -412,41 +417,88 @@ def _kahan_sum(terms: np.ndarray) -> complex:
     return s
 
 
-def finite_sum(spec: FiniteSumSpec) -> complex:
-    """Exact finite cyclic sum, via the O((2n)**(l-1)) reduction.
+def finite_sum(spec: FiniteSumSpec, budget: int = DEFAULT_BUDGET) -> complex:
+    """Exact finite cyclic sum, as the trace of a product of l Toeplitz
+    matrices: O(n**2) memory and l*n**2 + (l-2)*n**3 work.
 
-    Change of variables j_m = i_m - i_{m+1} leaves i_1 free on an interval;
-    its length is the counting weight of each lattice point.
+    Raises BudgetExceededError, before allocating anything, when that work
+    exceeds ``budget``.
     """
-    value, _ = _finite_sum_reduced(spec)
+    value, _ = _finite_sum_reduced(spec, budget)
     return value
 
 
-def _finite_sum_reduced(spec: FiniteSumSpec) -> tuple[complex, float]:
+def _finite_sum_work(ell: int, n: int) -> int:
+    # l gathered n x n matrices, l - 2 matrix products, one final trace
+    return ell * n * n + (ell - 2) * n**3
+
+
+def _check_finite_budget(work: int, budget: int) -> None:
+    if work > budget:
+        raise BudgetExceededError(
+            f"finite sum needs {work:,} work units, over the budget of {budget:,}",
+            math.inf,
+        )
+
+
+def _powers(lam: complex, k: int, floor: float) -> np.ndarray:
+    """lam**0..lam**k (0**0 = 1), in float64 when lam is real, with powers
+    below ``floor`` in modulus set to zero."""
+    p = np.full(k + 1, lam.real if lam.imag == 0 else lam)
+    p[0] = 1
+    p = np.cumprod(p)
+    p[np.abs(p) < floor] = 0
+    return p
+
+
+def _finite_sum_reduced(spec: FiniteSumSpec, budget: int) -> tuple[complex, float]:
+    """The finite sum and a bound on its rounding error.
+
+    (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
+    weighs the step from i_m to i_{m+1}, so tr(A_1 ... A_l) sums every
+    term of the cyclic lattice exactly once.
+    """
     lams = spec.lambdas
     ell = len(lams)
+    _check_finite_budget(_finite_sum_work(ell, spec.n), budget)
     ns = [spec.n + d for d in spec.upper_adjust]
 
-    # j_m = i_m - i_{m+1} ranges over [1 - n_{m+1}, n_m - 1]
-    axes = [np.arange(1 - ns[m + 1], ns[m]) for m in range(ell - 1)]
-    grids = np.meshgrid(*axes, indexing="ij") if ell > 2 else [axes[0]]
-    if ell == 2:
-        grids = [axes[0]]
+    # A product of l powers above the floor stays a normal float: products
+    # that underflow to subnormals run many times slower in the matrix
+    # products, and every dropped term is below the floor.
+    floor = _TINY ** (1 / ell)
+    mats = []
+    masses = []
+    peaks = []
+    kmax = 0
+    for m, (lam, s) in enumerate(zip(lams, spec.shifts)):
+        rows, cols = ns[m], ns[(m + 1) % ell]
+        k = max(rows - 1 + s, cols - 1 - s)
+        # diag[a - b + cols - 1] = lam**|a - b + s|; row a of the matrix is
+        # diag[a : a + cols] read backwards
+        diag = _powers(lam, k, floor)[np.abs(np.arange(1 - cols, rows) + s)]
+        windows = sliding_window_view(diag[::-1], cols)[::-1]
+        mats.append(np.ascontiguousarray(windows))
+        mag = np.abs(diag)
+        masses.append(float(mag.sum()))
+        peaks.append(float(mag.max()))
+        kmax = max(kmax, k)
+    prod = mats[0]
+    for mat in mats[1:-1]:
+        prod = prod @ mat
+    value = complex(np.sum(prod * mats[-1].T))
 
-    shape = grids[0].shape
-    cum = np.zeros(shape, dtype=np.int64)
-    lower = np.ones(shape, dtype=np.int64)
-    upper = np.full(shape, ns[0], dtype=np.int64)
-    term = np.ones(shape, dtype=complex)
-    for m in range(1, ell):
-        cum = cum + grids[m - 1]
-        np.maximum(lower, 1 + cum, out=lower)
-        np.minimum(upper, ns[m] + cum, out=upper)
-        term = term * lams[m - 1] ** np.abs(grids[m - 1] + spec.shifts[m - 1])
-    term = term * lams[ell - 1] ** np.abs(spec.shifts[ell - 1] - cum)
-    count = np.clip(upper - lower + 1, 0, None)
-    vals = count * term
-    return complex(vals.sum()), float(np.abs(vals).sum())
+    # Each power carries at most 3k roundings from its k complex products
+    # and a term multiplies l of them; the l - 2 products add at most n_max
+    # roundings each, and the final trace, which numpy sums pairwise, at
+    # most 2 n_max (Higham 2002, sec. 3.5).  Fixing one index and summing
+    # the others along the cycle bounds sum |terms| by n_max times the
+    # largest entry of one step times the masses sum |diag| of the others.
+    abs_sum = max(ns) * min(
+        peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
+    )
+    err = ell * (3 * kmax + max(ns)) * _EPS * abs_sum + floor * math.prod(ns)
+    return value, err
 
 
 def finite_sum_direct(spec: FiniteSumSpec) -> complex:
@@ -469,14 +521,17 @@ def linear_coefficient(
     shifts: Sequence[int],
     n_base: int,
     upper_adjust: Sequence[int] = (),
+    budget: int = DEFAULT_BUDGET,
 ) -> LimitValue:
     """Extract the n-proportional coefficient of the finite sum.
 
     Returns (T(2*n_base) - T(n_base)) / n_base, which cancels the constant
     part of T(n) exactly and leaves the slope plus an exponentially small
-    residue.  err_estimate combines the geometric residue bound with a
-    rounding term (the residue bound alone drops below machine precision
-    for moderate n_base, where rounding dominates).
+    residue.  err_estimate combines the geometric residue bound with the
+    rounding bounds of both finite sums (the residue bound alone drops
+    below machine precision for moderate n_base, where rounding dominates).
+    Raises BudgetExceededError when the two finite sums together need more
+    than ``budget`` work units.
     """
     lams = tuple(complex(v) for v in lambdas)
     r = max(abs(v) for v in lams)
@@ -488,15 +543,18 @@ def linear_coefficient(
     ell = len(lams)
     spec1 = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
     spec2 = FiniteSumSpec(lams, tuple(shifts), 2 * n_base, tuple(upper_adjust))
-    t1, a1 = _finite_sum_reduced(spec1)
-    t2, a2 = _finite_sum_reduced(spec2)
+    _check_finite_budget(
+        _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base), budget
+    )
+    t1, e1 = _finite_sum_reduced(spec1, budget)
+    t2, e2 = _finite_sum_reduced(spec2, budget)
     value = (t2 - t1) / n_base
 
     if r > 0:
         err_exp = 100.0 * ell * n_base * r**n_base / (1 - r) ** ell
     else:
         err_exp = 0.0
-    err_round = 64.0 * _EPS * (a1 + a2) / n_base
+    err_round = (e1 + e2) / n_base
     conj_closed = RootMultiset.from_lambdas(lams).is_conjugate_closed()
     value, real_ok = _certify(value, conj_closed)
     return LimitValue(value, err_exp + err_round, real_ok)

@@ -1,4 +1,7 @@
+import itertools
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -109,6 +112,42 @@ class TestOracle:
         assert code == 0
         assert env["result"]["value"]["re"] == pytest.approx(1.15)
 
+    def test_finite_err_estimate_bounds_exact_sum(self, capsys):
+        lams = [Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4)]
+        shifts, n, adjust = [1, 0, -2], 20, [0, -1, 0]
+        exact = Fraction(0)
+        ranges = (range(1, n + d + 1) for d in adjust)
+        for idx in itertools.product(*ranges):
+            term = Fraction(1)
+            for m, lam in enumerate(lams):
+                term *= lam ** abs(idx[m] - idx[(m + 1) % 3] + shifts[m])
+            exact += term
+        code, env, _ = run_json(
+            capsys,
+            "oracle", "finite", "--lambdas", "0.5,-0.25,0.75",
+            "--shifts", "1,0,-2", "--n", str(n), "--adjust", "0,-1,0",
+        )
+        assert code == 0
+        assert list(env) == ["command", "inputs", "result", "err_estimate", "elapsed_ms"]
+        assert list(env["result"]) == ["value", "exact"]
+        got = Fraction(env["result"]["value"]["re"])
+        assert env["result"]["value"]["im"] == 0
+        # the double result is rounded here, so an err_estimate of 0 fails
+        assert 0 < abs(got - exact) <= env["err_estimate"]
+
+    def test_finite_budget_exceeded(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            "oracle", "finite", "--lambdas", "0.1,0.2,0.3,0.4,0.5,0.6",
+            "--shifts", "0,0,0,0,0,0", "--n", "100000", "--json",
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "BudgetExceeded"
+        assert payload["achievable_bound"] == float("inf")
+
     def test_series_budget_exceeded(self, capsys):
         code, out, _ = run(
             capsys,
@@ -207,6 +246,26 @@ class TestAr:
         assert code == 0
         assert env["result"]["ok"] is True
         assert all(abs(z) <= 4 for z in env["result"]["z_scores"])
+
+
+class TestNegativeLists:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--lambdas", "-0.9,0.1", "--S", "0"],
+        ["eval", "--lambdas", "0.5,0.3", "--shifts", "-1,1"],
+        ["oracle", "finite", "--lambdas", "-0.5,0.3", "--shifts", "0,0",
+         "--n", "3", "--adjust", "-1,0"],
+        ["ar", "acf", "--alpha", "-0.5,0.1"],
+    ])
+    def test_separate_value_parses_like_attached(self, capsys, argv):
+        i = next(i for i, a in enumerate(argv) if a.startswith("-") and
+                 a[1:2].isdigit())
+        attached = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+        code, env, _ = run_json(capsys, *argv)
+        code_ref, env_ref, _ = run_json(capsys, *attached)
+        assert code == code_ref == 0
+        env.pop("elapsed_ms")
+        env_ref.pop("elapsed_ms")
+        assert env == env_ref
 
 
 class TestContracts:

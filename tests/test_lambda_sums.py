@@ -272,6 +272,32 @@ class TestFiniteSum:
             a, b = finite_sum(spec), finite_sum_direct(spec)
             assert abs(a - b) <= 1e-12 * (1 + abs(b))
 
+    def test_reduction_matches_enumeration_long_cycles(self):
+        # l = 5 and 6, conjugate pairs, exact zero roots, upper adjustments
+        rng = np.random.default_rng(23)
+        for case in range(40):
+            ell = 5 + case % 2
+            lams = draw_roots(rng, ell, 0.9)
+            reals = [i for i, v in enumerate(lams) if v.imag == 0]
+            if reals and case % 3 == 0:
+                lams[reals[0]] = 0j
+            shifts = tuple(int(s) for s in rng.integers(-2, 3, size=ell))
+            n = int(rng.integers(1, 11 - ell))
+            adjust = tuple(
+                int(d) for d in rng.integers(-min(2, n - 1), 1, size=ell)
+            )
+            spec = FiniteSumSpec(tuple(lams), shifts, n, adjust)
+            a, b = finite_sum(spec), finite_sum_direct(spec)
+            assert abs(a - b) <= 1e-12 * abs(b), (case, spec)
+
+    def test_budget_exceeded_before_allocation(self):
+        spec = FiniteSumSpec((0.1, 0.2, 0.3, 0.4, 0.5, 0.6), (0,) * 6, 100_000)
+        with pytest.raises(BudgetExceededError) as exc:
+            finite_sum(spec)
+        assert exc.value.achievable_bound == float("inf")
+        with pytest.raises(BudgetExceededError):
+            linear_coefficient([0.5, 0.3, 0.2], (0, 0, 0), 200, budget=10**6)
+
     def test_rejects_positive_adjust(self):
         with pytest.raises(ValueError):
             FiniteSumSpec((0.5, 0.3), (0, 0), 2, (1, 0))
