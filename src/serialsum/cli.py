@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -78,6 +79,19 @@ def _jsonify(obj):
     return obj
 
 
+def _dumps(obj) -> str:
+    """JSON text; RFC 8259 has no Infinity or NaN, so those become null."""
+    def strict(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [strict(x) for x in v]
+        return v
+    return json.dumps(strict(obj), allow_nan=False)
+
+
 def _emit(args, command: str, inputs: dict, result: dict, err_estimate: float,
           started: float) -> None:
     envelope = {
@@ -88,7 +102,7 @@ def _emit(args, command: str, inputs: dict, result: dict, err_estimate: float,
         "elapsed_ms": (time.perf_counter() - started) * 1000.0,
     }
     if args.json:
-        print(json.dumps(envelope))
+        print(_dumps(envelope))
         return
     print(f"{command}:")
     for key, val in envelope["result"].items():
@@ -188,7 +202,7 @@ def _cmd_oracle_finite(args) -> int:
         spec = FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    value, err = lambda_sums._finite_sum_reduced(spec, _budget(args))
+    value, err = lambda_sums.finite_sum_with_error(spec, _budget(args))
     inputs = {
         "lambdas": lams,
         "shifts": shifts,
@@ -416,7 +430,7 @@ def main(argv=None) -> int:
             "achievable_bound": exc.achievable_bound,
         }
         if getattr(args, "json", False):
-            print(json.dumps(payload))
+            print(_dumps(payload))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -429,7 +443,7 @@ def main(argv=None) -> int:
             "message": str(exc),
         }
         if getattr(args, "json", False):
-            print(json.dumps(payload))
+            print(_dumps(payload))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -417,20 +417,30 @@ def _kahan_sum(terms: np.ndarray) -> complex:
     return s
 
 
-def finite_sum(spec: FiniteSumSpec, budget: int = DEFAULT_BUDGET) -> complex:
-    """Exact finite cyclic sum, as the trace of a product of l Toeplitz
-    matrices: O(n**2) memory and l*n**2 + (l-2)*n**3 work.
+def finite_sum(spec: FiniteSumSpec) -> complex:
+    """Exact finite cyclic sum; see `finite_sum_with_error`."""
+    return finite_sum_with_error(spec)[0]
 
+
+def finite_sum_with_error(
+    spec: FiniteSumSpec, budget: int = DEFAULT_BUDGET
+) -> tuple[complex, float]:
+    """The exact finite cyclic sum and a bound on its rounding error.
+
+    The sum is the trace of a product of l Toeplitz matrices: O(n) work
+    and memory for l = 2, O(n**2) memory and (l-2)*n**3 work above.
     Raises BudgetExceededError, before allocating anything, when that work
     exceeds ``budget``.
     """
-    value, _ = _finite_sum_reduced(spec, budget)
-    return value
+    _check_finite_budget(_finite_sum_work(len(spec.lambdas), spec.n), budget)
+    return _trace_sum(spec)
 
 
 def _finite_sum_work(ell: int, n: int) -> int:
-    # l gathered n x n matrices, l - 2 matrix products, one final trace
-    return ell * n * n + (ell - 2) * n**3
+    # each of the l steps makes about a dozen passes over vectors of
+    # length 2n; above l = 2, l - 1 gathered n x n matrices, l - 2 matrix
+    # products and the diagonal sums of the last one
+    return (ell - 2) * (n**3 + ell * n * n) + 24 * ell * n
 
 
 def _check_finite_budget(work: int, budget: int) -> None:
@@ -441,63 +451,89 @@ def _check_finite_budget(work: int, budget: int) -> None:
         )
 
 
-def _powers(lam: complex, k: int, floor: float) -> np.ndarray:
-    """lam**0..lam**k (0**0 = 1), in float64 when lam is real, with powers
-    below ``floor`` in modulus set to zero."""
-    p = np.full(k + 1, lam.real if lam.imag == 0 else lam)
-    p[0] = 1
+def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
+    """lam**lo .. lam**(lo + count - 1) (0**0 = 1), in float64 when lam is
+    real, with powers below ``floor`` in modulus set to zero."""
+    base = lam.real if lam.imag == 0 else lam
+    p = np.full(count, base)
+    p[0] = np.power(base, lo)
     p = np.cumprod(p)
     p[np.abs(p) < floor] = 0
     return p
 
 
-def _finite_sum_reduced(spec: FiniteSumSpec, budget: int) -> tuple[complex, float]:
-    """The finite sum and a bound on its rounding error.
+def _toeplitz(diag: np.ndarray, cols: int) -> np.ndarray:
+    # A[a, b] = diag[a - b + cols - 1]: row a is diag[a : a + cols] read
+    # backwards
+    return np.ascontiguousarray(sliding_window_view(diag[::-1], cols)[::-1])
+
+
+def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
+    """tr(A_1 ... A_l) and a bound on its rounding error.
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
-    weighs the step from i_m to i_{m+1}, so tr(A_1 ... A_l) sums every
-    term of the cyclic lattice exactly once.
+    weighs the step from i_m to i_{m+1}, so the trace sums every term of
+    the cyclic lattice exactly once.  It is closed as
+    sum_d c[d] * (A_l)_{b, b + d}, where c[d] sums the entries of
+    P = A_1 ... A_{l-1} on its diagonal a - b = d.
     """
     lams = spec.lambdas
     ell = len(lams)
-    _check_finite_budget(_finite_sum_work(ell, spec.n), budget)
     ns = [spec.n + d for d in spec.upper_adjust]
 
     # A product of l powers above the floor stays a normal float: products
     # that underflow to subnormals run many times slower in the matrix
-    # products, and every dropped term is below the floor.
+    # products, and the error bound counts every dropped term.
     floor = _TINY ** (1 / ell)
-    mats = []
+    diags = []
     masses = []
     peaks = []
     kmax = 0
     for m, (lam, s) in enumerate(zip(lams, spec.shifts)):
         rows, cols = ns[m], ns[(m + 1) % ell]
-        k = max(rows - 1 + s, cols - 1 - s)
-        # diag[a - b + cols - 1] = lam**|a - b + s|; row a of the matrix is
-        # diag[a : a + cols] read backwards
-        diag = _powers(lam, k, floor)[np.abs(np.arange(1 - cols, rows) + s)]
-        windows = sliding_window_view(diag[::-1], cols)[::-1]
-        mats.append(np.ascontiguousarray(windows))
+        # diag[d + cols - 1] = lam**|d + s| on the diagonal a - b = d; only
+        # the rows + cols - 1 exponents it reads are computed, so a large
+        # shift costs nothing
+        exps = np.abs(np.arange(1 - cols, rows) + s)
+        lo, hi = int(exps.min()), int(exps.max())
+        diag = _powers(lam, lo, hi - lo + 1, floor)[exps - lo]
+        diags.append(diag)
         mag = np.abs(diag)
         masses.append(float(mag.sum()))
         peaks.append(float(mag.max()))
-        kmax = max(kmax, k)
-    prod = mats[0]
-    for mat in mats[1:-1]:
-        prod = prod @ mat
-    value = complex(np.sum(prod * mats[-1].T))
+        kmax = max(kmax, hi)
 
-    # Each power carries at most 3k roundings from its k complex products
-    # and a term multiplies l of them; the l - 2 products add at most n_max
-    # roundings each, and the final trace, which numpy sums pairwise, at
-    # most 2 n_max (Higham 2002, sec. 3.5).  Fixing one index and summing
-    # the others along the cycle bounds sum |terms| by n_max times the
-    # largest entry of one step times the masses sum |diag| of the others.
+    n1, nl = ns[0], ns[-1]
+    if ell == 2:
+        # P = A_1 holds the same entry at each of the count[d] positions of
+        # its diagonal d, so no matrix is built
+        d = np.arange(1 - nl, n1)
+        c = (np.minimum(n1, nl + d) - np.maximum(0, d)) * diags[0]
+    else:
+        prod = _toeplitz(diags[0], ns[1])
+        for m in range(1, ell - 1):
+            prod = prod @ _toeplitz(diags[m], ns[m + 1])
+        bins = (np.subtract.outer(np.arange(n1), np.arange(nl)) + nl - 1).ravel()
+        c = np.bincount(bins, prod.real.ravel(), n1 + nl - 1)
+        if np.iscomplexobj(prod):
+            c = c + 1j * np.bincount(bins, prod.imag.ravel(), n1 + nl - 1)
+    # (A_l)_{b, b + d} = lambda_l**|s_l - d| is A_l's diagonal -d
+    value = complex(c @ diags[-1][::-1])
+
+    # A power lam**k computed from lam**lo and k - lo complex products
+    # carries a relative error below 4*k*eps, and a term multiplies l of
+    # them with one more rounding each.  Summation adds at most n_max
+    # roundings in each of the l - 2 products and in the diagonal sums,
+    # and 2*n_max in the final dot product (Higham 2002, sec. 3.5).  Fixing
+    # one index and summing the others along the cycle bounds sum |terms|
+    # by n_max times the largest entry of one step times the masses
+    # sum |diag| of the others.  A dropped term has one factor below the
+    # floor and the others at most their peaks.
     abs_sum = max(ns) * min(
         peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
     )
-    err = ell * (3 * kmax + max(ns)) * _EPS * abs_sum + floor * math.prod(ns)
+    dropped = floor * math.prod(ns) * math.prod(max(1.0, p) for p in peaks)
+    err = (ell * (4 * kmax + 3) + (ell + 1) * max(ns)) * _EPS * abs_sum + dropped
     return value, err
 
 
@@ -521,7 +557,6 @@ def linear_coefficient(
     shifts: Sequence[int],
     n_base: int,
     upper_adjust: Sequence[int] = (),
-    budget: int = DEFAULT_BUDGET,
 ) -> LimitValue:
     """Extract the n-proportional coefficient of the finite sum.
 
@@ -531,7 +566,7 @@ def linear_coefficient(
     rounding bounds of both finite sums (the residue bound alone drops
     below machine precision for moderate n_base, where rounding dominates).
     Raises BudgetExceededError when the two finite sums together need more
-    than ``budget`` work units.
+    than DEFAULT_BUDGET work units.
     """
     lams = tuple(complex(v) for v in lambdas)
     r = max(abs(v) for v in lams)
@@ -544,10 +579,11 @@ def linear_coefficient(
     spec1 = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
     spec2 = FiniteSumSpec(lams, tuple(shifts), 2 * n_base, tuple(upper_adjust))
     _check_finite_budget(
-        _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base), budget
+        _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base),
+        DEFAULT_BUDGET,
     )
-    t1, e1 = _finite_sum_reduced(spec1, budget)
-    t2, e2 = _finite_sum_reduced(spec2, budget)
+    t1, e1 = _trace_sum(spec1)
+    t2, e2 = _trace_sum(spec2)
     value = (t2 - t1) / n_base
 
     if r > 0:

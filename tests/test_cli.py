@@ -144,9 +144,10 @@ class TestOracle:
         )
         assert time.perf_counter() - started < 1.0
         assert code == 1
-        payload = json.loads(out)
+        # strict RFC 8259 parsing: a bare Infinity would raise here
+        payload = json.loads(out, parse_constant=pytest.fail)
         assert payload["error"] == "BudgetExceeded"
-        assert payload["achievable_bound"] == float("inf")
+        assert payload["achievable_bound"] is None
 
     def test_series_budget_exceeded(self, capsys):
         code, out, _ = run(

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -291,12 +292,34 @@ class TestFiniteSum:
             assert abs(a - b) <= 1e-12 * abs(b), (case, spec)
 
     def test_budget_exceeded_before_allocation(self):
-        spec = FiniteSumSpec((0.1, 0.2, 0.3, 0.4, 0.5, 0.6), (0,) * 6, 100_000)
+        lams = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        spec = FiniteSumSpec(lams, (0,) * 6, 100_000)
         with pytest.raises(BudgetExceededError) as exc:
             finite_sum(spec)
         assert exc.value.achievable_bound == float("inf")
         with pytest.raises(BudgetExceededError):
-            linear_coefficient([0.5, 0.3, 0.2], (0, 0, 0), 200, budget=10**6)
+            linear_coefficient(lams, (0,) * 6, 400)
+
+    def test_large_shift_costs_nothing(self):
+        # only the rows + cols - 1 exponents a matrix reads are computed
+        started = time.perf_counter()
+        spec = FiniteSumSpec((0.5, 0.3), (10**9, -(10**9)), 3)
+        assert finite_sum(spec) == finite_sum_direct(spec) == 0
+        # (-1)**|e| is exact, and the sum sees the shift only mod 2 here
+        far = FiniteSumSpec((-1.0, 0.5, 0.25), (10**9 + 4, 0, -1), 3)
+        near = FiniteSumSpec((-1.0, 0.5, 0.25), (4, 0, -1), 3)
+        assert finite_sum(far) == finite_sum(near) == finite_sum_direct(near)
+        assert time.perf_counter() - started < 1.0
+
+    def test_pair_is_linear_in_n(self):
+        # l = 2 builds no matrix; an n x n one would take 160 GB here
+        started = time.perf_counter()
+        lams, shifts, n = (0.5, -0.3), (2, -1), 10**5
+        t1 = finite_sum(FiniteSumSpec(lams, shifts, n))
+        t2 = finite_sum(FiniteSumSpec(lams, shifts, 2 * n))
+        limit = f_distinct(RootMultiset.from_lambdas(lams), 1).value
+        assert abs((t2 - t1) / n - limit) <= 1e-9
+        assert time.perf_counter() - started < 2.0
 
     def test_rejects_positive_adjust(self):
         with pytest.raises(ValueError):
