@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .lambda_sums import CLUSTER_DELTA
 
@@ -206,6 +205,10 @@ def simulate(
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     eps = model.sigma * rng.standard_normal(burn_in + n)
+    # imported here: scipy.signal takes over a second to import, and no
+    # other command needs it
+    from scipy.signal import lfilter
+
     # X = eps filtered through 1 / (1 - a1 z^-1 - ... - ak z^-k), zero state
     denom = np.concatenate([[1.0], -np.asarray(model.alphas)])
     x = lfilter([1.0], denom, eps)

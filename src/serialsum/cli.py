@@ -186,7 +186,7 @@ def _cmd_oracle_series(args) -> int:
     inputs = {"lambdas": lams, "S": S, "tol": args.tol}
     result = {
         "value": res.value,
-        "truncation_J": res.truncation,
+        "truncation_J": res.truncation,  # the node count N
         "is_real_certified": res.is_real_certified,
     }
     _emit(args, "oracle series", inputs, result, res.err_estimate, started)
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
-    ps = osub.add_parser("series", help="truncated infinite-lattice sum")
+    ps = osub.add_parser("series", help="trapezoidal-rule infinite-lattice sum")
     ps.add_argument("--lambdas", required=True)
     ps.add_argument("--S", type=int, default=None)
     ps.add_argument("--shifts", default=None)

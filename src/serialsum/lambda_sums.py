@@ -19,11 +19,13 @@ the confluent divided difference of
 over the root multiset; for distinct roots this reproduces the closed form
 term by term, and it extends continuously to any multiplicities.
 
-Two independent oracles back every closed form: `series_oracle` (truncated
-infinite-lattice sum with a proven geometric tail bound) and `finite_sum`
-(the exact finite-n sum, both as the trace of a product of l Toeplitz
-matrices and as a direct enumerator), plus `linear_coefficient` which
-extracts the n-slope from finite sums.
+Two independent oracles back every closed form: `series_oracle` (the limit
+as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
+((1 - lambda_m*z) * (1 - lambda_m/z)), by the trapezoidal rule on |z| = 1
+with a proven aliasing bound) and `finite_sum` (the exact finite-n sum,
+both as the trace of a product of l Toeplitz matrices and as a direct
+enumerator), plus `linear_coefficient` which extracts the n-slope from
+finite sums.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ CLUSTER_DELTA = 1e-6
 #: Tolerance for certifying a result as real.
 REALNESS_TOL = 1e-10
 
-#: Default work budget of the series oracle (accumulation operations) and
-#: of the finite-sum oracle (multiply-adds).
+#: Default work budget of the series oracle (N*l symbol factors at N nodes)
+#: and of the finite-sum oracle (multiply-adds).
 DEFAULT_BUDGET = 200_000_000
 
 _EPS = float(np.finfo(float).eps)
@@ -62,8 +64,9 @@ class BudgetExceededError(RuntimeError):
     """An oracle needs more work than its budget allows.
 
     ``achievable_bound`` is the best error bound attainable at the budget:
-    the series oracle's tail bound, or inf for the finite-sum oracle, which
-    is exact or nothing.
+    the series oracle's aliasing bound at the largest affordable node count
+    (inf when that count is not above S), or inf for the finite-sum oracle,
+    which is exact or nothing.
     """
 
     def __init__(self, message: str, achievable_bound: float):
@@ -170,7 +173,11 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class LimitValue:
-    """A computed limit with an error estimate and a realness flag."""
+    """A computed limit with an error estimate and a realness flag.
+
+    ``truncation`` is the series oracle's node count N (0 when every root
+    is zero); the other evaluators leave it None.
+    """
 
     value: complex
     err_estimate: float
@@ -301,40 +308,9 @@ def f3_triple_reference(lam: complex, S: int) -> complex:
     )
 
 
-def _tail_bound(ell: int, r: float, S: int, J: int) -> float:
-    """Upper bound on the lattice sum outside the box max|j_m| <= J.
-
-    Every term with some |j_m| = M > J has magnitude <= r**(M - S) (the
-    exponents add up to at least M - S), and the M-th max-norm shell of the
-    (ell-1)-dimensional lattice holds at most 2*(ell-1)*(2M+1)**(ell-2)
-    points.  The shell series is summed directly and closed with a
-    geometric majorant once the term ratio drops below 1.
-    """
-    if r <= 0:
-        return 0.0
-    total = 0.0
-    M = J + 1
-    while True:
-        term = 2 * (ell - 1) * (2 * M + 1) ** (ell - 2) * r ** (M - S)
-        if not math.isfinite(term):
-            return math.inf
-        total += term
-        q = r * ((2 * M + 3) / (2 * M + 1)) ** (ell - 2)
-        if q < 1:
-            closure = term * q / (1 - q)
-            if closure <= 0.01 * total or M > J + 2000:
-                return total + closure
-        elif M > J + 100_000:
-            return math.inf
-        M += 1
-
-
-def _series_cost(ell: int, J: int) -> int:
-    # iterated 1-D convolutions plus the final weighted reduction
-    cost = 0
-    for m in range(2, ell):
-        cost += (2 * m * J + 1) * (2 * J + 1)
-    return cost + 2 * (ell - 1) * J + 1
+#: log(rho) / log(1/r) tried in the aliasing bound; the best rho nears 1/r
+#: as N grows.
+_LOG_RHO_FRACTIONS = 1 - np.geomspace(0.95, 1e-3, 24)
 
 
 def series_oracle(
@@ -343,78 +319,95 @@ def series_oracle(
     tol: float,
     budget: int = DEFAULT_BUDGET,
 ) -> LimitValue:
-    """Truncated infinite-lattice sum with a rigorous tail bound.
+    """Infinite-lattice sum by the trapezoidal rule on |z| = 1.
 
-    Sums prod_m lambda_m**|j_m| * lambda_l**|S - sum j_m| over the box
-    max|j_m| <= J, with J the smallest value whose tail bound is below
-    ``tol``.  The box sum is evaluated exactly (term grouping only, no
-    approximation) by iterated one-dimensional convolutions of the
-    |j|-geometric kernels; err_estimate is the tail bound, so the true
-    infinite sum lies within err_estimate of the returned value.
-
-    Convention 0**0 = 1 throughout, so a zero root pins its lattice index.
+    The limit is the S-th Fourier coefficient c_S of the symbol
+    f(z) = prod_m (1 - lambda_m**2) / ((1 - lambda_m*z) * (1 - lambda_m/z)),
+    whose coefficients are the convolution of the kernels lambda_m**|j|
+    (Gray, Toeplitz and Circulant Matrices: A Review).  The mean of
+    z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}; N starts
+    at the first power of two above 2S and doubles until the aliasing
+    bound on the terms p != 0 is below ``tol``.  The work is N*l: needing
+    more than budget // l nodes raises BudgetExceededError.  err_estimate
+    adds a rounding bound to the aliasing bound, so the true limit lies
+    within it of the returned value.  A zero root contributes the factor
+    1, the convention 0**0 = 1.
     """
     lams = [complex(v) for v in lambdas]
-    ell = len(lams)
-    if ell < 2:
-        raise ValueError("need at least two lambdas")
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if S < 0:
         raise ValueError("S must be >= 0")
-    for v in lams:
-        if abs(v) >= 1:
-            raise ValueError(f"root {v} not strictly inside the unit disk")
-
-    r = max(abs(v) for v in lams)
+    # RootMultiset rejects all but 2..6 finite roots strictly inside the disk
     conj_closed = RootMultiset.from_lambdas(lams).is_conjugate_closed()
-
+    ell = len(lams)
+    r = max(abs(v) for v in lams)
     if r == 0:
         value = 1.0 + 0j if S == 0 else 0j
         return LimitValue(value, 0.0, True, truncation=0)
 
-    J = max(S, 1)
-    while _tail_bound(ell, r, S, J) >= tol:
-        if _series_cost(ell, J + 1) > budget:
-            # largest affordable J, then report what that J can promise
-            while _series_cost(ell, J) > budget and J > 1:
-                J -= 1
-            bound = _tail_bound(ell, r, S, J)
+    # Aliasing (Trefethen & Weideman, SIAM Rev. 56(3), 2014): |c_j| is at
+    # most the j-th coefficient of g, the symbol built from the moduli
+    # |lambda_m|, whose coefficients are positive and even in j, so
+    # |c_j| <= g(rho) * rho**-|j| for 1 < rho < 1/r.  For N > S the terms
+    # p != 0 sum to at most g(rho) * (rho**(S-N) + rho**(-S-N)) /
+    # (1 - rho**-N), taken in logs so that nothing overflows.
+    log_rho = -math.log(r) * _LOG_RHO_FRACTIONS
+    log_g = sum(
+        math.log1p(-a * a) - np.log1p(-np.exp(math.log(a) + log_rho))
+        - np.log1p(-np.exp(math.log(a) - log_rho))
+        for a in (abs(v) for v in lams if v != 0)
+    )
+
+    def alias(N: int) -> float:
+        log_bound = (
+            log_g - (N - S) * log_rho + np.log1p(np.exp(-2 * S * log_rho))
+            - np.log1p(-np.exp(-N * log_rho))
+        )
+        return float(np.exp(log_bound.min()))
+
+    cap = budget // ell
+    N = min(1 << (2 * S).bit_length(), cap)
+    while cap <= S or (bound := alias(N)) >= tol:
+        if N == cap:
+            bound = math.inf if cap <= S else bound
             raise BudgetExceededError(
-                f"tolerance {tol:g} needs a lattice beyond the budget; "
-                f"achievable bound at J={J} is {bound:g}",
+                f"tolerance {tol:g} at S={S} needs more than {cap:,} nodes; "
+                f"achievable bound at N={cap} is {bound:g}",
                 bound,
             )
-        J += 1
-    bound = _tail_bound(ell, r, S, J)
+        N = min(2 * N, cap)
 
-    # kernel for index m: lambda_m**|j|, j in [-J, J]
-    h = np.array([lams[0] ** abs(j) for j in range(-J, J + 1)], dtype=complex)
-    for lam in lams[1:-1]:
-        k = np.array([lam ** abs(j) for j in range(-J, J + 1)], dtype=complex)
-        h = np.convolve(h, k)
-    off = (len(h) - 1) // 2
-    lam_last = lams[-1]
-    weights = np.array(
-        [lam_last ** abs(S - (i - off)) for i in range(len(h))], dtype=complex
+    total = 0j
+    abs_total = 0.0
+    for lo in range(0, N, 1 << 16):  # in blocks: memory stays bounded
+        k = np.arange(lo, min(lo + (1 << 16), N))
+        z = np.exp(1j * (2 * np.pi / N * k))
+        # S*k mod N, without int64 overflow for any N below 2**46
+        j = (lo * S % N + (k - lo) * (S % N)) % N
+        s = np.exp(-1j * (2 * np.pi / N * j))
+        for lam in lams:
+            s *= (1 - lam * lam) / ((1 - lam * z) * (1 - lam * z.conj()))
+        total += complex(s.sum())
+        abs_total += float(np.abs(s).sum())
+    value = total / N
+
+    # Rounding, to first order in eps and relative to each sample: the
+    # angle 2*pi*k/N is within 3*pi*eps and its cosine and sine add an ulp,
+    # so a node is off by delta <= 16*eps.  That moves factor m by at most
+    # 2*|lambda_m| / (1 - |lambda_m|) * delta, and z**-S, whose angle is
+    # reduced mod N exactly, by delta.  Factor m's own operations add
+    # 23*eps / (1 - |lambda_m|) and the l products 3*eps each.  Summing N
+    # samples in any order and dividing by N adds N*eps times their mean
+    # modulus (Higham 2002, secs. 3.1, 3.6).
+    delta = 16 * _EPS
+    per_sample = delta + sum(
+        (2 * a * delta + 23 * _EPS) / (1 - a) + 3 * _EPS for a in map(abs, lams)
     )
-    value = _kahan_sum(h * weights)
+    err_round = (per_sample + N * _EPS) * abs_total / N
 
     value, real_ok = _certify(value, conj_closed)
-    return LimitValue(value, bound, real_ok, truncation=J)
-
-
-def _kahan_sum(terms: np.ndarray) -> complex:
-    # compensated, fixed-order reduction: deterministic regardless of any
-    # upstream partitioning
-    s = 0j
-    c = 0j
-    for t in terms:
-        y = complex(t) - c
-        tt = s + y
-        c = (tt - s) - y
-        s = tt
-    return s
+    return LimitValue(value, bound + err_round, real_ok, truncation=N)
 
 
 def finite_sum(spec: FiniteSumSpec) -> complex:
@@ -629,22 +622,25 @@ class ConjectureReport:
         return self.failed == 0
 
 
-def _draw_roots(rng: np.random.Generator, ell: int) -> list[complex]:
-    """Random roots with |lambda| <= 0.5, mutually separated, conjugate-
-    closed when complex pairs are drawn."""
+def draw_roots(
+    rng: np.random.Generator, ell: int, rmax: float, min_sep: float = 0.05,
+    allow_pairs: bool = True,
+) -> list[complex]:
+    """Random admissible roots: real values and conjugate pairs inside the
+    disk of radius rmax, mutually separated by at least min_sep (relative)."""
     while True:
-        n_pairs = int(rng.integers(0, ell // 2 + 1))
+        n_pairs = int(rng.integers(0, ell // 2 + 1)) if allow_pairs else 0
         roots: list[complex] = []
         for _ in range(n_pairs):
-            rad = rng.uniform(0.08, 0.5)
-            ang = rng.uniform(0.15, math.pi - 0.15)
-            z = rad * complex(math.cos(ang), math.sin(ang))
+            rad = rng.uniform(0.05, rmax)
+            ang = rng.uniform(0.1, np.pi - 0.1)
+            z = rad * complex(np.cos(ang), np.sin(ang))
             roots.extend([z, z.conjugate()])
         while len(roots) < ell:
-            roots.append(complex(rng.uniform(-0.5, 0.5)))
+            roots.append(complex(rng.uniform(-rmax, rmax)))
         scale = _sep_scale(roots)
         if all(
-            abs(a - b) > 0.05 * scale
+            abs(a - b) > min_sep * scale
             for a, b in itertools.combinations(roots, 2)
         ):
             return roots
@@ -659,9 +655,9 @@ def conjecture_probe(
 ) -> ConjectureReport:
     """Numerical support for the closed form at l in {5, 6}.
 
-    Each trial draws random admissible roots (kept within |lambda| <= 0.5
-    so the oracle lattice stays inside budget) and a random S in 0..4, and
-    compares the closed-form evaluator against the series oracle.  A trial
+    Each trial draws random admissible roots from the disk |lambda| <= 0.95
+    (`draw_roots`) and a random S in 0..4, and compares the closed-form
+    evaluator against the series oracle.  A trial
     passes when the discrepancy is at most tol + oracle err_estimate; a
     BudgetExceeded oracle is recorded as a skip, never a pass.
     """
@@ -672,7 +668,7 @@ def conjecture_probe(
     rng = np.random.default_rng(seed)
     out: list[ProbeTrial] = []
     for _ in range(trials):
-        lams = _draw_roots(rng, ell)
+        lams = draw_roots(rng, ell, 0.95)
         S = int(rng.integers(0, 5))
         roots = RootMultiset.from_lambdas(lams)
         closed = f_general(roots, S)

@@ -1,31 +1,7 @@
 """Random-case generators shared by the property and acceptance tests."""
 
-import itertools
-
-import numpy as np
-
 from serialsum import RootMultiset
-
-
-def draw_roots(rng, ell, rmax, min_sep=0.05, allow_pairs=True):
-    """Random admissible roots: real values and conjugate pairs inside the
-    disk of radius rmax, mutually separated by at least min_sep (relative)."""
-    while True:
-        n_pairs = int(rng.integers(0, ell // 2 + 1)) if allow_pairs else 0
-        roots = []
-        for _ in range(n_pairs):
-            rad = rng.uniform(0.05, rmax)
-            ang = rng.uniform(0.1, np.pi - 0.1)
-            z = rad * complex(np.cos(ang), np.sin(ang))
-            roots.extend([z, z.conjugate()])
-        while len(roots) < ell:
-            roots.append(complex(rng.uniform(-rmax, rmax)))
-        scale = 1.0 + max(abs(v) for v in roots)
-        if all(
-            abs(a - b) > min_sep * scale
-            for a, b in itertools.combinations(roots, 2)
-        ):
-            return roots
+from serialsum.lambda_sums import draw_roots
 
 
 def draw_multiset(rng, ell, rmax, **kw):

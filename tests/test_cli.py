@@ -1,10 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import serialsum
 from serialsum.cli import main
 
 
@@ -304,3 +308,17 @@ class TestContracts:
         )
         text = json.dumps(env)
         assert json.loads(text) == env
+
+    def test_import_loads_no_scipy(self):
+        # scipy.signal dominates the start-up time of every command; only
+        # `ar simulate` and `ar check` need it, and they import it lazily
+        src = os.path.dirname(os.path.dirname(serialsum.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, serialsum.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -231,6 +232,44 @@ class TestSeriesOracle:
         got = series_oracle([0.3 + 0.2j, 0.3 - 0.2j, 0.4], 2, 1e-10)
         assert abs(got.value.imag) <= 1e-12
         assert got.is_real_certified
+
+    def test_err_estimate_bounds_mpmath_closed_form(self):
+        # random real roots and conjugate pairs, some with a zero root, and
+        # l = 6 on the circle r = 0.95; the reference is the distinct-root
+        # closed form at 50 digits
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(60):
+            ell = int(rng.integers(2, 7))
+            lams = draw_roots(rng, ell, float(rng.choice([0.5, 0.8, 0.95])))
+            if lams[-1].imag == 0 and rng.random() < 0.3:
+                lams[-1] = 0j
+            cases.append((lams, int(rng.integers(0, 7))))
+        ring = [0.95, -0.95] + [
+            0.95 * np.exp(s * 1j * a) for a in (1.0, 2.0) for s in (1, -1)
+        ]
+        cases += [(ring, S) for S in range(7)]
+        for k, (lams, S) in enumerate(cases):
+            tol = (1e-6, 1e-10, 1e-13)[k % 3]
+            got = series_oracle(lams, S, tol)
+            with mpmath.workdps(50):
+                ls = [mpmath.mpc(v) for v in lams]
+                ref = mpmath.fsum(
+                    li ** (S + len(ls) - 1) * mpmath.fprod(
+                        (1 - lj**2) / ((li - lj) * (1 - li * lj))
+                        for j, lj in enumerate(ls) if j != i
+                    )
+                    for i, li in enumerate(ls)
+                )
+                err = float(abs(mpmath.mpc(got.value) - ref))
+            assert err <= got.err_estimate, (lams, S, tol, err, got.err_estimate)
+
+    def test_huge_shift_exceeds_budget_quickly(self):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            series_oracle([0.5, 0.3], 10**9, 1e-10)
+        assert time.perf_counter() - started < 0.5
+        assert exc.value.achievable_bound == float("inf")
 
 
 class TestFiniteSum:
