@@ -4,5 +4,5 @@ from serialsum import RootMultiset
 from serialsum.lambda_sums import draw_roots
 
 
-def draw_multiset(rng, ell, rmax, **kw):
-    return RootMultiset.from_lambdas(draw_roots(rng, ell, rmax, **kw))
+def draw_multiset(rng, ell, rmax):
+    return RootMultiset.from_lambdas(draw_roots(rng, ell, rmax))

@@ -1,7 +1,6 @@
 import itertools
 import time
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -234,9 +233,10 @@ class TestSeriesOracle:
         assert got.is_real_certified
 
     def test_err_estimate_bounds_mpmath_closed_form(self):
-        # random real roots and conjugate pairs, some with a zero root, and
-        # l = 6 on the circle r = 0.95; the reference is the distinct-root
-        # closed form at 50 digits
+        # random real roots and conjugate pairs, some with a zero root, l = 6
+        # on the circle r = 0.95 and l = 4 within 0.003 of the unit circle;
+        # the reference is the distinct-root closed form at 50 digits
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(11)
         cases = []
         for _ in range(60):
@@ -249,6 +249,8 @@ class TestSeriesOracle:
             0.95 * np.exp(s * 1j * a) for a in (1.0, 2.0) for s in (1, -1)
         ]
         cases += [(ring, S) for S in range(7)]
+        near = [0.999, -0.998] + [0.997 * np.exp(s * 1j) for s in (1, -1)]
+        cases += [(near, S) for S in range(3)]
         for k, (lams, S) in enumerate(cases):
             tol = (1e-6, 1e-10, 1e-13)[k % 3]
             got = series_oracle(lams, S, tol)
