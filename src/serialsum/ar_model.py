@@ -181,10 +181,55 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
 def default_burn_in(alphas: Sequence[float]) -> int:
     """Smallest burn-in with max|lambda|**burn_in < 1e-12."""
     cr = char_roots(alphas)
+    if not cr.stationary:
+        raise NotStationaryError("burn-in requires a stationary model")
     r = max(abs(lam) for lam in cr.roots)
     if r == 0:
         return len(list(alphas))
     return max(len(list(alphas)), math.ceil(math.log(1e-12) / math.log(r)))
+
+
+#: Block length of the blocked recursion in `_ar_filter`, raised to k for
+#: an AR(k) model with k above it.
+_BLOCK = 256
+
+
+def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
+    """X_t = eps_t + alpha_1*X_{t-1} + ... + alpha_k*X_{t-k} from a zero state.
+
+    Within a block of B steps the output is T @ e + Z @ s: T is the B x B
+    lower-triangular Toeplitz matrix of the impulse response h, e the
+    block's noise, s the k values carried in from the previous block and Z
+    their zero-input responses.  One run of the recursion over B steps gives
+    h and Z, one matrix product gives T @ e for every block, and a loop over
+    the blocks adds Z @ s.
+    """
+    a = np.asarray(alphas, dtype=float)
+    k = len(a)
+    B = max(_BLOCK, k)
+    # columns: the impulse response, then the response to each unit state
+    # x_{-k+j} = 1; the first k rows hold the state before the block
+    resp = np.zeros((k + B, k + 1))
+    resp[:k, 1:] = np.eye(k)
+    resp[k, 0] = 1.0
+    weights = a[::-1]
+    for t in range(B):
+        resp[k + t] += weights @ resp[t : t + k]
+    h, Z = resp[k:, 0], resp[k:, 1:]
+    lag = np.subtract.outer(np.arange(B), np.arange(B))
+    T = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
+
+    # the forced response of each block, written straight into x so that
+    # the noise is not copied; the last block is partial
+    n = len(eps)
+    full = n - n % B
+    x = np.zeros(-(-n // B) * B)
+    np.matmul(eps[:full].reshape(-1, B), T.T, out=x[:full].reshape(-1, B))
+    x[full:n] = T[: n - full, : n - full] @ eps[full:]
+    x = x.reshape(-1, B)
+    for b in range(1, len(x)):
+        x[b] += Z @ x[b - 1, B - k :]
+    return x.ravel()[:n]
 
 
 def simulate(
@@ -194,7 +239,11 @@ def simulate(
 
     Deterministic given (seed, n, burn_in): noise comes from numpy's seeded
     PCG64 generator, the recursion starts from a zero state, and the first
-    burn_in values are discarded.
+    burn_in values are discarded.  The recursion runs in blocks of 256
+    steps (k for k above that): one matrix product with the lower-triangular
+    Toeplitz matrix of the impulse response gives every block's response to
+    its own noise, and a loop over the blocks adds the response to the last
+    k values of the block before.
     """
     cr = char_roots(model.alphas)
     if not cr.stationary:
@@ -203,15 +252,11 @@ def simulate(
         burn_in = default_burn_in(model.alphas)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     rng = np.random.default_rng(seed)
     eps = model.sigma * rng.standard_normal(burn_in + n)
-    # imported here: scipy.signal takes over a second to import, and no
-    # other command needs it
-    from scipy.signal import lfilter
-
-    # X = eps filtered through 1 / (1 - a1 z^-1 - ... - ak z^-k), zero state
-    denom = np.concatenate([[1.0], -np.asarray(model.alphas)])
-    x = lfilter([1.0], denom, eps)
+    x = _ar_filter(model.alphas, eps)
     return SeriesSample(x[burn_in:], seed=seed, burn_in=burn_in)
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 numerical/check failure, 2 usage error.
 ``--json`` emits the machine-readable envelope (stable key order); the
 default output is human-readable text.  The env var SERIALSUM_BUDGET
-overrides the work budget of the series and finite-sum oracles.
+overrides the work budget of the series and finite-sum oracles and of
+`ar simulate` and `ar check`.
 """
 
 from __future__ import annotations
@@ -92,8 +93,15 @@ def _dumps(obj) -> str:
     return json.dumps(strict(obj), allow_nan=False)
 
 
-def _emit(args, command: str, inputs: dict, result: dict, err_estimate: float,
+def _command_name(args) -> str:
+    """The full subcommand, such as "eval", "oracle series" or "ar check"."""
+    sub = getattr(args, "oracle_command", None) or getattr(args, "ar_command", None)
+    return f"{args.command} {sub}" if sub else args.command
+
+
+def _emit(args, inputs: dict, result: dict, err_estimate: float,
           started: float) -> None:
+    command = _command_name(args)
     envelope = {
         "command": command,
         "inputs": _jsonify(inputs),
@@ -172,7 +180,7 @@ def _cmd_eval(args) -> int:
         "is_real_certified": res.is_real_certified,
         "route": route,
     }
-    _emit(args, "eval", inputs, result, res.err_estimate, started)
+    _emit(args, inputs, result, res.err_estimate, started)
     return 0
 
 
@@ -189,7 +197,7 @@ def _cmd_oracle_series(args) -> int:
         "truncation_J": res.truncation,  # the node count N
         "is_real_certified": res.is_real_certified,
     }
-    _emit(args, "oracle series", inputs, result, res.err_estimate, started)
+    _emit(args, inputs, result, res.err_estimate, started)
     return 0
 
 
@@ -210,7 +218,7 @@ def _cmd_oracle_finite(args) -> int:
         "adjust": list(spec.upper_adjust),
     }
     result = {"value": value, "exact": True}
-    _emit(args, "oracle finite", inputs, result, err, started)
+    _emit(args, inputs, result, err, started)
     return 0
 
 
@@ -247,7 +255,7 @@ def _cmd_conjecture(args) -> int:
         default=0.0,
     )
     if args.json:
-        _emit(args, "conjecture", inputs, result, worst, started)
+        _emit(args, inputs, result, worst, started)
     else:
         print(f"conjecture ell={args.ell} tol={args.tol:g}")
         for i, t in enumerate(report.trials):
@@ -281,7 +289,7 @@ def _cmd_ar(args) -> int:
             "roots": list(cr.roots),
             "stationary": cr.stationary,
         }
-        _emit(args, "ar roots", inputs, result, 0.0, started)
+        _emit(args, inputs, result, 0.0, started)
         return 0
 
     if args.ar_command == "acf":
@@ -292,17 +300,30 @@ def _cmd_ar(args) -> int:
             "coefficients": list(model.coeffs),
             "rho": rhos,
         }
-        _emit(args, "ar acf", inputs, result, 0.0, started)
+        _emit(args, inputs, result, 0.0, started)
         return 0
 
     model = ar_model.ARModel(tuple(alphas), args.sigma)
+    if args.ar_command == "check" and args.seeds < 2:
+        raise UsageError("--seeds must be >= 2 to estimate a standard error")
+    seeds = args.seeds if args.ar_command == "check" else 1
+    burn_in = (args.burn_in if args.burn_in is not None
+               else ar_model.default_burn_in(alphas))
+    # checked before any noise is drawn: 10 units per simulated sample
+    work = 10 * (burn_in + args.n) * seeds
+    budget = _budget(args)
+    if work > budget:
+        raise BudgetExceededError(
+            f"simulation needs {work:,} work units, over the budget of {budget:,}",
+            math.inf,
+        )
 
     if args.ar_command == "simulate":
         inputs.update({"sigma": args.sigma, "n": args.n, "seed": args.seed})
-        sample = ar_model.simulate(model, args.n, args.burn_in, args.seed)
+        sample = ar_model.simulate(model, args.n, burn_in, args.seed)
         ar_model.write_csv(sample, args.out)
         result = {"rows": sample.n, "burn_in": sample.burn_in, "path": args.out}
-        _emit(args, "ar simulate", inputs, result, 0.0, started)
+        _emit(args, inputs, result, 0.0, started)
         return 0
 
     # check: batch-mean empirical ACF across seeds vs the theoretical values
@@ -313,7 +334,7 @@ def _cmd_ar(args) -> int:
     _, rhos = ar_model.acf(alphas, args.jmax)
     per_seed = []
     for s in range(args.seed, args.seed + args.seeds):
-        sample = ar_model.simulate(model, args.n, args.burn_in, s)
+        sample = ar_model.simulate(model, args.n, burn_in, s)
         per_seed.append(ar_model.empirical_acf(sample, args.jmax))
     batch = np.asarray(per_seed)
     means = batch.mean(axis=0)
@@ -329,7 +350,7 @@ def _cmd_ar(args) -> int:
         "z_max_allowed": args.zmax,
         "ok": ok,
     }
-    _emit(args, "ar check", inputs, result, float(np.max(ses)), started)
+    _emit(args, inputs, result, float(np.max(ses)), started)
     return 0 if ok else 1
 
 
@@ -344,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON envelope")
         p.add_argument("--budget", type=int, default=None,
                        help="work budget of the series and finite-sum "
-                            "oracles (default: SERIALSUM_BUDGET or 2e8)")
+                            "oracles and of ar simulate and ar check "
+                            "(default: SERIALSUM_BUDGET or 2e8)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form limit")
     p.add_argument("--lambdas", required=True)
@@ -424,7 +446,7 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         payload = {
-            "command": args.command,
+            "command": _command_name(args),
             "error": "BudgetExceeded",
             "message": str(exc),
             "achievable_bound": exc.achievable_bound,
@@ -438,7 +460,7 @@ def main(argv=None) -> int:
             ar_model.BadLagError, ar_model.DegenerateSampleError,
             RuntimeError) as exc:
         payload = {
-            "command": args.command,
+            "command": _command_name(args),
             "error": type(exc).__name__,
             "message": str(exc),
         }

@@ -61,12 +61,12 @@ class CollisionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An oracle needs more work than its budget allows.
+    """An oracle or an AR simulation needs more work than its budget allows.
 
     ``achievable_bound`` is the best error bound attainable at the budget:
     the series oracle's aliasing bound at the largest affordable node count
     (inf when that count is not above S), or inf for the finite-sum oracle,
-    which is exact or nothing.
+    which is exact or nothing, and for an AR simulation.
     """
 
     def __init__(self, message: str, achievable_bound: float):

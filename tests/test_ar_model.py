@@ -16,7 +16,7 @@ from serialsum import (
     simulate,
     sum_stats,
 )
-from serialsum.ar_model import default_burn_in, write_csv
+from serialsum.ar_model import _BLOCK, _ar_filter, default_burn_in, write_csv
 
 AR2_ALPHAS = (0.5, -0.06)  # roots 0.3 and 0.2
 AR2_RHO1 = 0.5 / 1.06
@@ -125,6 +125,44 @@ class TestSimulate:
         r1 = empirical_acf(sample, 1)[1]
         band = 3 * (1 - 0.6**2) / np.sqrt(n)
         assert abs(r1 - 0.6) < band
+
+
+def _plain_recursion(alphas, eps):
+    x = []
+    for t, e in enumerate(eps):
+        x.append(float(e) + sum(
+            a * x[t - i] for i, a in enumerate(alphas, 1) if t - i >= 0
+        ))
+    return np.array(x)
+
+
+class TestArFilter:
+    @pytest.mark.parametrize("alphas, n", [
+        ((0.6,), 3 * _BLOCK),
+        # complex pair at radius 0.99
+        ((2 * 0.99 * np.cos(0.3), -0.99**2), 4 * _BLOCK),
+        # double root at 0.25
+        ((0.5, -0.0625), 2 * _BLOCK),
+        # length not a multiple of the block
+        (AR2_ALPHAS, 2 * _BLOCK + 37),
+        ((0.6,), 1),
+        # order above the block length: X_t = 0.3 X_{t-1} + 0.5 X_{t-k}
+        ((0.3,) + (0.0,) * (_BLOCK + 40) + (0.5,), 3 * _BLOCK + 100),
+    ])
+    def test_matches_plain_recursion(self, alphas, n):
+        eps = np.random.default_rng(n).standard_normal(n)
+        got = _ar_filter(alphas, eps)
+        want = _plain_recursion(alphas, eps)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_zero_noise_is_exactly_zero(self):
+        got = _ar_filter((2 * 0.99 * np.cos(0.3), -0.99**2), np.zeros(3 * _BLOCK + 5))
+        assert np.all(got == 0)
+
+    def test_simulate_rejects_negative_burn_in(self):
+        with pytest.raises(ValueError):
+            simulate(ARModel((0.6,), 1.0), 10, burn_in=-5, seed=0)
 
 
 class TestSumStats:

@@ -24,6 +24,13 @@ def run_json(capsys, *argv):
     return code, envelope, err
 
 
+def _src_env():
+    """The environment with this package's source directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(serialsum.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestEval:
     def test_distinct_pair(self, capsys):
         code, env, _ = run_json(capsys, "eval", "--lambdas", "0.5,0.3", "--S", "0")
@@ -252,6 +259,74 @@ class TestAr:
         assert env["result"]["ok"] is True
         assert all(abs(z) <= 4 for z in env["result"]["z_scores"])
 
+    @pytest.mark.parametrize("argv", [
+        ["ar", "simulate", "--alpha", "0.6", "--n", "100000000000"],
+        # the default burn-in alone is 276,310,198 samples
+        ["ar", "simulate", "--alpha", "0.9999999", "--n", "10"],
+        ["ar", "check", "--alpha", "0.6", "--n", "1000000", "--seeds", "21"],
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2",
+         "--budget", "20000"],
+    ])
+    def test_simulation_budget_exceeded(self, capsys, tmp_path, argv):
+        if argv[1] == "simulate":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        started = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["command"] == f"ar {argv[1]}"
+        assert payload["error"] == "BudgetExceeded"
+        assert payload["achievable_bound"] is None
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_budget_counts_ten_units_per_sample(self, capsys):
+        # 2 seeds x (55 burn-in + 1000) samples; acceptance criterion 7
+        # runs the README check (20 x 200,057 samples) at the default budget
+        argv = ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2"]
+        code, env, _ = run_json(capsys, *argv, "--budget", "21100")
+        # two seeds give a noisy standard error, so the z-test may fail
+        assert code in (0, 1)
+        assert env["command"] == "ar check"
+        assert "result" in env
+        code, out, _ = run(capsys, *argv, "--budget", "21099", "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "BudgetExceeded"
+
+    @pytest.mark.parametrize("argv", [
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "1"],
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "0"],
+        ["ar", "simulate", "--alpha", "0.6", "--n", "10", "--burn-in", "-5",
+         "--out", "{out}"],
+    ])
+    def test_bad_seeds_and_burn_in_exit_2(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        argv = [str(out) if a == "{out}" else a for a in argv]
+        started = time.perf_counter()
+        code, _, _ = run(capsys, *argv, "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert not out.exists()
+
+    def test_error_envelope_names_subcommand(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "ar", "check", "--alpha", "0.6", "--n", "1000", "--jmax", "2000",
+            "--json",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["command"] == "ar check"
+        assert payload["error"] == "BadLagError"
+
+        code, out, _ = run(
+            capsys,
+            "oracle", "series", "--lambdas", "0.9,0.9,0.9,0.9", "--S", "0",
+            "--tol", "1e-12", "--budget", "500", "--json",
+        )
+        assert code == 1
+        assert json.loads(out)["command"] == "oracle series"
+
 
 class TestNegativeLists:
     @pytest.mark.parametrize("argv", [
@@ -310,15 +385,28 @@ class TestContracts:
         assert json.loads(text) == env
 
     def test_import_loads_no_scipy(self):
-        # scipy.signal dominates the start-up time of every command; only
-        # `ar simulate` and `ar check` need it, and they import it lazily
-        src = os.path.dirname(os.path.dirname(serialsum.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        # importing scipy.signal takes over a second, more than any command
+        # spends on its own work; the package depends on numpy alone
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, serialsum.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=_src_env(), check=True,
         ).stdout
         assert out.strip() == "[]"
+
+    def test_ar_commands_load_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from serialsum.cli import main\n"
+            "assert main(['ar', 'simulate', '--alpha', '0.5,-0.06', '--n', '100',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "assert main(['ar', 'check', '--alpha', '0.6', '--n', '2000',"
+            " '--seeds', '3']) in (0, 1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=_src_env(), check=True,
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"
