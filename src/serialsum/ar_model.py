@@ -13,16 +13,16 @@ solve), since the closed form is not needed.
 Note: `empirical_acf` uses the known-zero-mean estimator (no sample-mean
 subtraction) because the process mean is exactly zero.  Generic ACF tools
 subtract the mean and will differ slightly.
+
+numpy is imported inside the functions that use it, so importing this
+module (and with it `serialsum`) loads none.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .lambda_sums import CLUSTER_DELTA
 
@@ -87,6 +87,8 @@ class SeriesSample:
     burn_in: int
 
     def __post_init__(self):
+        import numpy as np
+
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or len(vals) < 1:
             raise ValueError("values must be a nonempty 1-D array")
@@ -99,6 +101,8 @@ class SeriesSample:
 
 def char_roots(alphas: Sequence[float]) -> CharRoots:
     """Roots of lambda**k = alpha_1*lambda**(k-1) + ... + alpha_k."""
+    import numpy as np
+
     alphas = [float(a) for a in alphas]
     k = len(alphas)
     if k < 1:
@@ -119,6 +123,8 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
 def _rho_recursion(alphas: Sequence[float], j_max: int) -> list[float]:
     """rho_0..rho_{j_max} via Yule-Walker: solve for the first k-1 lags,
     then extend by rho_j = sum_i alpha_i * rho_{j-i}."""
+    import numpy as np
+
     alphas = [float(a) for a in alphas]
     k = len(alphas)
     rho = [1.0]
@@ -149,6 +155,8 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     Raises AcfConfluentError for repeated characteristic roots; the
     exception carries the recursion-based rho values.
     """
+    import numpy as np
+
     cr = char_roots(alphas)
     if not cr.stationary:
         raise NotStationaryError("serial correlations require a stationary model")
@@ -204,6 +212,8 @@ def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
     h and Z, one matrix product gives T @ e for every block, and a loop over
     the blocks adds Z @ s.
     """
+    import numpy as np
+
     a = np.asarray(alphas, dtype=float)
     k = len(a)
     B = max(_BLOCK, k)
@@ -254,6 +264,8 @@ def simulate(
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     eps = model.sigma * rng.standard_normal(burn_in + n)
     x = _ar_filter(model.alphas, eps)
@@ -264,6 +276,8 @@ def sum_stats(sample: SeriesSample, j: int) -> tuple[float, float]:
     """(sum of X_i, sum of X_i * X_{i+j} for i = 1..n-j)."""
     if j < 0 or j >= sample.n:
         raise BadLagError(f"lag {j} out of range for n={sample.n}")
+    import numpy as np
+
     x = sample.values
     sum_x = float(x.sum())
     if j == 0:
@@ -283,10 +297,19 @@ def empirical_acf(sample: SeriesSample, j_max: int) -> list[float]:
     return [sum_stats(sample, j)[1] / denom for j in range(j_max + 1)]
 
 
+#: Rows `write_csv` formats per write, so its memory stays bounded.
+_CSV_ROWS = 1 << 16
+
+
 def write_csv(sample: SeriesSample, path) -> None:
-    """One value per line under a single `x` header."""
+    """One value per line under a single `x` header.
+
+    Each value is written with repr, so it reads back exactly, and each
+    line ends in CRLF, as `csv.writer` writes it.
+    """
+    values = sample.values
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x"])
-        for v in sample.values:
-            writer.writerow([repr(float(v))])
+        fh.write("x\r\n")
+        for lo in range(0, len(values), _CSV_ROWS):
+            rows = values[lo : lo + _CSV_ROWS].tolist()
+            fh.write("\r\n".join(map(repr, rows)) + "\r\n")

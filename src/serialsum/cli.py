@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 numerical/check failure, 2 usage error.
 ``--json`` emits the machine-readable envelope (stable key order); the
 default output is human-readable text.  The env var SERIALSUM_BUDGET
-overrides the work budget of the series and finite-sum oracles and of
-`ar simulate` and `ar check`.
+overrides the work budget of the series and finite-sum oracles, of
+`conjecture` and of the `ar` commands that simulate or take `--jmax`.
+Only `ar check` imports numpy here; the other commands load it, if at
+all, through the library calls that use it, so `eval` loads none.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import os
 import re
 import sys
 import time
-
-import numpy as np
 
 from . import ar_model, lambda_sums
 from .lambda_sums import (
@@ -71,8 +71,6 @@ def _parse_int_list(text: str) -> list[int]:
 def _jsonify(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -123,6 +121,28 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("SERIALSUM_BUDGET")
     return int(float(env)) if env else lambda_sums.DEFAULT_BUDGET
+
+
+#: Work units charged per unit of CLI work, from measured costs at about
+#: 8 ns per unit (one simulated sample takes about 80 ns).  A probe trial
+#: takes 1.3-2.0 ms; a theoretical ACF lag about (3.3 + 0.8k) us for an
+#: AR(k) model; an empirical ACF lag about 0.6 ns per sample.
+_UNITS_PER_SAMPLE = 10
+_UNITS_PER_TRIAL = 250_000
+
+
+def _acf_units(k: int, jmax: int) -> int:
+    return 100 * (k + 5) * (jmax + 1)
+
+
+def _charge(args, what: str, work: int) -> None:
+    """Refuse, before it starts, work beyond the budget (exit 1)."""
+    budget = _budget(args)
+    if work > budget:
+        raise BudgetExceededError(
+            f"{what} needs {work:,} work units, over the budget of {budget:,}",
+            math.inf,
+        )
 
 
 def _resolve_S(args, n_lambdas: int) -> int:
@@ -226,6 +246,7 @@ def _cmd_conjecture(args) -> int:
     started = time.perf_counter()
     if args.ell not in (5, 6):
         raise UsageError("--ell must be 5 or 6 (smaller cases are proven)")
+    _charge(args, "the probe", _UNITS_PER_TRIAL * args.trials)
     report = lambda_sums.conjecture_probe(
         args.ell, args.trials, args.seed, args.tol, budget=_budget(args)
     )
@@ -294,6 +315,7 @@ def _cmd_ar(args) -> int:
 
     if args.ar_command == "acf":
         inputs["jmax"] = args.jmax
+        _charge(args, "the ACF", _acf_units(len(alphas), args.jmax))
         model, rhos = ar_model.acf(alphas, args.jmax)
         result = {
             "roots": list(model.roots),
@@ -309,14 +331,12 @@ def _cmd_ar(args) -> int:
     seeds = args.seeds if args.ar_command == "check" else 1
     burn_in = (args.burn_in if args.burn_in is not None
                else ar_model.default_burn_in(alphas))
-    # checked before any noise is drawn: 10 units per simulated sample
-    work = 10 * (burn_in + args.n) * seeds
-    budget = _budget(args)
-    if work > budget:
-        raise BudgetExceededError(
-            f"simulation needs {work:,} work units, over the budget of {budget:,}",
-            math.inf,
-        )
+    # checked before any noise is drawn; the simulation and the ACF of
+    # `ar check` are charged separately, and each must fit the budget
+    _charge(args, "simulation", _UNITS_PER_SAMPLE * (burn_in + args.n) * seeds)
+    if args.ar_command == "check":
+        _charge(args, "the ACF", _acf_units(len(alphas), args.jmax)
+                + (args.jmax + 1) * args.n * seeds // 8)
 
     if args.ar_command == "simulate":
         inputs.update({"sigma": args.sigma, "n": args.n, "seed": args.seed})
@@ -327,6 +347,8 @@ def _cmd_ar(args) -> int:
         return 0
 
     # check: batch-mean empirical ACF across seeds vs the theoretical values
+    import numpy as np
+
     inputs.update(
         {"sigma": args.sigma, "n": args.n, "seed": args.seed,
          "seeds": args.seeds, "jmax": args.jmax}
@@ -365,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON envelope")
         p.add_argument("--budget", type=int, default=None,
                        help="work budget of the series and finite-sum "
-                            "oracles and of ar simulate and ar check "
-                            "(default: SERIALSUM_BUDGET or 2e8)")
+                            "oracles, conjecture, ar acf, ar simulate and "
+                            "ar check (default: SERIALSUM_BUDGET or 2e8)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form limit")
     p.add_argument("--lambdas", required=True)

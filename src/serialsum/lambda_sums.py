@@ -17,7 +17,11 @@ the confluent divided difference of
     G(x) = x**(S+l-1) * prod_j (1 - lambda_j**2) / (1 - x*lambda_j)
 
 over the root multiset; for distinct roots this reproduces the closed form
-term by term, and it extends continuously to any multiplicities.
+term by term, and it extends continuously to any multiplicities.  The
+Taylor coefficients of G at a root of multiplicity m are built in closed
+form to order m - 1 (binomials times geometric series, multiplied as
+truncated Cauchy products; McCurdy, Ng & Parlett, Math. Comp. 43, 1984)
+and handed to the divided-difference table as one `Jet`.
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -26,17 +30,18 @@ with a proven aliasing bound) and `finite_sum` (the exact finite-n sum,
 both as the trace of a product of l Toeplitz matrices and as a direct
 enumerator), plus `linear_coefficient` which extracts the n-slope from
 finite sums.
+
+The closed forms need no numpy: the oracles and the root sampler import it
+where they use it, so `import serialsum` and `f_general` load none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import Jet, confluent_divided_difference_cond
 
@@ -52,8 +57,8 @@ REALNESS_TOL = 1e-10
 #: and of the finite-sum oracle (multiply-adds).
 DEFAULT_BUDGET = 200_000_000
 
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 class CollisionError(ValueError):
@@ -249,32 +254,53 @@ def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
     return LimitValue(value, _EPS * (abs_total + abs(total)), real_ok)
 
 
+def _ipow(z: complex, n: int) -> complex:
+    """z**n by repeated squaring, for any n >= 0.  Python's complex ** int
+    squares only up to n = 100; above that it goes through the polar form,
+    whose error grows like n."""
+    out = 1 + 0j
+    while n:
+        if n & 1:
+            out *= z
+        z *= z
+        n >>= 1
+    return out
+
+
 def _g_jet(x0: complex, order: int, lams: Sequence[complex], power: int) -> Jet:
-    """Jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0."""
-    x = Jet.identity(x0, order)
-    g = x**power
+    """Jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0.
+
+    The Taylor coefficients in h = x - x0 are closed forms: x**power gives
+    C(power, k) * x0**(power-k) (0**0 = 1), and each root l gives the
+    geometric series c/d * (l/d)**k, with c = 1 - l**2 and d = 1 - x0*l.
+    The factors are multiplied as truncated Cauchy products.
+    """
+    n = order + 1
+    coeffs = [math.comb(power, k) * _ipow(x0, power - k) if k <= power else 0j
+              for k in range(n)]
     for lam in lams:
-        num = Jet.constant(1 - lam * lam, x0, order)
-        den = Jet.constant(1.0, x0, order) - x * Jet.constant(lam, x0, order)
-        g = g * (num / den)
-    return g
+        d = 1 - x0 * lam
+        q = lam / d
+        c = (1 - lam * lam) / d
+        factor = [c * q**k for k in range(n)]
+        coeffs = [sum(coeffs[i] * factor[k - i] for i in range(k + 1))
+                  for k in range(n)]
+    return Jet(x0, tuple(coeffs))
 
 
 def f_general(roots: RootMultiset, S: int) -> LimitValue:
     """Limit value for any root multiplicities (the confluent evaluator).
 
     Evaluates the confluent divided difference of G(x) over the node
-    multiset; agrees with :func:`f_distinct` for all-distinct inputs and
-    extends continuously to repeated roots.
+    multiset, from closed-form Taylor coefficients of G at each node;
+    agrees with :func:`f_distinct` for all-distinct inputs and extends
+    continuously to repeated roots.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     lams = roots.lambdas
-    ell = roots.ell
-    power = S + ell - 1
-    jets = [
-        _g_jet(v, m - 1, lams, power) for v, m in roots.entries
-    ]
+    power = S + len(lams) - 1
+    jets = [_g_jet(v, m - 1, lams, power) for v, m in roots.entries]
     value, cond = confluent_divided_difference_cond(
         list(roots.entries), jets, CLUSTER_DELTA
     )
@@ -309,8 +335,8 @@ def f3_triple_reference(lam: complex, S: int) -> complex:
 
 
 #: log(rho) / log(1/r) tried in the aliasing bound; the best rho nears 1/r
-#: as N grows.
-_LOG_RHO_FRACTIONS = 1 - np.geomspace(0.95, 1e-3, 24)
+#: as N grows.  One minus a geometric sequence from 0.95 down to 1e-3.
+_LOG_RHO_FRACTIONS = tuple(1 - 0.95 * (1e-3 / 0.95) ** (i / 23) for i in range(24))
 
 
 def series_oracle(
@@ -336,6 +362,8 @@ def series_oracle(
     ``tol`` must check err_estimate.  A zero root contributes the factor
     1, the convention 0**0 = 1.
     """
+    import numpy as np
+
     lams = [complex(v) for v in lambdas]
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -355,7 +383,7 @@ def series_oracle(
     # |c_j| <= g(rho) * rho**-|j| for 1 < rho < 1/r.  For N > S the terms
     # p != 0 sum to at most g(rho) * (rho**(S-N) + rho**(-S-N)) /
     # (1 - rho**-N), taken in logs so that nothing overflows.
-    log_rho = -math.log(r) * _LOG_RHO_FRACTIONS
+    log_rho = -math.log(r) * np.array(_LOG_RHO_FRACTIONS)
     log_g = sum(
         math.log1p(-a * a) - np.log1p(-np.exp(math.log(a) + log_rho))
         - np.log1p(-np.exp(math.log(a) - log_rho))
@@ -459,6 +487,8 @@ def _check_finite_budget(work: int, budget: int) -> None:
 def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     """lam**lo .. lam**(lo + count - 1) (0**0 = 1), in float64 when lam is
     real, with powers below ``floor`` in modulus set to zero."""
+    import numpy as np
+
     base = lam.real if lam.imag == 0 else lam
     p = np.full(count, base)
     p[0] = np.power(base, lo)
@@ -468,6 +498,9 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
 
 
 def _toeplitz(diag: np.ndarray, cols: int) -> np.ndarray:
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     # A[a, b] = diag[a - b + cols - 1]: row a is diag[a : a + cols] read
     # backwards
     return np.ascontiguousarray(sliding_window_view(diag[::-1], cols)[::-1])
@@ -482,6 +515,8 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     sum_d c[d] * (A_l)_{b, b + d}, where c[d] sums the entries of
     P = A_1 ... A_{l-1} on its diagonal a - b = d.
     """
+    import numpy as np
+
     lams = spec.lambdas
     ell = len(lams)
     ns = [spec.n + d for d in spec.upper_adjust]
@@ -637,6 +672,8 @@ class ConjectureReport:
 def draw_roots(rng: np.random.Generator, ell: int, rmax: float) -> list[complex]:
     """Random admissible roots: real values and conjugate pairs inside the
     disk of radius rmax, mutually separated by at least 0.05 (relative)."""
+    import numpy as np
+
     while True:
         n_pairs = int(rng.integers(0, ell // 2 + 1))
         roots: list[complex] = []
@@ -674,6 +711,8 @@ def conjecture_probe(
         raise ValueError("the conjecture probe covers ell in {5, 6} only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out: list[ProbeTrial] = []
     for _ in range(trials):

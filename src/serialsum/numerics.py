@@ -1,11 +1,13 @@
 """Univariate complex jets and Hermite (confluent) divided differences.
 
 A jet carries the truncated Taylor expansion of a function at a point:
-``c0 + c1*(x - center) + ... + cm*(x - center)**m``.  Arithmetic on jets
-propagates these coefficients exactly (up to rounding), which gives exact
-high-order derivatives of small rational expressions without step-size
-tuning.  The divided-difference table consumes those derivatives at
-repeated nodes, so the same code handles distinct and confluent node sets.
+``c0 + c1*(x - center) + ... + cm*(x - center)**m``.  The divided-difference
+table consumes those coefficients at repeated nodes, so the same code
+handles distinct and confluent node sets.  Arithmetic on jets propagates
+the coefficients exactly (up to rounding), which gives high-order
+derivatives of small rational expressions without step-size tuning; the
+library's own evaluator, `lambda_sums.f_general`, builds its coefficients
+in closed form instead and uses `Jet` only to carry them.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,19 @@ class TestEmpiricalAcf:
 
 
 class TestCsvExport:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # more rows than one write holds, so the block joins are covered
+        sample = simulate(ARModel((0.5, -0.06), 2.0), 70_000, seed=4)
+        path = tmp_path / "series.csv"
+        write_csv(sample, path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x"])
+            for v in sample.values:
+                writer.writerow([repr(float(v))])
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_round_trip(self, tmp_path):
         sample = simulate(ARModel((0.6,), 1.0), 50, seed=8)
         path = tmp_path / "series.csv"

@@ -280,6 +280,30 @@ class TestAr:
         assert payload["achievable_bound"] is None
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["ar", "acf", "--alpha", "0.6", "--jmax", "1000000000"],
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--jmax", "1000000000"],
+        # 1,000 lags of 20 seeds x 200,000 samples
+        ["ar", "check", "--alpha", "0.5,-0.06", "--n", "200000", "--jmax", "1000"],
+        ["conjecture", "--ell", "5", "--trials", "1000000000"],
+        ["conjecture", "--ell", "6", "--trials", "801"],
+    ])
+    def test_lags_and_trials_budget_exceeded(self, capsys, monkeypatch, argv):
+        def work_started(*args, **kwargs):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(serialsum.ar_model, "acf", work_started)
+        monkeypatch.setattr(serialsum.ar_model, "simulate", work_started)
+        monkeypatch.setattr(serialsum.lambda_sums, "conjecture_probe", work_started)
+        started = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["command"] == " ".join(argv[:2 if argv[0] == "ar" else 1])
+        assert payload["error"] == "BudgetExceeded"
+        assert payload["achievable_bound"] is None
+
     def test_budget_counts_ten_units_per_sample(self, capsys):
         # 2 seeds x (55 burn-in + 1000) samples; acceptance criterion 7
         # runs the README check (20 x 200,057 samples) at the default budget
@@ -394,6 +418,39 @@ class TestContracts:
             capture_output=True, text=True, env=_src_env(), check=True,
         ).stdout
         assert out.strip() == "[]"
+
+    def test_eval_loads_no_numpy(self):
+        # importing numpy costs more than the closed form itself; eval, on
+        # the distinct and the confluent route, needs none
+        script = (
+            "import sys\n"
+            "import serialsum, serialsum.cli\n"
+            "from serialsum.cli import main\n"
+            "assert main(['eval', '--lambdas', '0.5', '--mult', '2', '--S', '1',"
+            " '--json']) == 0\n"
+            "assert main(['eval', '--lambdas', '0.5,0.3', '--S', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=_src_env(), check=True,
+        ).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+
+    def test_public_names(self):
+        assert set(serialsum.__all__) == {
+            "ARModel", "AcfConfluentError", "AcfModel", "BadLagError",
+            "BudgetExceededError", "CharRoots", "CollisionError",
+            "ConjectureReport", "DegenerateJetError", "DegenerateSampleError",
+            "FiniteSumSpec", "InsufficientOrderError", "Jet", "LimitValue",
+            "NodeCollisionError", "NotStationaryError", "RootMultiset",
+            "SeriesSample", "ShiftSpec", "acf", "ar_model", "char_roots",
+            "confluent_divided_difference", "conjecture_probe",
+            "empirical_acf", "f2_equal_reference", "f3_triple_reference",
+            "f_distinct", "f_general", "finite_sum", "finite_sum_direct",
+            "lambda_sums", "linear_coefficient", "numerics", "series_oracle",
+            "simulate", "sum_stats",
+        }
 
     def test_ar_commands_load_no_scipy(self, tmp_path):
         script = (

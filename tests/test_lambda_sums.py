@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from serialsum import (
     linear_coefficient,
     series_oracle,
 )
+from serialsum.lambda_sums import _g_jet
+from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
 
 # Values frozen from independent brute-force summations (plain nested-loop
@@ -164,6 +167,17 @@ class TestFGeneral:
             got = f_general(RootMultiset(perm), S).value
             assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
 
+    @pytest.mark.parametrize("lam", [-0.95, -0.8, 0.6])
+    def test_real_double_root_at_large_S(self, lam):
+        # power S + 1 = 301 is above the 100 up to which complex ** int
+        # squares; a real root must still give a real, accurate value
+        S = 300
+        x = Fraction(lam)
+        exact = float(x**S * (1 + S + (1 - S) * x * x) / (1 - x * x))
+        got = f_general(RootMultiset(((lam, 2),)), S).value
+        assert got.imag == 0
+        assert abs(got.real - exact) <= 1e-13 * abs(exact)
+
     def test_realness_certified_for_conjugate_pairs(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -172,6 +186,41 @@ class TestFGeneral:
             got = f_general(roots, S)
             assert abs(got.value.imag) <= 1e-10 * (1 + abs(got.value))
             assert got.is_real_certified
+
+
+def g_jet_reference(x0, order, lams, power):
+    """The jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0 by Jet
+    arithmetic; the reference for the closed-form coefficients of `_g_jet`."""
+    x = Jet.identity(x0, order)
+    g = x**power
+    for lam in lams:
+        num = Jet.constant(1 - lam * lam, x0, order)
+        den = Jet.constant(1.0, x0, order) - x * Jet.constant(lam, x0, order)
+        g = g * (num / den)
+    return g
+
+
+class TestGJet:
+    @pytest.mark.parametrize("x0", [0.5, -0.9, 0.3 + 0.6j, -0.2 - 0.7j, 0.0])
+    @pytest.mark.parametrize("order", range(6))
+    def test_matches_jet_arithmetic(self, x0, order):
+        lams = [x0] * (order + 1) + [0.7, -0.4 + 0.3j, -0.4 + 0.3j, 0.0]
+        for power in range(11):
+            got = _g_jet(x0, order, lams, power)
+            ref = g_jet_reference(x0, order, lams, power)
+            assert got.center == ref.center
+            assert len(got.coeffs) == order + 1
+            for a, b in zip(got.coeffs, ref.coeffs):
+                assert abs(a - b) <= 1e-13 * abs(b), (power, got, ref)
+
+    def test_f_general_does_no_jet_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Jet arithmetic in f_general")
+
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
+            monkeypatch.setattr(Jet, op, refuse)
+        got = f_general(RootMultiset(((0.5, 3), (-0.2, 2), (0.1, 1))), 2)
+        assert abs(got.value) > 0
 
 
 class TestReferences:
