@@ -27,7 +27,6 @@ from .lambda_sums import (
     series_oracle,
 )
 from .ar_model import (
-    AcfConfluentError,
     AcfModel,
     ARModel,
     BadLagError,

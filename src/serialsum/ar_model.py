@@ -6,16 +6,19 @@ The process is X_i = alpha_1*X_{i-1} + ... + alpha_k*X_{i-k} + eps_i with
 iid Gaussian noise.  It is asymptotically stationary iff every root of
 lambda**k = alpha_1*lambda**(k-1) + ... + alpha_k lies strictly inside the
 unit disk, in which case the serial correlation is a mixture of geometric
-terms rho_j = sum_i A_i * lambda_i**|j|.  The A_i are recovered here
-numerically (Yule-Walker solve for rho_1..rho_{k-1}, then a Vandermonde
-solve), since the closed form is not needed.
+terms rho_j = sum_i A_i * lambda_i**|j|.  The rho_j come from the
+Yule-Walker equations and the AR recursion.  The A_i come from the closed
+form of `lambda_sums`: the spectral density of the process is the series
+oracle's symbol, so gamma_j is proportional to F(lambda; j), and A_i is
+the closed form's term for lambda_i at S = 0 divided by their sum.
 
 Note: `empirical_acf` uses the known-zero-mean estimator (no sample-mean
 subtraction) because the process mean is exactly zero.  Generic ACF tools
 subtract the mean and will differ slightly.
 
 numpy is imported inside the functions that use it, so importing this
-module (and with it `serialsum`) loads none.
+module (and with it `serialsum`) loads none, and neither do `char_roots`
+and `acf` for an AR(1) model.
 """
 
 from __future__ import annotations
@@ -24,20 +27,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lambda_sums import CLUSTER_DELTA
+from .lambda_sums import _distinct_terms
 
 
 class NotStationaryError(ValueError):
     """Operation requires a stationary model."""
-
-
-class AcfConfluentError(ValueError):
-    """Repeated characteristic roots: the geometric-mixture coefficients are
-    undefined.  Carries the recursion-based correlations in ``rhos``."""
-
-    def __init__(self, message: str, rhos: list[float]):
-        super().__init__(message)
-        self.rhos = rhos
 
 
 class BadLagError(ValueError):
@@ -76,8 +70,11 @@ class CharRoots:
 
 @dataclass(frozen=True)
 class AcfModel:
+    """Roots and mixture weights; ``coeffs`` is None when two roots are
+    equal, where the mixture has no geometric form."""
+
     roots: tuple[complex, ...]
-    coeffs: tuple[complex, ...]
+    coeffs: tuple[complex, ...] | None
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,6 @@ class SeriesSample:
 
 def char_roots(alphas: Sequence[float]) -> CharRoots:
     """Roots of lambda**k = alpha_1*lambda**(k-1) + ... + alpha_k."""
-    import numpy as np
-
     alphas = [float(a) for a in alphas]
     k = len(alphas)
     if k < 1:
@@ -110,6 +105,8 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
     if k == 1:
         roots = (complex(alphas[0]),)
     else:
+        import numpy as np
+
         poly = np.concatenate([[1.0], -np.asarray(alphas)])
         roots = tuple(sorted(np.roots(poly), key=lambda z: (-abs(z), -z.real, -z.imag)))
     for lam in roots:
@@ -123,12 +120,12 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
 def _rho_recursion(alphas: Sequence[float], j_max: int) -> list[float]:
     """rho_0..rho_{j_max} via Yule-Walker: solve for the first k-1 lags,
     then extend by rho_j = sum_i alpha_i * rho_{j-i}."""
-    import numpy as np
-
     alphas = [float(a) for a in alphas]
     k = len(alphas)
     rho = [1.0]
     if k > 1:
+        import numpy as np
+
         # unknowns rho_1..rho_{k-1}: rho_j = sum_i alpha_i * rho_{|j-i|}
         a = np.zeros((k - 1, k - 1))
         b = np.zeros(k - 1)
@@ -138,10 +135,8 @@ def _rho_recursion(alphas: Sequence[float], j_max: int) -> list[float]:
                 lag = abs(j - i)
                 if lag == 0:
                     b[j - 1] += alphas[i - 1]
-                elif lag <= k - 1:
-                    a[j - 1, lag - 1] -= alphas[i - 1]
                 else:
-                    raise AssertionError("lag out of range in Yule-Walker build")
+                    a[j - 1, lag - 1] -= alphas[i - 1]
         rho.extend(np.linalg.solve(a, b).tolist())
     for j in range(k, j_max + 1):
         rho.append(sum(alphas[i] * rho[j - 1 - i] for i in range(k)))
@@ -152,38 +147,19 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     """Theoretical serial correlations and their geometric-mixture form.
 
     Returns (AcfModel with roots and coefficients A_i, [rho_0..rho_{j_max}]).
-    Raises AcfConfluentError for repeated characteristic roots; the
-    exception carries the recursion-based rho values.
+    The A_i are the closed form's terms at S = 0 over their sum, None when
+    two roots are equal; for nearly equal roots they are large and cancel.
     """
-    import numpy as np
-
     cr = char_roots(alphas)
     if not cr.stationary:
         raise NotStationaryError("serial correlations require a stationary model")
-    k = len(cr.roots)
-    rho = _rho_recursion(alphas, max(j_max, k - 1))
-
-    scale = 1.0 + max(abs(z) for z in cr.roots)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(cr.roots[i] - cr.roots[j]) <= CLUSTER_DELTA * scale:
-                raise AcfConfluentError(
-                    "repeated characteristic roots: geometric-mixture "
-                    "coefficients unavailable",
-                    rho[: j_max + 1],
-                )
-
-    vand = np.array([[lam**j for lam in cr.roots] for j in range(k)], dtype=complex)
-    coeffs = np.linalg.solve(vand, np.asarray(rho[:k], dtype=complex))
-    if abs(coeffs.sum() - 1) > 1e-10:
-        raise RuntimeError("mixture coefficients do not sum to 1")
-    for j in range(min(j_max, len(rho) - 1) + 1):
-        mix = sum(a * lam**j for a, lam in zip(coeffs, cr.roots))
-        if abs(mix - rho[j]) > 1e-9:
-            raise RuntimeError(
-                f"mixture and recursion correlations disagree at lag {j}"
-            )
-    return AcfModel(cr.roots, tuple(coeffs.tolist())), rho[: j_max + 1]
+    rho = _rho_recursion(alphas, j_max)
+    coeffs = None
+    if len(set(cr.roots)) == len(cr.roots):
+        terms = _distinct_terms(cr.roots, 0)
+        total = sum(terms)
+        coeffs = tuple(t / total for t in terms)
+    return AcfModel(cr.roots, coeffs), rho
 
 
 def default_burn_in(alphas: Sequence[float]) -> int:

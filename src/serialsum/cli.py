@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 numerical/check failure, 2 usage error.
 ``--json`` emits the machine-readable envelope (stable key order); the
 default output is human-readable text.  The env var SERIALSUM_BUDGET
 overrides the work budget of the series and finite-sum oracles, of
-`conjecture` and of the `ar` commands that simulate or take `--jmax`.
+`conjecture` and of the `ar` commands.
 Only `ar check` imports numpy here; the other commands load it, if at
-all, through the library calls that use it, so `eval` loads none.
+all, through the library calls that use it, so `eval`, and `ar roots` and
+`ar acf` for an AR(1) model, load none.
 """
 
 from __future__ import annotations
@@ -125,14 +126,16 @@ def _budget(args) -> int:
 
 #: Work units charged per unit of CLI work, from measured costs at about
 #: 8 ns per unit (one simulated sample takes about 80 ns).  A probe trial
-#: takes 1.3-2.0 ms; a theoretical ACF lag about (3.3 + 0.8k) us for an
-#: AR(k) model; an empirical ACF lag about 0.6 ns per sample.
+#: takes 1.3-2.0 ms; a theoretical ACF lag about (0.5 + 0.15k) us for an
+#: AR(k) model, and 1-2 us more to emit; an empirical ACF lag about
+#: 0.6 ns per sample; the characteristic roots of an AR(k) model 4-10 ns
+#: per k**3.
 _UNITS_PER_SAMPLE = 10
 _UNITS_PER_TRIAL = 250_000
 
 
 def _acf_units(k: int, jmax: int) -> int:
-    return 100 * (k + 5) * (jmax + 1)
+    return 25 * (k + 10) * (jmax + 1)
 
 
 def _charge(args, what: str, work: int) -> None:
@@ -303,6 +306,8 @@ def _cmd_ar(args) -> int:
     if not alphas:
         raise UsageError("--alpha requires at least one coefficient")
     inputs = {"alpha": alphas}
+    # every subcommand finds the roots, an O(k**3) eigenvalue problem
+    _charge(args, "the characteristic roots", len(alphas) ** 3)
 
     if args.ar_command == "roots":
         cr = ar_model.char_roots(alphas)
@@ -319,7 +324,7 @@ def _cmd_ar(args) -> int:
         model, rhos = ar_model.acf(alphas, args.jmax)
         result = {
             "roots": list(model.roots),
-            "coefficients": list(model.coeffs),
+            "coefficients": model.coeffs,
             "rho": rhos,
         }
         _emit(args, inputs, result, 0.0, started)
@@ -387,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON envelope")
         p.add_argument("--budget", type=int, default=None,
                        help="work budget of the series and finite-sum "
-                            "oracles, conjecture, ar acf, ar simulate and "
-                            "ar check (default: SERIALSUM_BUDGET or 2e8)")
+                            "oracles, conjecture and the ar commands "
+                            "(default: SERIALSUM_BUDGET or 2e8)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form limit")
     p.add_argument("--lambdas", required=True)
@@ -478,9 +483,8 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ar_model.NotStationaryError, ar_model.AcfConfluentError,
-            ar_model.BadLagError, ar_model.DegenerateSampleError,
-            RuntimeError) as exc:
+    except (ar_model.NotStationaryError, ar_model.BadLagError,
+            ar_model.DegenerateSampleError, RuntimeError) as exc:
         payload = {
             "command": _command_name(args),
             "error": type(exc).__name__,

@@ -228,30 +228,37 @@ def _certify(value: complex, roots_conjugate_closed: bool) -> tuple[complex, boo
     return value, real_ok
 
 
+def _distinct_terms(lams: Sequence[complex], S: int) -> list[complex]:
+    """The closed form's term for each of the pairwise-distinct roots,
+    lambda_i**(S+l-1) * prod_{j != i} (1 - lambda_j**2) /
+    ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j))."""
+    ell = len(lams)
+    terms = []
+    for i, li in enumerate(lams):
+        term = _ipow(li, S + ell - 1)
+        for j, lj in enumerate(lams):
+            if j != i:
+                term *= (1 - lj * lj) / ((li - lj) * (1 - li * lj))
+        terms.append(term)
+    return terms
+
+
 def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
     """Closed-form limit for pairwise-distinct roots.
 
     Raises CollisionError when any multiplicity exceeds 1; route such
-    inputs to :func:`f_general`.
+    inputs to :func:`f_general`.  The power lambda_i**(S+l-1) carries a
+    rounding error that grows with S, so err_estimate scales the sum of
+    the term moduli by S + l.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     if not roots.is_distinct():
         raise CollisionError("repeated roots: use f_general")
-    lams = [v for v, _ in roots.entries]
-    ell = len(lams)
-    total = 0j
-    abs_total = 0.0
-    for i, li in enumerate(lams):
-        term = li ** (S + ell - 1) if (S + ell - 1) else 1 + 0j
-        for j, lj in enumerate(lams):
-            if j == i:
-                continue
-            term *= (1 - lj * lj) / ((li - lj) * (1 - li * lj))
-        total += term
-        abs_total += abs(term)
-    value, real_ok = _certify(total, roots.is_conjugate_closed())
-    return LimitValue(value, _EPS * (abs_total + abs(total)), real_ok)
+    terms = _distinct_terms([v for v, _ in roots.entries], S)
+    value, real_ok = _certify(sum(terms, 0j), roots.is_conjugate_closed())
+    err = _EPS * ((S + len(terms)) * sum(map(abs, terms)) + abs(value))
+    return LimitValue(value, err, real_ok)
 
 
 def _ipow(z: complex, n: int) -> complex:
@@ -294,7 +301,8 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     Evaluates the confluent divided difference of G(x) over the node
     multiset, from closed-form Taylor coefficients of G at each node;
     agrees with :func:`f_distinct` for all-distinct inputs and extends
-    continuously to repeated roots.
+    continuously to repeated roots.  As there, err_estimate scales the
+    table's magnitude scale by S + l, for the rounding of x**(S+l-1).
     """
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -305,7 +313,7 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
         list(roots.entries), jets, CLUSTER_DELTA
     )
     value, real_ok = _certify(value, roots.is_conjugate_closed())
-    return LimitValue(value, _EPS * (cond + abs(value)), real_ok)
+    return LimitValue(value, _EPS * ((power + 1) * cond + abs(value)), real_ok)
 
 
 def f2_equal_reference(lam: complex, S: int) -> complex:

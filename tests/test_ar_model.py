@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from serialsum import (
-    AcfConfluentError,
     ARModel,
     BadLagError,
     DegenerateSampleError,
@@ -19,9 +18,48 @@ from serialsum import (
     sum_stats,
 )
 from serialsum.ar_model import _BLOCK, _ar_filter, default_burn_in, write_csv
+from _gen import draw_roots
 
 AR2_ALPHAS = (0.5, -0.06)  # roots 0.3 and 0.2
 AR2_RHO1 = 0.5 / 1.06
+
+
+def yule_walker_reference(alphas, j_max, dps=50):
+    """rho_0..rho_{j_max} at ``dps`` digits: the Yule-Walker equations
+    rho_j = sum_i alpha_i * rho_{|j-i|}, j = 1..k-1, then the recursion."""
+    mpmath = pytest.importorskip("mpmath")
+    k = len(alphas)
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(x) for x in alphas]
+        rho = [mpmath.mpf(1)]
+        if k > 1:
+            m = mpmath.eye(k - 1)
+            b = mpmath.matrix(k - 1, 1)
+            for j in range(1, k):
+                for i in range(1, k + 1):
+                    if i == j:
+                        b[j - 1] += a[i - 1]
+                    else:
+                        m[j - 1, abs(j - i) - 1] -= a[i - 1]
+            rho += list(mpmath.lu_solve(m, b))
+        for j in range(k, j_max + 1):
+            rho.append(mpmath.fsum(a[i] * rho[j - 1 - i] for i in range(k)))
+        return rho[: j_max + 1]
+
+
+def mixture_weights_reference(alphas, dps=50):
+    """[(root, A)] at ``dps`` digits: the exact roots of the characteristic
+    polynomial and the Vandermonde solve sum_i A_i * root_i**j = rho_j,
+    j = 0..k-1."""
+    mpmath = pytest.importorskip("mpmath")
+    k = len(alphas)
+    rho = yule_walker_reference(alphas, k - 1, dps)
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots([1] + [-mpmath.mpf(x) for x in alphas],
+                                 maxsteps=200, extraprec=2 * dps)
+        vand = mpmath.matrix([[r**j for r in roots] for j in range(k)])
+        weights = mpmath.lu_solve(vand, mpmath.matrix(rho))
+        return [(complex(r), complex(w)) for r, w in zip(roots, weights)]
 
 
 class TestCharRoots:
@@ -88,11 +126,34 @@ class TestAcf:
             assert abs(mix - rho[j]) <= 1e-9
 
     def test_repeated_roots_flagged(self):
-        # lambda^2 = lambda - 0.25 has the double root 0.5
-        with pytest.raises(AcfConfluentError) as exc:
-            acf([1.0, -0.25], 5)
-        assert exc.value.rhos[0] == 1.0
-        assert len(exc.value.rhos) == 6
+        # lambda^2 = lambda - 0.25 has the double root 0.5, whose ACF is
+        # (1 + 0.6h) * 0.5**h; equal roots have no geometric-mixture weights
+        model, rho = acf([1.0, -0.25], 5)
+        assert model.coeffs is None
+        for h, r in enumerate(rho):
+            assert abs(r - (1 + 0.6 * h) * 0.5**h) <= 1e-14
+
+    def test_triple_root_matches_yule_walker_reference(self):
+        # (lambda - 0.5)**3: np.roots splits the triple root by about 1e-5
+        alphas = (1.5, -0.75, 0.125)
+        model, rho = acf(alphas, 60)
+        assert len(set(model.roots)) == 3
+        ref = yule_walker_reference(alphas, 60)
+        assert max(abs(a - float(b)) for a, b in zip(rho, ref)) <= 1e-13
+
+    def test_weights_match_high_precision_weights(self):
+        # roots at least 0.05 apart; the 50-digit weights solve the
+        # Vandermonde system on the exact roots of the float coefficients
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            k = int(rng.integers(1, 7))
+            lams = draw_roots(rng, k, 0.9)
+            alphas = (-np.poly(lams)[1:].real).tolist()
+            model, _ = acf(alphas, 3)
+            want = mixture_weights_reference(alphas)
+            for lam, a in zip(model.roots, model.coeffs):
+                ref = min(want, key=lambda p: abs(p[0] - lam))[1]
+                assert abs(a - ref) <= 1e-12, (alphas, lam, a, ref)
 
     def test_non_stationary_rejected(self):
         with pytest.raises(NotStationaryError):

@@ -226,6 +226,47 @@ class TestAr:
         assert code == 0
         assert env["result"]["rho"] == pytest.approx([1.0, 0.6, 0.36, 0.216])
 
+    def test_acf_repeated_root(self, capsys):
+        # the double root 0.5: no mixture weights, exact correlations
+        code, env, _ = run_json(
+            capsys, "ar", "acf", "--alpha", "1.0,-0.25", "--jmax", "5"
+        )
+        assert code == 0
+        assert env["result"]["coefficients"] is None
+        assert env["result"]["rho"] == pytest.approx(
+            [(1 + 0.6 * h) * 0.5**h for h in range(6)], abs=1e-14)
+
+    def test_check_repeated_root_reaches_verdict(self, capsys):
+        code, env, _ = run_json(
+            capsys,
+            "ar", "check", "--alpha", "1.0,-0.25", "--n", "20000", "--seed",
+            "1", "--jmax", "3", "--seeds", "5",
+        )
+        assert code == (0 if env["result"]["ok"] else 1)
+        assert env["result"]["rho_theoretical"] == pytest.approx(
+            [1.0, 0.8, 0.55, 0.35], abs=1e-14)
+
+    @pytest.mark.parametrize("command", ["roots", "acf", "simulate", "check"])
+    def test_order_budget_exceeded(self, capsys, monkeypatch, tmp_path, command):
+        # 600**3 units: finding the roots of an AR(600) model takes seconds
+        def work_started(*args, **kwargs):
+            raise AssertionError("root finding started before the budget check")
+
+        monkeypatch.setattr(serialsum.ar_model, "char_roots", work_started)
+        argv = ["ar", command, "--alpha", ",".join(["0.001"] * 600)]
+        if command in ("simulate", "check"):
+            argv += ["--n", "10", "--burn-in", "0"]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        started = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["command"] == f"ar {command}"
+        assert payload["error"] == "BudgetExceeded"
+        assert payload["achievable_bound"] is None
+
     def test_simulate_csv(self, capsys, tmp_path):
         out = tmp_path / "x.csv"
         code, env, _ = run_json(
@@ -421,7 +462,8 @@ class TestContracts:
 
     def test_eval_loads_no_numpy(self):
         # importing numpy costs more than the closed form itself; eval, on
-        # the distinct and the confluent route, needs none
+        # the distinct and the confluent route, and the AR(1) roots and ACF
+        # need none
         script = (
             "import sys\n"
             "import serialsum, serialsum.cli\n"
@@ -429,6 +471,8 @@ class TestContracts:
             "assert main(['eval', '--lambdas', '0.5', '--mult', '2', '--S', '1',"
             " '--json']) == 0\n"
             "assert main(['eval', '--lambdas', '0.5,0.3', '--S', '0']) == 0\n"
+            "assert main(['ar', 'acf', '--alpha', '0.6', '--json']) == 0\n"
+            "assert main(['ar', 'roots', '--alpha', '0.6', '--json']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         out = subprocess.run(
@@ -439,7 +483,7 @@ class TestContracts:
 
     def test_public_names(self):
         assert set(serialsum.__all__) == {
-            "ARModel", "AcfConfluentError", "AcfModel", "BadLagError",
+            "ARModel", "AcfModel", "BadLagError",
             "BudgetExceededError", "CharRoots", "CollisionError",
             "ConjectureReport", "DegenerateJetError", "DegenerateSampleError",
             "FiniteSumSpec", "InsufficientOrderError", "Jet", "LimitValue",

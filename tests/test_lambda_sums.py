@@ -188,6 +188,86 @@ class TestFGeneral:
             assert got.is_real_certified
 
 
+def closed_form_reference(entries, S):
+    """F at high precision: the distinct-root closed form with the copies
+    of a repeated root spread 1e-60 apart, at 60 digits per root and 60
+    more, so that the cancellation among them leaves over 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    ell = sum(m for _, m in entries)
+    with mpmath.workdps(60 * ell + 60):
+        nodes = [mpmath.mpc(v) + c * mpmath.mpf("1e-60")
+                 for v, m in entries for c in range(m)]
+        return mpmath.fsum(
+            li ** (S + ell - 1) * mpmath.fprod(
+                (1 - lj**2) / ((li - lj) * (1 - li * lj))
+                for j, lj in enumerate(nodes) if j != i
+            )
+            for i, li in enumerate(nodes)
+        )
+
+
+class TestErrEstimate:
+    """|value - reference| <= err_estimate, including the rounding of the
+    power x**(S+l-1), which grows with S."""
+
+    @staticmethod
+    def assert_bounded(got, entries, S):
+        ref = closed_form_reference(entries, S)
+        err = float(abs(complex(got.value) - ref))
+        assert err <= got.err_estimate, (entries, S, err, got.err_estimate)
+
+    @pytest.mark.parametrize("lams, S", [
+        ([-0.8, 0.3], 50), ([-0.8, 0.3], 300), ([-0.9, 0.5, -0.2], 300),
+    ])
+    def test_large_S(self, lams, S):
+        roots = ms(*lams)
+        for f in (f_distinct, f_general):
+            got = f(roots, S)
+            assert got.value.imag == 0
+            self.assert_bounded(got, roots.entries, S)
+
+    def test_random_distinct_sets(self):
+        # real roots and conjugate pairs, up to radius 0.99
+        rng = np.random.default_rng(1)
+        for _ in range(150):
+            roots = draw_multiset(rng, int(rng.integers(2, 7)),
+                                  float(rng.choice([0.5, 0.8, 0.95, 0.99])))
+            S = int(rng.choice([0, 5, 50, 150, 400]))
+            for f in (f_distinct, f_general):
+                self.assert_bounded(f(roots, S), roots.entries, S)
+
+    def test_random_repeated_sets(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            ell = int(rng.integers(2, 7))
+            base = draw_roots(rng, int(rng.integers(1, ell)),
+                              float(rng.choice([0.5, 0.8, 0.95, 0.99])))
+            lams = base + [base[int(rng.integers(0, len(base)))]
+                           for _ in range(ell - len(base))]
+            roots = RootMultiset.from_lambdas(lams)
+            S = int(rng.choice([0, 5, 50, 150, 400]))
+            self.assert_bounded(f_general(roots, S), roots.entries, S)
+
+    @pytest.mark.parametrize("m", [3, 5, 6])
+    def test_exact_repeats_near_circle(self, m):
+        # the error grows with the multiplicity, at S = 0 too
+        roots = RootMultiset(((0.95, m),))
+        self.assert_bounded(f_general(roots, 0), roots.entries, 0)
+
+    @pytest.mark.parametrize("entries", [
+        ((-0.95, 1), (0.7, 1), (0.2, 1)),
+        ((0.9, 2), (-0.5, 1)),
+        ((-0.8, 3), (0.6, 2)),
+    ])
+    def test_real_roots_at_large_S(self, entries):
+        roots = RootMultiset(entries)
+        evaluators = (f_distinct, f_general) if roots.is_distinct() else (f_general,)
+        for f in evaluators:
+            got = f(roots, 300)
+            assert got.value.imag == 0
+            self.assert_bounded(got, roots.entries, 300)
+
+
 def g_jet_reference(x0, order, lams, power):
     """The jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0 by Jet
     arithmetic; the reference for the closed-form coefficients of `_g_jet`."""
