@@ -103,16 +103,31 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
     if k < 1:
         raise ValueError("need at least one coefficient")
     if k == 1:
-        roots = (complex(alphas[0]),)
+        roots = (complex(alphas[0]),)  # exact: no residual to check
     else:
         import numpy as np
 
         poly = np.concatenate([[1.0], -np.asarray(alphas)])
-        roots = tuple(sorted(np.roots(poly), key=lambda z: (-abs(z), -z.real, -z.imag)))
-    for lam in roots:
-        resid = abs(lam**k - sum(a * lam ** (k - 1 - i) for i, a in enumerate(alphas)))
-        if resid > 1e-10 * (1 + abs(lam)) ** k:
-            raise RuntimeError(f"root residual {resid:g} too large at {lam}")
+        found = np.roots(poly)
+        # |p(lam)| against sum_i |c_i| * |lam|**(k-i), both by Horner's
+        # rule; a root outside the unit circle is checked on the reversed
+        # polynomial at 1/lam, so neither side can overflow
+        inside = np.abs(found) <= 1
+        for coeffs, z, lams in (
+            (poly, found[inside], found[inside]),
+            (poly[::-1], 1 / found[~inside], found[~inside]),
+        ):
+            resid, scale = np.zeros(len(z), complex), np.zeros(len(z))
+            for c in coeffs:
+                resid = resid * z + c
+                scale = scale * np.abs(z) + abs(c)
+            bad = np.abs(resid) > 1e-10 * scale
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise RuntimeError(
+                    f"root residual {abs(resid[i]):g} too large at {lams[i]}"
+                )
+        roots = tuple(sorted(found, key=lambda z: (-abs(z), -z.real, -z.imag)))
     stationary = all(abs(lam) < 1 for lam in roots)
     return CharRoots(tuple(complex(z) for z in roots), stationary)
 

@@ -26,10 +26,13 @@ and handed to the divided-difference table as one `Jet`.
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
 ((1 - lambda_m*z) * (1 - lambda_m/z)), by the trapezoidal rule on |z| = 1
-with a proven aliasing bound) and `finite_sum` (the exact finite-n sum,
-both as the trace of a product of l Toeplitz matrices and as a direct
-enumerator), plus `linear_coefficient` which extracts the n-slope from
-finite sums.
+with a proven aliasing bound; the symbol is even in the angle, so it is
+sampled on the half circle, each factor in a positive real form with no
+cancellation, and the rounding bound is a few dozen eps per root, with a
+part growing as 1/(1 - |lambda|) for complex roots only) and `finite_sum`
+(the exact finite-n sum, both as the trace of a product of l Toeplitz
+matrices and as a direct enumerator), plus `linear_coefficient` which
+extracts the n-slope from finite sums.
 
 The closed forms need no numpy: the oracles and the root sampler import it
 where they use it, so `import serialsum` and `f_general` load none.
@@ -359,16 +362,31 @@ def series_oracle(
     f(z) = prod_m (1 - lambda_m**2) / ((1 - lambda_m*z) * (1 - lambda_m/z)),
     whose coefficients are the convolution of the kernels lambda_m**|j|
     (Gray, Toeplitz and Circulant Matrices: A Review).  The mean of
-    z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}; N starts
-    at the first power of two above 2S and doubles until the aliasing
-    bound on the terms p != 0 is below ``tol``.  The work is N*l: needing
-    more than budget // l nodes raises BudgetExceededError.  err_estimate
-    adds a rounding bound to the aliasing bound, so the true limit lies
-    within it of the returned value.  Only the aliasing part is held
-    below ``tol``: the rounding part grows as the roots near the circle
-    (for {0.99999, 0.99999} it is about 1e-4), so a caller that needs
-    ``tol`` must check err_estimate.  A zero root contributes the factor
-    1, the convention 0**0 = 1.
+    z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}.  N is the
+    first power of two above 2S at which the aliasing bound on the terms
+    p != 0 is below ``tol``: it is solved for from the bound and confirmed
+    on it.  The work is N*l: needing more than budget // l nodes raises
+    BudgetExceededError.
+
+    f is even in the angle theta, so the rule samples the half circle
+    theta_k = 2*pi*k/N, k = 0..N//2, with weights 1, 2*cos(S*theta_k) and,
+    at k = N/2, (-1)**S.  Each factor is taken in a form with no
+    cancellation, built from B_rho(psi) = (1 - rho)**2 +
+    4*rho*sin(psi/2)**2 > 0: a real root a gives (1 - a)*(1 + a) /
+    B_a(theta), or B_|a|(pi - theta) for a < 0, with pi - theta_k taken as
+    the node theta_{N/2-k}; a conjugate pair rho*exp(+-i*phi) gives
+    |1 - lambda**2|**2 / (B_rho(theta - phi) * B_rho(theta + phi)).  Only a
+    complex root without its conjugate keeps a complex factor, with
+    1 - rho*exp(i*psi) = (1 - rho) + 2*rho*sin(psi/2)**2 - i*rho*sin(psi).
+    A sample is then accurate to a few eps per real root, however near
+    the circle the root lies.
+
+    err_estimate adds a rounding bound to the aliasing bound, so the true
+    limit lies within it of the returned value.  Only the aliasing part is
+    held below ``tol``.  The rounding part is a few dozen eps per root
+    times the mean sample modulus, and for a complex root it grows as
+    1/(1 - |lambda|), from the rounding of theta -+ phi and of |lambda|.
+    A zero root contributes the factor 1, the convention 0**0 = 1.
     """
     import numpy as np
 
@@ -392,23 +410,32 @@ def series_oracle(
     # p != 0 sum to at most g(rho) * (rho**(S-N) + rho**(-S-N)) /
     # (1 - rho**-N), taken in logs so that nothing overflows.
     log_rho = -math.log(r) * np.array(_LOG_RHO_FRACTIONS)
-    log_g = sum(
-        math.log1p(-a * a) - np.log1p(-np.exp(math.log(a) + log_rho))
-        - np.log1p(-np.exp(math.log(a) - log_rho))
-        for a in (abs(v) for v in lams if v != 0)
-    )
+    mods = [abs(v) for v in lams if v != 0]
+    log_a = np.log(mods)[:, None]
+    log_g = sum(math.log1p(-a * a) for a in mods) - (
+        np.log1p(-np.exp(log_a + log_rho)) + np.log1p(-np.exp(log_a - log_rho))
+    ).sum(axis=0)
+    log_alias = log_g + np.log1p(np.exp(-2 * S * log_rho))
 
     def alias(N: int) -> float:
         log_bound = (
-            log_g - (N - S) * log_rho + np.log1p(np.exp(-2 * S * log_rho))
-            - np.log1p(-np.exp(-N * log_rho))
+            log_alias - (N - S) * log_rho - np.log1p(-np.exp(-N * log_rho))
         )
         return float(np.exp(log_bound.min()))
 
     cap = budget // ell
     if cap <= S:  # no N above S fits
         raise BudgetExceededError(f"S={S} needs over {cap:,} nodes", math.inf)
-    N = min(1 << (2 * S).bit_length(), cap)
+    # Leaving out the factor 1/(1 - rho**-N) > 1, the bound at rho is below
+    # tol only once N exceeds S + (log_alias - log(tol)) / log(rho), so no
+    # power of two below the first one above the least of these passes.
+    # The bound decreases in N: doubling from there until it passes gives
+    # the N of a doubling from the first power of two above 2S.
+    least = S + float(((log_alias - math.log(tol)) / log_rho).min())
+    N = 1 << (2 * S).bit_length()
+    if least >= N:
+        N = 1 << int(min(least, cap) * (1 - 1e-9)).bit_length()
+    N = min(N, cap)
     while (bound := alias(N)) >= tol:
         if N == cap:
             raise BudgetExceededError(
@@ -418,41 +445,87 @@ def series_oracle(
             )
         N = min(2 * N, cap)
 
+    # Each factor's numerator goes into ``quot``, and its denominators
+    # B_rho = q + p*sin(.)**2 into one product, or a complex one for a root
+    # whose conjugate is not among the roots.
+    reals, pairs, lone = [], [], []
+    rest = [v for v in lams if v != 0]
+    while rest:
+        v = rest.pop()
+        if v.imag == 0:
+            reals.append(v.real)
+        elif v.conjugate() in rest:
+            rest.remove(v.conjugate())
+            pairs.append(v)
+        else:
+            lone.append(v)
+    quot = math.prod((1 - a) * (1 + a) for a in reals) * math.prod(
+        (abs(1 - v) * abs(1 + v)) ** 2 for v in pairs
+    ) * math.prod((1 - v) * (1 + v) for v in lone)
+    rhos = [abs(a) for a in reals] + [abs(v) for v in pairs for _ in range(2)]
+    q = np.array([(1 - rho) ** 2 for rho in rhos])[:, None]
+    p = np.array([4 * rho for rho in rhos])[:, None]
+    half_phases = [math.atan2(v.imag, v.real) / 2 for v in pairs]
+    turns = [(math.cos(c), math.sin(c)) for c in half_phases]
+
+    h = math.pi / N  # half the node spacing
+    half = N // 2
     re, im = [], []
-    abs_total = weighted = 0.0
-    for lo in range(0, N, 1 << 16):  # in blocks: memory stays bounded
-        k = np.arange(lo, min(lo + (1 << 16), N))
-        z = np.exp(1j * (2 * np.pi / N * k))
+    abs_total = 0.0
+    for lo in range(0, half + 1, 1 << 16):  # in blocks: memory stays bounded
+        hi = min(lo + (1 << 16), half + 1)
+        k = np.arange(lo, hi)
+        # sin and cos of the half angle x = theta_k/2, the cosine as the
+        # sine of the mirrored node's half angle, h*(N/2 - k) = pi/2 - x
+        sin_x = np.sin(h * k)
+        cos_x = np.sin(h * (N / 2 - k))
+        rows = [sin_x if a > 0 else cos_x for a in reals]
+        for cos_c, sin_c in turns:  # sin(x -+ phi/2)
+            rows += [sin_x * cos_c - cos_x * sin_c, sin_x * cos_c + cos_x * sin_c]
+        sines = np.array(rows).reshape(len(rows), len(k))
+        f = quot / np.prod(q + p * (sines * sines), axis=0)
+        for v in lone:
+            rho, c = abs(v), math.atan2(v.imag, v.real) / 2
+            for a in (c + h * k, c - h * k):
+                s = np.sin(a)
+                f = f / ((1 - rho) + 2 * rho * (s * s) - 2j * rho * (s * np.cos(a)))
         # S*k mod N, without int64 overflow for any N below 2**46
         j = (lo * S % N + (k - lo) * (S % N)) % N
-        s = np.exp(-1j * (2 * np.pi / N * j))
-        sens = np.zeros(len(k))
-        for lam in lams:
-            d1, d2 = 1 - lam * z, 1 - lam * z.conj()
-            s *= (1 - lam * lam) / (d1 * d2)
-            sens += abs(lam) * (1 / np.abs(d1) + 1 / np.abs(d2))
-        mod = np.abs(s)
-        abs_total += float(mod.sum())
-        weighted += float(mod @ sens)
-        re.append(math.fsum(s.real.tolist()))
-        im.append(math.fsum(s.imag.tolist()))
+        w = 2 * np.cos(2 * h * j)
+        mod = np.abs(f)
+        abs_total += 2 * float(mod.sum())
+        if lo == 0:
+            w[0] = 1.0
+            abs_total -= float(mod[0])
+        if hi == half + 1 and N % 2 == 0:
+            w[-1] = -1.0 if S % 2 else 1.0
+            abs_total -= float(mod[-1])
+        terms = w * f
+        re.append(math.fsum(terms.real.tolist()))
+        if lone:
+            im.append(math.fsum(terms.imag.tolist()))
     value = complex(math.fsum(re), math.fsum(im)) / N
 
-    # Rounding, to first order in eps and relative to each sample: the
-    # angle 2*pi*k/N is within 3*pi*eps and its cosine and sine add an ulp,
-    # so a node is off by at most 16*eps, and so is z**-S, whose angle is
-    # reduced mod N exactly.  The node and the product lambda_m*z move
-    # factor m by 18*eps * |lambda_m| * (1/|d1| + 1/|d2|), summed over m
-    # in ``sens``; its other operations, the product into the sample
-    # included, add 8*eps + 1.2*eps * |lambda_m|**2 / (1 - |lambda_m|**2).
-    # fsum rounds each block sum and their total correctly, 2*eps times
-    # the sum of moduli at most (with z**-S, the 18*eps below), and
-    # dividing by N adds eps*|value|.
-    per_sample = 18 * _EPS + sum(
-        8 * _EPS + 1.2 * _EPS * a * a / (1 - a * a) for a in map(abs, lams)
-    )
-    err_round = (per_sample * abs_total + 18 * _EPS * weighted) / N
-    err_round += _EPS * abs(value)
+    # Rounding, to first order in eps and relative to each sample, with
+    # sin and cos within 4 ulps, atan2 and abs within 2.  A half angle
+    # h*k carries 1.5*eps, so its sine 5.5*eps, and sin**2, B and the
+    # product of the B at most 13*eps; (1 - a)*(1 + a) adds 2*eps, so a
+    # real root costs 16*eps.  For a pair, sin(x -+ phi/2) is off by at
+    # most 16*eps absolute (phi/2 by 3.1*eps, its cosine and sine by 4*eps
+    # each) and rho by 2 ulps, which move B_rho by at most
+    # (2*sqrt(rho)*16 + 4)*eps/(1 - rho) relative; with the rest,
+    # 16*eps + 36*eps/(1 - rho) per root.  A root without its conjugate has
+    # two complex denominators, whose half angles are off by 7.2*eps
+    # absolute, each within 16.3*eps + 16.4*eps/(1 - rho), and with its
+    # numerator and divisions costs 44*eps + 33*eps/(1 - rho).  Each weight
+    # 2*cos(2*h*j) is off by 2*13.4*eps at most, and the product w*f, the
+    # division by the denominators and the two levels of fsum add 2.5*eps,
+    # so with abs_total counting every node of the full circle a sample
+    # costs 16*eps more.  Dividing by N adds eps*|value|.
+    per_sample = 16 + 16 * len(reals) + sum(
+        2 * (16 + 36 / (1 - abs(v))) for v in pairs
+    ) + sum(44 + 33 / (1 - abs(v)) for v in lone)
+    err_round = per_sample * _EPS * abs_total / N + _EPS * abs(value)
 
     value, real_ok = _certify(value, conj_closed)
     return LimitValue(value, bound + err_round, real_ok, truncation=N)

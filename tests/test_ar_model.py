@@ -89,6 +89,18 @@ class TestCharRoots:
             cr = char_roots(alphas.tolist())  # residual bound checked inside
             assert len(cr.roots) == k
 
+    def test_wrong_roots_of_high_degree_are_refused(self, monkeypatch):
+        # near the circle, (1 + |lam|)**k overflows once k is above 1,023;
+        # a scale that overflows lets every residual pass
+        k = 1100
+        wrong = 0.999 * np.exp(2j * np.pi * (np.arange(k) + 0.5) / k)
+        monkeypatch.setattr(np, "roots", lambda poly: wrong.copy())
+        with pytest.raises(RuntimeError, match="residual"):
+            char_roots([0.5 / k] * k)
+        wrong[:] = 3.0  # outside the circle, checked on the reversed polynomial
+        with pytest.raises(RuntimeError, match="residual"):
+            char_roots([0.5 / k] * k)
+
 
 class TestAcf:
     def test_markov_case(self):

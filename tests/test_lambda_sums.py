@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from serialsum import (
     linear_coefficient,
     series_oracle,
 )
-from serialsum.lambda_sums import _g_jet
+from serialsum.lambda_sums import DEFAULT_BUDGET, _LOG_RHO_FRACTIONS, _g_jet
 from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
 
@@ -34,6 +36,82 @@ F3EQ_05_S2 = 2.6666666666666665        # triple root 0.5, S=2
 F5_05_S0 = 23.716049382716044          # F({0.5 x5}; S=0)
 T50_SLOPE_CASE = 66.8605988600234      # finite sum, (0.5,0.3,0.2), s=(1,-1,1), n=50
 T100_SLOPE_CASE = 135.74531586738303   # same at n=100
+
+
+def mp_limit(lams, S, dps=50):
+    """F(lams; S) from the distinct-root closed form at ``dps`` digits.
+    A zero root contributes the factor 1 to the symbol, so zeros are
+    dropped; the remaining roots must be distinct."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        ls = [mpmath.mpc(v) for v in lams if v != 0]
+        if not ls:
+            return mpmath.mpf(1 if S == 0 else 0)
+        return mpmath.fsum(
+            li ** (S + len(ls) - 1) * mpmath.fprod(
+                (1 - lj**2) / ((li - lj) * (1 - li * lj))
+                for j, lj in enumerate(ls) if j != i
+            )
+            for i, li in enumerate(ls)
+        )
+
+
+def near_circle_roots(rng, ell):
+    """ell roots, distinct apart from zeros: real roots of both signs with
+    |lambda| up to 0.99999, conjugate pairs with rho up to 0.9999, complex
+    roots without their conjugate (|lambda| up to 0.99) and zero roots."""
+    def modulus(digits):  # 1 - 10**-u, u uniform in [0.05, digits]
+        return 1 - 10 ** -rng.uniform(0.05, digits)
+
+    while True:
+        lams = []
+        while len(lams) < ell:
+            kind = rng.random()
+            if kind < 0.35 and len(lams) + 2 <= ell:
+                z = cmath.rect(modulus(4), rng.uniform(0.05, math.pi - 0.05))
+                lams += [z, z.conjugate()]
+            elif kind < 0.45:
+                lams.append(cmath.rect(modulus(2), rng.uniform(-math.pi, math.pi)))
+            elif kind < 0.55:
+                lams.append(0j)
+            else:
+                lams.append(complex(rng.choice((-1, 1)) * modulus(5)))
+        nonzero = [v for v in lams if v != 0]
+        if nonzero and all(
+            abs(a - b) > 1e-3 for a, b in itertools.combinations(nonzero, 2)
+        ):
+            return lams
+
+
+def doubling_node_count(lams, S, tol, budget=DEFAULT_BUDGET):
+    """The series oracle's node count as a doubling finds it: from the
+    first power of two above 2S, doubled (up to budget // l) until the
+    aliasing bound is below tol.  Returns (N, bound), or (None, the
+    achievable bound) when the budget refuses."""
+    r = max(abs(v) for v in lams)
+    log_rho = -math.log(r) * np.array(_LOG_RHO_FRACTIONS)
+    log_g = sum(
+        math.log1p(-a * a) - np.log1p(-np.exp(math.log(a) + log_rho))
+        - np.log1p(-np.exp(math.log(a) - log_rho))
+        for a in (abs(v) for v in lams if v != 0)
+    )
+
+    def alias(N):
+        log_bound = (
+            log_g - (N - S) * log_rho + np.log1p(np.exp(-2 * S * log_rho))
+            - np.log1p(-np.exp(-N * log_rho))
+        )
+        return float(np.exp(log_bound.min()))
+
+    cap = budget // len(lams)
+    if cap <= S:
+        return None, math.inf
+    N = min(1 << (2 * S).bit_length(), cap)
+    while (bound := alias(N)) >= tol:
+        if N == cap:
+            return None, bound
+        N = min(2 * N, cap)
+    return N, bound
 
 
 def ms(*lams):
@@ -394,6 +472,56 @@ class TestSeriesOracle:
                 )
                 err = float(abs(mpmath.mpc(got.value) - ref))
             assert err <= got.err_estimate, (lams, S, tol, err, got.err_estimate)
+
+    def test_err_estimate_bounds_mpmath_near_circle(self):
+        # real roots of both signs up to 0.99999, conjugate pairs up to
+        # rho = 0.9999, complex roots without their conjugate, zero roots,
+        # S up to 20; the reference is the closed form at 50 digits
+        rng = np.random.default_rng(17)
+        cases = [
+            ([0.9999 * cmath.exp(1.3j), 0.9999 * cmath.exp(-1.3j), -0.99999], 4),
+            ([0.6 + 0.7j, 0.3 - 0.5j, 0j, 0j], 3),
+            ([-0.99999, 0.99, 0j], 20),
+        ]
+        for _ in range(25):
+            ell, S = int(rng.integers(2, 7)), int(rng.integers(0, 21))
+            cases.append((near_circle_roots(rng, ell), S))
+        for k, (lams, S) in enumerate(cases):
+            tol = (1e-6, 1e-10, 1e-13)[k % 3]
+            got = series_oracle(lams, S, tol)
+            err = float(abs(complex(got.value) - mp_limit(lams, S)))
+            assert err <= got.err_estimate, (lams, S, tol, err, got.err_estimate)
+
+    @pytest.mark.parametrize("lam", [0.99999, -0.99999])
+    def test_double_root_near_circle_is_accurate(self, lam):
+        mpmath = pytest.importorskip("mpmath")
+        got = series_oracle([lam, lam], 0, 1e-10)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(lam)
+            exact = (1 + a * a) / (1 - a * a)  # two equal roots, S = 0
+            err = float(abs(mpmath.mpc(got.value) - exact))
+        assert err <= got.err_estimate <= 1e-7
+
+    def test_node_count_matches_doubling(self):
+        # N is solved for from the aliasing bound; it must be the N that
+        # doubling finds, and a refusal must carry the same bound
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            ell = int(rng.integers(2, 7))
+            lams = draw_roots(rng, ell, float(rng.choice([0.3, 0.8, 0.99, 0.9999])))
+            if rng.random() < 0.2:
+                lams[-1] = 0j
+            S = int(rng.integers(0, 40))
+            tol = float(10 ** -rng.uniform(1, 15))
+            budget = int(10 ** rng.uniform(1, 6.5))
+            want, bound = doubling_node_count(lams, S, tol, budget)
+            if want is None:
+                with pytest.raises(BudgetExceededError) as exc:
+                    series_oracle(lams, S, tol, budget=budget)
+                assert exc.value.achievable_bound == pytest.approx(bound, rel=1e-12)
+            else:
+                got = series_oracle(lams, S, tol, budget=budget)
+                assert got.truncation == want, (lams, S, tol, budget)
 
     def test_huge_shift_exceeds_budget_quickly(self):
         started = time.perf_counter()
