@@ -86,6 +86,41 @@ def _sep_scale(values: Sequence[complex]) -> float:
     return 1.0 + max(abs(v) for v in values)
 
 
+def _check_roots(values: Sequence[complex], ell: int) -> None:
+    """Raise ValueError unless every value is finite and strictly inside
+    the unit disk and the total root count ``ell`` is in [2, 6]."""
+    for v in values:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValueError(f"non-finite root {v!r}")
+        if abs(v) >= 1:
+            raise ValueError(f"root {v} not strictly inside the unit disk")
+    if not 2 <= ell <= 6:
+        raise ValueError(f"total root count must be in [2, 6], got {ell}")
+
+
+def _conjugate_closed(
+    entries: Sequence[tuple[complex, int]], tol: float = 1e-12
+) -> bool:
+    """Whether each (root, multiplicity) entry v with |v.imag| >
+    tol*(1 + |v|) pairs off with an entry of the same multiplicity within
+    tol*(1 + |v|) of its conjugate, each entry in one pair at most.  A
+    flat list of roots, each of multiplicity 1, is taken as given: a root
+    repeated m times needs its conjugate m times, and nothing is merged."""
+    rest = list(entries)
+    while rest:
+        v, m = rest.pop()
+        near = tol * (1 + abs(v))
+        if abs(v.imag) <= near:
+            continue
+        for i, (w, mw) in enumerate(rest):
+            if abs(w - v.conjugate()) <= near and mw == m:
+                del rest[i]
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class RootMultiset:
     """Roots with multiplicities, all strictly inside the unit disk.
@@ -102,15 +137,9 @@ class RootMultiset:
         object.__setattr__(self, "entries", entries)
         if any(m < 1 for _, m in entries):
             raise ValueError("multiplicities must be >= 1")
-        for v, _ in entries:
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"non-finite root {v!r}")
-            if abs(v) >= 1:
-                raise ValueError(f"root {v} not strictly inside the unit disk")
-        ell = sum(m for _, m in entries)
-        if not 2 <= ell <= 6:
-            raise ValueError(f"total root count must be in [2, 6], got {ell}")
-        scale = _sep_scale([v for v, _ in entries])
+        values = [v for v, _ in entries]
+        _check_roots(values, sum(m for _, m in entries))
+        scale = _sep_scale(values)
         for (a, _), (b, _) in itertools.combinations(entries, 2):
             if abs(a - b) <= CLUSTER_DELTA * scale:
                 raise ValueError(
@@ -151,18 +180,7 @@ class RootMultiset:
         return all(m == 1 for _, m in self.entries)
 
     def is_conjugate_closed(self, tol: float = 1e-12) -> bool:
-        remaining = list(self.entries)
-        while remaining:
-            v, m = remaining.pop()
-            if abs(v.imag) <= tol * (1 + abs(v)):
-                continue
-            for i, (w, mw) in enumerate(remaining):
-                if abs(w - v.conjugate()) <= tol * (1 + abs(v)) and mw == m:
-                    del remaining[i]
-                    break
-            else:
-                return False
-        return True
+        return _conjugate_closed(self.entries, tol)
 
 
 @dataclass(frozen=True)
@@ -395,9 +413,9 @@ def series_oracle(
         raise ValueError("tol must be > 0")
     if S < 0:
         raise ValueError("S must be >= 0")
-    # RootMultiset rejects all but 2..6 finite roots strictly inside the disk
-    conj_closed = RootMultiset.from_lambdas(lams).is_conjugate_closed()
     ell = len(lams)
+    _check_roots(lams, ell)
+    conj_closed = _conjugate_closed([(v, 1) for v in lams])
     r = max(abs(v) for v in lams)
     if r == 0:
         value = 1.0 + 0j if S == 0 else 0j
@@ -412,8 +430,9 @@ def series_oracle(
     log_rho = -math.log(r) * np.array(_LOG_RHO_FRACTIONS)
     mods = [abs(v) for v in lams if v != 0]
     log_a = np.log(mods)[:, None]
+    # log(1 - a*rho) as log(-expm1(.)): stays finite when a*rho rounds to 1
     log_g = sum(math.log1p(-a * a) for a in mods) - (
-        np.log1p(-np.exp(log_a + log_rho)) + np.log1p(-np.exp(log_a - log_rho))
+        np.log(-np.expm1(log_a + log_rho)) + np.log(-np.expm1(log_a - log_rho))
     ).sum(axis=0)
     log_alias = log_g + np.log1p(np.exp(-2 * S * log_rho))
 
@@ -552,8 +571,8 @@ def finite_sum_with_error(
 
 def _finite_sum_work(ell: int, n: int) -> int:
     # each of the l steps makes about a dozen passes over vectors of
-    # length 2n; above l = 2, l - 1 gathered n x n matrices, l - 2 matrix
-    # products and the diagonal sums of the last one
+    # length 2n; above l = 2, l - 2 matrix products and about l passes
+    # over n x n entries (the copied factors and blocks, the closing dots)
     return (ell - 2) * (n**3 + ell * n * n) + 24 * ell * n
 
 
@@ -578,13 +597,28 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     return p
 
 
+#: Rows of the first factor carried through the chain of products at once.
+#: Fastest of 32..400 at the benchmark's sizes; from 200 rows up the block
+#: temporaries grow past the allocator's reuse and page-fault again.
+_ROW_BLOCK = 128
+
+
 def _toeplitz(diag: np.ndarray, cols: int) -> np.ndarray:
-    import numpy as np
+    """A[a, b] = diag[a - b + cols - 1], as a strided view of ``diag``:
+    row a is diag[a : a + cols] read backwards."""
     from numpy.lib.stride_tricks import sliding_window_view
 
-    # A[a, b] = diag[a - b + cols - 1]: row a is diag[a : a + cols] read
-    # backwards
-    return np.ascontiguousarray(sliding_window_view(diag[::-1], cols)[::-1])
+    return sliding_window_view(diag[::-1], cols)[::-1]
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y; a real x times a C-contiguous complex y is one real product
+    on y's interleaved float64 view, not a complex one."""
+    import numpy as np
+
+    if x.dtype == np.float64 and y.dtype == np.complex128:
+        return (x @ y.view(np.float64)).view(np.complex128)
+    return x @ y
 
 
 def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
@@ -592,9 +626,19 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
-    the cyclic lattice exactly once.  It is closed as
-    sum_d c[d] * (A_l)_{b, b + d}, where c[d] sums the entries of
-    P = A_1 ... A_{l-1} on its diagonal a - b = d.
+    the cyclic lattice exactly once.  For l = 2 it is closed as
+    sum_d c[d] * (A_2)_{b, b + d}, where c[d] sums the entries of A_1 on
+    its diagonal a - b = d, and no matrix is built.
+
+    Above, the cycle is first rotated (the trace does not change) so that
+    it closes on a complex factor whose successor is real, when there is
+    one: the products then start on a real matrix, and a real times a
+    complex matrix is one real product.  The rows of the first factor go
+    through the chain in blocks of ``_ROW_BLOCK``, each copied from its
+    strided Toeplitz view, against the other factors made contiguous once;
+    each row is closed by its dot product with the matching column of the
+    last factor's view, and the rows are summed.  Memory is the l - 2
+    middle factors and a few blocks of rows, and no n x n product is formed.
     """
     import numpy as np
 
@@ -624,28 +668,36 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
         peaks.append(float(mag.max()))
         kmax = max(kmax, hi)
 
-    n1, nl = ns[0], ns[-1]
     if ell == 2:
         # P = A_1 holds the same entry at each of the count[d] positions of
         # its diagonal d, so no matrix is built
+        n1, nl = ns
         d = np.arange(1 - nl, n1)
         c = (np.minimum(n1, nl + d) - np.maximum(0, d)) * diags[0]
+        # (A_2)_{b, b + d} = lambda_2**|s_2 - d| is A_2's diagonal -d
+        value = complex(c @ diags[1][::-1])
     else:
-        prod = _toeplitz(diags[0], ns[1])
-        for m in range(1, ell - 1):
-            prod = prod @ _toeplitz(diags[m], ns[m + 1])
-        bins = (np.subtract.outer(np.arange(n1), np.arange(nl)) + nl - 1).ravel()
-        c = np.bincount(bins, prod.real.ravel(), n1 + nl - 1)
-        if np.iscomplexobj(prod):
-            c = c + 1j * np.bincount(bins, prod.imag.ravel(), n1 + nl - 1)
-    # (A_l)_{b, b + d} = lambda_l**|s_l - d| is A_l's diagonal -d
-    value = complex(c @ diags[-1][::-1])
+        first = next((m for m in range(ell) if np.isrealobj(diags[m])
+                      and np.iscomplexobj(diags[m - 1])), 0)
+        mats = [_toeplitz(diags[m % ell], ns[(m + 1) % ell])
+                for m in range(first, first + ell)]
+        middle = [np.ascontiguousarray(a) for a in mats[1:-1]]
+        close = mats[-1]
+        rows = np.empty(ns[first], np.result_type(*diags))
+        for lo in range(0, ns[first], _ROW_BLOCK):
+            block = slice(lo, lo + _ROW_BLOCK)
+            x = np.ascontiguousarray(mats[0][block])
+            for y in middle:
+                x = _matmul(x, y)
+            rows[block] = np.einsum("ij,ji->i", x, close[:, block])
+        value = complex(rows.sum())
 
     # A power lam**k computed from lam**lo and k - lo complex products
     # carries a relative error below 4*k*eps, and a term multiplies l of
     # them with one more rounding each.  Summation adds at most n_max
-    # roundings in each of the l - 2 products and in the diagonal sums,
-    # and 2*n_max in the final dot product (Higham 2002, sec. 3.5).  Fixing
+    # roundings in each of the l - 2 products, in each row's dot product
+    # with the closing factor and in the sum of the rows, or 2*n_max in
+    # the dot product that closes l = 2 (Higham 2002, sec. 3.5).  Fixing
     # one index and summing the others along the cycle bounds sum |terms|
     # by n_max times the largest entry of one step times the masses
     # sum |diag| of the others.  A dropped term has one factor below the
@@ -690,13 +742,14 @@ def linear_coefficient(
     than DEFAULT_BUDGET work units.
     """
     lams = tuple(complex(v) for v in lambdas)
+    ell = len(lams)
+    _check_roots(lams, ell)
     r = max(abs(v) for v in lams)
     if r > 0 and r**n_base >= 1e-12:
         raise ValueError(
             f"n_base={n_base} too small for max|lambda|={r:g}: "
             "need max|lambda|**n_base < 1e-12"
         )
-    ell = len(lams)
     spec1 = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
     spec2 = FiniteSumSpec(lams, tuple(shifts), 2 * n_base, tuple(upper_adjust))
     _check_finite_budget(
@@ -712,8 +765,7 @@ def linear_coefficient(
     else:
         err_exp = 0.0
     err_round = (e1 + e2) / n_base
-    conj_closed = RootMultiset.from_lambdas(lams).is_conjugate_closed()
-    value, real_ok = _certify(value, conj_closed)
+    value, real_ok = _certify(value, _conjugate_closed([(v, 1) for v in lams]))
     return LimitValue(value, err_exp + err_round, real_ok)
 
 

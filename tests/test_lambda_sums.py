@@ -1,7 +1,9 @@
 import cmath
 import itertools
 import math
+import re
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,14 @@ from serialsum import (
     linear_coefficient,
     series_oracle,
 )
-from serialsum.lambda_sums import DEFAULT_BUDGET, _LOG_RHO_FRACTIONS, _g_jet
+from serialsum import lambda_sums
+from serialsum.lambda_sums import (
+    DEFAULT_BUDGET,
+    _LOG_RHO_FRACTIONS,
+    _conjugate_closed,
+    _g_jet,
+    finite_sum_with_error,
+)
 from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
 
@@ -91,8 +100,8 @@ def doubling_node_count(lams, S, tol, budget=DEFAULT_BUDGET):
     r = max(abs(v) for v in lams)
     log_rho = -math.log(r) * np.array(_LOG_RHO_FRACTIONS)
     log_g = sum(
-        math.log1p(-a * a) - np.log1p(-np.exp(math.log(a) + log_rho))
-        - np.log1p(-np.exp(math.log(a) - log_rho))
+        math.log1p(-a * a) - np.log(-np.expm1(math.log(a) + log_rho))
+        - np.log(-np.expm1(math.log(a) - log_rho))
         for a in (abs(v) for v in lams if v != 0)
     )
 
@@ -144,6 +153,74 @@ class TestRootMultiset:
         assert ms(0.3 + 0.2j, 0.3 - 0.2j).is_conjugate_closed()
         assert not ms(0.3 + 0.2j, 0.1).is_conjugate_closed()
         assert ms(0.5, 0.3).is_conjugate_closed()
+
+    def test_conjugate_closure_of_the_roots_as_given(self):
+        # The oracles check the roots as given, without merging.  Near-real
+        # roots and near-coincident copies lie within the 1e-12 tolerance,
+        # or copies lie along the real axis within the merge threshold, so
+        # no merge moves an imaginary part across the tolerance and the
+        # merged multiset must give the same answer.
+        rng = np.random.default_rng(41)
+
+        def tiny():
+            return cmath.rect(10 ** rng.uniform(-16, -13), rng.uniform(0, 2 * math.pi))
+
+        def offset():
+            if rng.random() < 0.5:
+                return tiny()
+            return rng.choice([-1, 1]) * 10 ** rng.uniform(-10, -7)
+
+        closed = 0
+        for _ in range(3000):
+            ell = int(rng.integers(2, 7))
+            lams = []
+            while len(lams) < ell:
+                kind = int(rng.integers(0, 7))
+                z = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0.1, math.pi - 0.1))
+                if kind == 0:
+                    lams.append(complex(rng.uniform(-0.95, 0.95)))
+                elif kind == 1:  # near-real
+                    lams.append(rng.uniform(-0.9, 0.9) + tiny())
+                elif kind == 2 and len(lams) + 2 <= ell:
+                    lams += [z, z.conjugate() + (offset() if rng.random() < 0.5 else 0)]
+                elif kind == 3:  # unpaired
+                    lams.append(z)
+                elif kind == 4 and lams:  # repeated
+                    lams.append(lams[rng.integers(len(lams))])
+                elif kind == 5 and lams:  # near-coincident
+                    lams.append(lams[rng.integers(len(lams))] + offset())
+                elif kind == 6 and lams:
+                    lams.append(lams[rng.integers(len(lams))].conjugate())
+            rng.shuffle(lams)
+            want = RootMultiset.from_lambdas(lams).is_conjugate_closed()
+            assert _conjugate_closed([(v, 1) for v in lams]) == want, lams
+            closed += want
+        assert 500 < closed < 2500
+        # where a merge does move an imaginary part, the answers part: these
+        # two roots 1e-9 apart in real part merge into one real double root
+        lams = [0.5 + 1e-8j, 0.5 + 1e-9 - 1e-8j]
+        assert ms(*lams).is_conjugate_closed()
+        assert not _conjugate_closed([(v, 1) for v in lams])
+
+    @pytest.mark.parametrize("lams", [
+        [0.5], [0.1 * k for k in range(1, 8)], [1.0, 0.3], [0.8 + 0.7j, 0.3],
+        [math.nan, 0.3], [complex(0.2, math.inf), 0.3],
+    ])
+    def test_oracles_reject_what_the_multiset_rejects(self, lams):
+        with pytest.raises(ValueError) as want:
+            ms(*lams)
+        # the multiset names a non-finite root by its cluster's mean, which
+        # turns (nan+0j) into (nan+nanj); the oracles name it as given
+        def words(exc):
+            return re.sub(r"\(.*?\)", "(root)", str(exc.value))
+
+        for call in (
+            lambda: series_oracle(lams, 0, 1e-8),
+            lambda: linear_coefficient(lams, [0] * len(lams), 200),
+        ):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert words(got) == words(want)
 
 
 class TestShiftSpec:
@@ -523,6 +600,15 @@ class TestSeriesOracle:
                 got = series_oracle(lams, S, tol, budget=budget)
                 assert got.truncation == want, (lams, S, tol, budget)
 
+    def test_root_near_circle_is_refused_without_warning(self):
+        # 1 - |lambda| = 1e-14: at the smallest tried log(rho), a*rho
+        # rounds to 1, and log(1 - a*rho) must not become -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError) as exc:
+                series_oracle([0.99999999999999, 0.5], 0, 1e-3)
+        assert math.isfinite(exc.value.achievable_bound)
+
     def test_huge_shift_exceeds_budget_quickly(self):
         started = time.perf_counter()
         with pytest.raises(BudgetExceededError) as exc:
@@ -588,6 +674,49 @@ class TestFiniteSum:
             spec = FiniteSumSpec(tuple(lams), shifts, n, adjust)
             a, b = finite_sum(spec), finite_sum_direct(spec)
             assert abs(a - b) <= 1e-12 * abs(b), (case, spec)
+
+    @pytest.mark.parametrize("block", [2, lambda_sums._ROW_BLOCK])
+    def test_every_rotation_matches_enumeration(self, monkeypatch, block):
+        # the trace closes on a complex factor followed by a real one; the
+        # rotations of each cycle put its complex factors in every position
+        monkeypatch.setattr(lambda_sums, "_ROW_BLOCK", block)
+        z, w = cmath.rect(0.8, 2.0), cmath.rect(0.6, 0.7)
+        cycles = [
+            ((z, z.conjugate(), 0.7), 15),
+            ((z, -0.6, w, z.conjugate()), 9),
+            ((w, 0.5, z, z.conjugate(), 0j), 6),
+            ((z, 0.4, w.conjugate(), -0.8, z.conjugate(), w), 5),
+        ]
+        for lams, n in cycles:
+            ell = len(lams)
+            shifts = (1, -2, 0, 2, -1, 1)[:ell]
+            adjust = (0, -1, 0, -2, 0, -1)[:ell]
+            for k in range(ell):
+                spec = FiniteSumSpec(
+                    lams[k:] + lams[:k], shifts[k:] + shifts[:k], n,
+                    adjust[k:] + adjust[:k],
+                )
+                value, err = finite_sum_with_error(spec)
+                assert abs(value - finite_sum_direct(spec)) <= err, (lams, k)
+
+    @pytest.mark.parametrize("lams", [
+        (0.9, -0.7, 0.5),
+        (cmath.rect(0.85, 1.2), cmath.rect(0.85, -1.2), 0.6),
+        (cmath.rect(0.8, 2.5), 0.7j, -0.3 + 0.6j),
+        (0.5, cmath.rect(0.7, 0.4), -0.8, -0.5j),  # a real factor after a complex one
+    ])
+    def test_row_blocks_match_dense_trace(self, lams):
+        # n = 300 takes three blocks of rows; the reference multiplies the
+        # explicit matrices
+        ell, n = len(lams), 300
+        shifts, adjust = (2, -1, 0, 1)[:ell], (0, -3, -1, 0)[:ell]
+        ns = [n + d for d in adjust]
+        prod = np.eye(ns[0])
+        for m in range(ell):
+            gap = np.subtract.outer(np.arange(ns[m]), np.arange(ns[(m + 1) % ell]))
+            prod = prod @ complex(lams[m]) ** np.abs(gap + shifts[m])
+        value, err = finite_sum_with_error(FiniteSumSpec(lams, shifts, n, adjust))
+        assert abs(value - np.trace(prod)) <= err
 
     def test_budget_exceeded_before_allocation(self):
         lams = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
