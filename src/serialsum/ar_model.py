@@ -54,8 +54,8 @@ class ARModel:
             raise ValueError("need at least one coefficient")
         if self.alphas[-1] == 0:
             raise ValueError("alpha_k must be nonzero (drop trailing zeros)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:  # NaN too
+            raise ValueError("sigma must be finite and >= 0")
 
     @property
     def k(self) -> int:
@@ -102,6 +102,8 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
     k = len(alphas)
     if k < 1:
         raise ValueError("need at least one coefficient")
+    if not all(map(math.isfinite, alphas)):
+        raise ValueError("coefficients must be finite")
     if k == 1:
         roots = (complex(alphas[0]),)  # exact: no residual to check
     else:
@@ -165,6 +167,8 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     The A_i are the closed form's terms at S = 0 over their sum, None when
     two roots are equal; for nearly equal roots they are large and cancel.
     """
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
     cr = char_roots(alphas)
     if not cr.stationary:
         raise NotStationaryError("serial correlations require a stationary model")

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 numerical/check failure, 2 usage error.
 ``--json`` emits the machine-readable envelope (stable key order); the
 default output is human-readable text.  The env var SERIALSUM_BUDGET
 overrides the work budget of the series and finite-sum oracles, of
-`conjecture` and of the `ar` commands.
+`conjecture` and of the `ar` commands, each of which charges its work as
+one total, through `lambda_sums._charge`.
 Only `ar check` imports numpy here; the other commands load it, if at
 all, through the library calls that use it, so `eval`, and `ar roots` and
 `ar acf` for an AR(1) model, load none.
@@ -26,11 +27,8 @@ from .lambda_sums import (
     FiniteSumSpec,
     RootMultiset,
     ShiftSpec,
+    _charge,
 )
-
-
-class UsageError(ValueError):
-    pass
 
 
 #: Options whose comma-separated value may start with a minus sign.
@@ -55,7 +53,7 @@ def _parse_complex(text: str) -> complex:
     try:
         return complex(raw.replace("i", "j"))
     except ValueError:
-        raise UsageError(f"cannot parse complex number {text!r}") from None
+        raise ValueError(f"cannot parse complex number {text!r}") from None
 
 
 def _parse_complex_list(text: str) -> list[complex]:
@@ -66,30 +64,21 @@ def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise UsageError(f"cannot parse integer list {text!r}") from None
+        raise ValueError(f"cannot parse integer list {text!r}") from None
 
 
-def _jsonify(obj):
+def _plain(obj):
+    """JSON data: a complex number becomes {re, im}, a tuple a list, and an
+    infinite or NaN float null, since RFC 8259 has no Infinity or NaN."""
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_plain(v) for v in obj]
     return obj
-
-
-def _dumps(obj) -> str:
-    """JSON text; RFC 8259 has no Infinity or NaN, so those become null."""
-    def strict(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        if isinstance(v, dict):
-            return {k: strict(x) for k, x in v.items()}
-        if isinstance(v, list):
-            return [strict(x) for x in v]
-        return v
-    return json.dumps(strict(obj), allow_nan=False)
 
 
 def _command_name(args) -> str:
@@ -101,20 +90,20 @@ def _command_name(args) -> str:
 def _emit(args, inputs: dict, result: dict, err_estimate: float,
           started: float) -> None:
     command = _command_name(args)
-    envelope = {
+    envelope = _plain({
         "command": command,
-        "inputs": _jsonify(inputs),
-        "result": _jsonify(result),
+        "inputs": inputs,
+        "result": result,
         "err_estimate": float(err_estimate),
         "elapsed_ms": (time.perf_counter() - started) * 1000.0,
-    }
+    })
     if args.json:
-        print(_dumps(envelope))
+        print(json.dumps(envelope, allow_nan=False))
         return
     print(f"{command}:")
     for key, val in envelope["result"].items():
         print(f"  {key} = {val}")
-    print(f"  err_estimate = {envelope['err_estimate']:.3e}")
+    print(f"  err_estimate = {float(err_estimate):.3e}")
 
 
 def _budget(args) -> int:
@@ -138,31 +127,19 @@ def _acf_units(k: int, jmax: int) -> int:
     return 25 * (k + 10) * (jmax + 1)
 
 
-def _charge(args, what: str, work: int) -> None:
-    """Refuse, before it starts, work beyond the budget (exit 1)."""
-    budget = _budget(args)
-    if work > budget:
-        raise BudgetExceededError(
-            f"{what} needs {work:,} work units, over the budget of {budget:,}",
-            math.inf,
-        )
-
-
 def _resolve_S(args, n_lambdas: int) -> int:
     has_S = getattr(args, "S", None) is not None
     has_shifts = getattr(args, "shifts", None) is not None
     if has_S and has_shifts:
-        raise UsageError("give either --S or --shifts, not both")
+        raise ValueError("give either --S or --shifts, not both")
     if has_S:
-        if args.S < 0:
-            raise UsageError("--S must be >= 0")
         return args.S
     if has_shifts:
         shifts = _parse_int_list(args.shifts)
         if len(shifts) != n_lambdas:
-            raise UsageError("--shifts must have one entry per lambda")
+            raise ValueError("--shifts must have one entry per lambda")
         return ShiftSpec(tuple(shifts)).S
-    raise UsageError("one of --S or --shifts is required")
+    raise ValueError("one of --S or --shifts is required")
 
 
 def _build_multiset(args) -> RootMultiset:
@@ -170,14 +147,14 @@ def _build_multiset(args) -> RootMultiset:
     if args.mult:
         mults = _parse_int_list(args.mult)
         if len(mults) != len(lams):
-            raise UsageError("--mult must have one entry per lambda")
+            raise ValueError("--mult must have one entry per lambda")
+        # checked before the roots are expanded
+        if any(m < 1 for m in mults) or sum(mults) > 6:
+            raise ValueError("--mult entries must be >= 1 and sum to at most 6")
         lams = [v for v, m in zip(lams, mults) for _ in range(m)]
-    try:
-        roots = RootMultiset.from_lambdas(lams)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    roots = RootMultiset.from_lambdas(lams)
     if not args.allow_complex_result and not roots.is_conjugate_closed():
-        raise UsageError(
+        raise ValueError(
             "root multiset is not closed under complex conjugation "
             "(pass --allow-complex-result to evaluate anyway)"
         )
@@ -210,8 +187,6 @@ def _cmd_eval(args) -> int:
 def _cmd_oracle_series(args) -> int:
     started = time.perf_counter()
     lams = _parse_complex_list(args.lambdas)
-    if len(lams) < 2:
-        raise UsageError("need at least two lambdas")
     S = _resolve_S(args, len(lams))
     res = lambda_sums.series_oracle(lams, S, args.tol, budget=_budget(args))
     inputs = {"lambdas": lams, "S": S, "tol": args.tol}
@@ -229,10 +204,7 @@ def _cmd_oracle_finite(args) -> int:
     lams = _parse_complex_list(args.lambdas)
     shifts = _parse_int_list(args.shifts)
     adjust = _parse_int_list(args.adjust) if args.adjust else []
-    try:
-        spec = FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
     value, err = lambda_sums.finite_sum_with_error(spec, _budget(args))
     inputs = {
         "lambdas": lams,
@@ -247,11 +219,10 @@ def _cmd_oracle_finite(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     started = time.perf_counter()
-    if args.ell not in (5, 6):
-        raise UsageError("--ell must be 5 or 6 (smaller cases are proven)")
-    _charge(args, "the probe", _UNITS_PER_TRIAL * args.trials)
+    budget = _budget(args)
+    _charge("conjecture", _UNITS_PER_TRIAL * args.trials, budget)
     report = lambda_sums.conjecture_probe(
-        args.ell, args.trials, args.seed, args.tol, budget=_budget(args)
+        args.ell, args.trials, args.seed, args.tol, budget=budget
     )
     inputs = {
         "ell": args.ell,
@@ -304,10 +275,13 @@ def _cmd_ar(args) -> int:
     started = time.perf_counter()
     alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
     if not alphas:
-        raise UsageError("--alpha requires at least one coefficient")
+        raise ValueError("--alpha requires at least one coefficient")
     inputs = {"alpha": alphas}
-    # every subcommand finds the roots, an O(k**3) eigenvalue problem
-    _charge(args, "the characteristic roots", len(alphas) ** 3)
+    command, budget = _command_name(args), _budget(args)
+    # every subcommand finds the roots, an O(k**3) eigenvalue problem: they
+    # are charged before they are found, and then once more in the total
+    work = len(alphas) ** 3
+    _charge(command, work, budget)
 
     if args.ar_command == "roots":
         cr = ar_model.char_roots(alphas)
@@ -320,7 +294,7 @@ def _cmd_ar(args) -> int:
 
     if args.ar_command == "acf":
         inputs["jmax"] = args.jmax
-        _charge(args, "the ACF", _acf_units(len(alphas), args.jmax))
+        _charge(command, work + _acf_units(len(alphas), args.jmax), budget)
         model, rhos = ar_model.acf(alphas, args.jmax)
         result = {
             "roots": list(model.roots),
@@ -332,16 +306,22 @@ def _cmd_ar(args) -> int:
 
     model = ar_model.ARModel(tuple(alphas), args.sigma)
     if args.ar_command == "check" and args.seeds < 2:
-        raise UsageError("--seeds must be >= 2 to estimate a standard error")
+        raise ValueError("--seeds must be >= 2 to estimate a standard error")
+    if args.ar_command == "check" and not args.zmax >= 0:  # NaN too
+        raise ValueError("--zmax must be >= 0")
     seeds = args.seeds if args.ar_command == "check" else 1
     burn_in = (args.burn_in if args.burn_in is not None
                else ar_model.default_burn_in(alphas))
-    # checked before any noise is drawn; the simulation and the ACF of
-    # `ar check` are charged separately, and each must fit the budget
-    _charge(args, "simulation", _UNITS_PER_SAMPLE * (burn_in + args.n) * seeds)
+    if args.n < 1 or burn_in < 0 or getattr(args, "jmax", 0) < 0:
+        # a negative count would take work off the total
+        raise ValueError("--n must be >= 1, and --burn-in and --jmax >= 0")
+    # the roots, every simulated sample and the ACF of `ar check` make one
+    # total, checked before any noise is drawn
+    work += _UNITS_PER_SAMPLE * (burn_in + args.n) * seeds
     if args.ar_command == "check":
-        _charge(args, "the ACF", _acf_units(len(alphas), args.jmax)
-                + (args.jmax + 1) * args.n * seeds // 8)
+        work += (_acf_units(len(alphas), args.jmax)
+                 + (args.jmax + 1) * args.n * seeds // 8)
+    _charge(command, work, budget)
 
     if args.ar_command == "simulate":
         inputs.update({"sigma": args.sigma, "n": args.n, "seed": args.seed})
@@ -468,30 +448,19 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        payload = {
-            "command": _command_name(args),
-            "error": "BudgetExceeded",
-            "message": str(exc),
-            "achievable_bound": exc.achievable_bound,
-        }
-        if getattr(args, "json", False):
-            print(_dumps(payload))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # before ValueError, which is a usage error: the model errors are ValueErrors
     except (ar_model.NotStationaryError, ar_model.BadLagError,
-            ar_model.DegenerateSampleError, RuntimeError) as exc:
+            ar_model.DegenerateSampleError, RuntimeError, OverflowError) as exc:
         payload = {
             "command": _command_name(args),
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        if getattr(args, "json", False):
-            print(_dumps(payload))
+        if isinstance(exc, BudgetExceededError):
+            payload["error"] = "BudgetExceeded"
+            payload["achievable_bound"] = exc.achievable_bound
+        if args.json:
+            print(json.dumps(_plain(payload), allow_nan=False))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

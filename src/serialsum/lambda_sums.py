@@ -40,6 +40,7 @@ where they use it, so `import serialsum` and `f_general` load none.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
@@ -69,17 +70,27 @@ class CollisionError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An oracle or an AR simulation needs more work than its budget allows.
+    """An oracle or a CLI command needs more work than its budget allows.
 
     ``achievable_bound`` is the best error bound attainable at the budget:
-    the series oracle's aliasing bound at the largest affordable node count
-    (inf when that count is not above S), or inf for the finite-sum oracle,
-    which is exact or nothing, and for an AR simulation.
+    the series oracle's aliasing bound at the largest affordable node count,
+    or inf for any work refused by `_charge` (the finite-sum oracle, for
+    one, is exact or nothing).
     """
 
     def __init__(self, message: str, achievable_bound: float):
         super().__init__(message)
         self.achievable_bound = achievable_bound
+
+
+def _charge(what: str, work: int, budget: int) -> None:
+    """Refuse, before it starts, ``work`` units beyond ``budget``: the one
+    budget check, but for the series oracle's at its largest node count."""
+    if work > budget:
+        raise BudgetExceededError(
+            f"{what} needs {work:,} work units, over the budget of {budget:,}",
+            math.inf,
+        )
 
 
 def _sep_scale(values: Sequence[complex]) -> float:
@@ -90,7 +101,7 @@ def _check_roots(values: Sequence[complex], ell: int) -> None:
     """Raise ValueError unless every value is finite and strictly inside
     the unit disk and the total root count ``ell`` is in [2, 6]."""
     for v in values:
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        if not cmath.isfinite(v):
             raise ValueError(f"non-finite root {v!r}")
         if abs(v) >= 1:
             raise ValueError(f"root {v} not strictly inside the unit disk")
@@ -139,9 +150,9 @@ class RootMultiset:
             raise ValueError("multiplicities must be >= 1")
         values = [v for v, _ in entries]
         _check_roots(values, sum(m for _, m in entries))
-        scale = _sep_scale(values)
-        for (a, _), (b, _) in itertools.combinations(entries, 2):
-            if abs(a - b) <= CLUSTER_DELTA * scale:
+        tol = CLUSTER_DELTA * _sep_scale(values)
+        for a, b in itertools.combinations(values, 2):
+            if abs(a - b) <= tol:
                 raise ValueError(
                     f"entries {a} and {b} closer than the clustering threshold; "
                     "merge them before construction"
@@ -149,20 +160,27 @@ class RootMultiset:
 
     @classmethod
     def from_lambdas(cls, lambdas: Sequence[complex]) -> "RootMultiset":
-        """Cluster a flat list of roots into a multiset, merging values
-        within the clustering threshold (merged value: mean of the cluster)."""
+        """Cluster roots, in any order: a root within the clustering threshold
+        of a member joins its cluster, and so do two clusters whose means come
+        that close; a cluster becomes the mean of its members in input order."""
         vals = [complex(v) for v in lambdas]
-        if not vals:
-            raise ValueError("no roots given")
-        scale = _sep_scale(vals)
-        clusters: list[list[complex]] = []
-        for v in vals:
-            for c in clusters:
-                if abs(v - c[0]) <= CLUSTER_DELTA * scale:
-                    c.append(v)
-                    break
-            else:
-                clusters.append([v])
+        _check_roots((), len(vals))  # the count, before any pair is compared
+        tol = CLUSTER_DELTA * _sep_scale(vals)
+        near = [(i, j) for j, b in enumerate(vals) for i in range(j)
+                if abs(vals[i] - b) <= tol]
+        clusters = [[v] for v in vals]
+        first = list(range(len(vals)))  # the first index of each root's cluster
+        while near:
+            for i, j in near:
+                lo, hi = sorted((first[i], first[j]))
+                first = [lo if f == hi else f for f in first]
+            groups: dict[int, list[complex]] = {}
+            for f, v in zip(first, vals):
+                groups.setdefault(f, []).append(v)
+            means = {f: sum(c) / len(c) for f, c in groups.items()}
+            near = [(i, j) for i, j in itertools.combinations(means, 2)
+                    if abs(means[i] - means[j]) <= tol]
+            clusters = list(groups.values())
         return cls(tuple((sum(c) / len(c), len(c)) for c in clusters))
 
     @property
@@ -232,6 +250,10 @@ class FiniteSumSpec:
         ell = len(lambdas)
         if ell < 2:
             raise ValueError("need at least two lambdas")
+        if not all(map(cmath.isfinite, lambdas)):
+            raise ValueError("lambdas must be finite")
+        if any(abs(s) >= 1 << 62 for s in self.shifts):  # int64 exponents
+            raise ValueError("shifts must be below 2**62 in magnitude")
         if len(self.shifts) != ell or len(self.upper_adjust) != ell:
             raise ValueError("shifts and upper_adjust must match lambdas in length")
         if self.n < 1:
@@ -264,6 +286,11 @@ def _distinct_terms(lams: Sequence[complex], S: int) -> list[complex]:
     return terms
 
 
+#: S is capped here: from S = 2**64, lambda**S * S**5 is 0 in float64 for every
+#: |lambda| <= 1 - 2**-53, and neither S nor C(S + 5, k) then exceeds a float.
+_S_CAP = 1 << 64
+
+
 def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
     """Closed-form limit for pairwise-distinct roots.
 
@@ -276,6 +303,7 @@ def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
         raise ValueError("S must be >= 0")
     if not roots.is_distinct():
         raise CollisionError("repeated roots: use f_general")
+    S = min(S, _S_CAP)
     terms = _distinct_terms([v for v, _ in roots.entries], S)
     value, real_ok = _certify(sum(terms, 0j), roots.is_conjugate_closed())
     err = _EPS * ((S + len(terms)) * sum(map(abs, terms)) + abs(value))
@@ -327,6 +355,7 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     """
     if S < 0:
         raise ValueError("S must be >= 0")
+    S = min(S, _S_CAP)
     lams = roots.lambdas
     power = S + len(lams) - 1
     jets = [_g_jet(v, m - 1, lams, power) for v, m in roots.entries]
@@ -409,7 +438,7 @@ def series_oracle(
     import numpy as np
 
     lams = [complex(v) for v in lambdas]
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be > 0")
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -420,6 +449,7 @@ def series_oracle(
     if r == 0:
         value = 1.0 + 0j if S == 0 else 0j
         return LimitValue(value, 0.0, True, truncation=0)
+    _charge(f"the series oracle at S={S}", (S + 1) * ell, budget)  # N > S
 
     # Aliasing (Trefethen & Weideman, SIAM Rev. 56(3), 2014): |c_j| is at
     # most the j-th coefficient of g, the symbol built from the moduli
@@ -443,8 +473,6 @@ def series_oracle(
         return float(np.exp(log_bound.min()))
 
     cap = budget // ell
-    if cap <= S:  # no N above S fits
-        raise BudgetExceededError(f"S={S} needs over {cap:,} nodes", math.inf)
     # Leaving out the factor 1/(1 - rho**-N) > 1, the bound at rho is below
     # tol only once N exceeds S + (log_alias - log(tol)) / log(rho), so no
     # power of two below the first one above the least of these passes.
@@ -563,10 +591,17 @@ def finite_sum_with_error(
     The sum is the trace of a product of l Toeplitz matrices: O(n) work
     and memory for l = 2, O(n**2) memory and (l-2)*n**3 work above.
     Raises BudgetExceededError, before allocating anything, when that work
-    exceeds ``budget``.
+    exceeds ``budget``, and OverflowError when the sum or its bound is not
+    finite in float64 (a root outside the unit disk, raised to a power).
     """
-    _check_finite_budget(_finite_sum_work(len(spec.lambdas), spec.n), budget)
-    return _trace_sum(spec)
+    import numpy as np
+
+    _charge("finite sum", _finite_sum_work(len(spec.lambdas), spec.n), budget)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value, err = _trace_sum(spec)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise OverflowError("the finite sum overflows float64")
+    return value, err
 
 
 def _finite_sum_work(ell: int, n: int) -> int:
@@ -574,14 +609,6 @@ def _finite_sum_work(ell: int, n: int) -> int:
     # length 2n; above l = 2, l - 2 matrix products and about l passes
     # over n x n entries (the copied factors and blocks, the closing dots)
     return (ell - 2) * (n**3 + ell * n * n) + 24 * ell * n
-
-
-def _check_finite_budget(work: int, budget: int) -> None:
-    if work > budget:
-        raise BudgetExceededError(
-            f"finite sum needs {work:,} work units, over the budget of {budget:,}",
-            math.inf,
-        )
 
 
 def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
@@ -752,10 +779,9 @@ def linear_coefficient(
         )
     spec1 = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
     spec2 = FiniteSumSpec(lams, tuple(shifts), 2 * n_base, tuple(upper_adjust))
-    _check_finite_budget(
-        _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base),
-        DEFAULT_BUDGET,
-    )
+    _charge("finite sum",
+            _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base),
+            DEFAULT_BUDGET)
     t1, e1 = _trace_sum(spec1)
     t2, e2 = _trace_sum(spec2)
     value = (t2 - t1) / n_base

@@ -70,6 +70,11 @@ class TestCharRoots:
         assert all(abs(z.imag) < 1e-12 for z in cr.roots)
         assert cr.stationary
 
+    @pytest.mark.parametrize("alphas", [[float("nan")], [0.5, float("inf")]])
+    def test_non_finite_coefficients_are_refused(self, alphas):
+        with pytest.raises(ValueError, match="finite"):
+            char_roots(alphas)
+
     def test_order_one_reads_coefficient(self):
         cr = char_roots([1.2])
         assert cr.roots == (1.2 + 0j,)
@@ -103,6 +108,10 @@ class TestCharRoots:
 
 
 class TestAcf:
+    def test_negative_lag_count_is_refused(self):
+        with pytest.raises(ValueError, match="j_max"):
+            acf([0.6], -5)
+
     def test_markov_case(self):
         model, rho = acf([0.6], 3)
         assert rho == pytest.approx([1.0, 0.6, 0.36, 0.216], abs=1e-14)
@@ -173,6 +182,11 @@ class TestAcf:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            ARModel((0.6,), sigma)
+
     def test_noiseless_is_zero(self):
         sample = simulate(ARModel((0.6,), 0.0), 100, seed=4)
         assert np.all(sample.values == 0)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,15 +347,16 @@ class TestAr:
         assert payload["achievable_bound"] is None
 
     def test_budget_counts_ten_units_per_sample(self, capsys):
-        # 2 seeds x (55 burn-in + 1000) samples; acceptance criterion 7
+        # one total: 1 unit for the roots, 10 x 2 seeds x (55 burn-in + 1000)
+        # samples, and 1,100 + 1,000 for the ACF; acceptance criterion 7
         # runs the README check (20 x 200,057 samples) at the default budget
         argv = ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2"]
-        code, env, _ = run_json(capsys, *argv, "--budget", "21100")
+        code, env, _ = run_json(capsys, *argv, "--budget", "23201")
         # two seeds give a noisy standard error, so the z-test may fail
         assert code in (0, 1)
         assert env["command"] == "ar check"
         assert "result" in env
-        code, out, _ = run(capsys, *argv, "--budget", "21099", "--json")
+        code, out, _ = run(capsys, *argv, "--budget", "23200", "--json")
         assert code == 1
         assert json.loads(out)["error"] == "BudgetExceeded"
 
@@ -391,6 +393,104 @@ class TestAr:
         )
         assert code == 1
         assert json.loads(out)["command"] == "oracle series"
+
+
+class TestCleanExits:
+    """Inputs that once ran without limit, slipped past validation, raised
+    a traceback or reported a false success."""
+
+    @pytest.mark.parametrize("argv", [
+        # --mult is checked before the roots are expanded
+        ["eval", "--lambdas", "0.5", "--mult", "10000000", "--S", "0"],
+        ["eval", "--lambdas", "0.5", "--mult", "1000000000", "--S", "0"],
+        ["eval", "--lambdas", "0.5,0.3,0.2", "--mult", "1,1,0", "--S", "0"],
+        ["eval", "--lambdas", "0.5,0.3", "--mult", "-1,3", "--S", "0"],
+        ["oracle", "series", "--lambdas", "0.5,0.3", "--S", "0", "--tol", "nan"],
+        ["conjecture", "--ell", "5", "--trials", "2", "--tol", "nan"],
+        ["ar", "simulate", "--alpha", "0.6", "--n", "10", "--sigma", "nan",
+         "--out", "{out}"],
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2",
+         "--zmax", "nan"],
+        ["ar", "acf", "--alpha", "0.6", "--jmax", "-5"],
+        ["ar", "roots", "--alpha", "nan"],
+        # a negative n must not take the lags' work off the one total: the
+        # recursion over 1e30 lags would run without limit
+        ["ar", "check", "--alpha", "0.5", "--n", "-1", "--jmax", str(10**30),
+         "--seeds", "1000000000"],
+        ["oracle", "finite", "--lambdas", "0.5,0.3",
+         "--shifts", "100000000000000000000,0", "--n", "2"],
+    ])
+    def test_refused_as_usage_errors(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        argv = [str(out) if a == "{out}" else a for a in argv]
+        started = time.perf_counter()
+        code, stdout, err = run(capsys, *argv, "--json")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2, err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--lambdas", "0.5,0.3", "--S", str(2**1024)],
+        ["eval", "--lambdas", "0.5", "--mult", "6", "--S", str(10**63)],
+    ])
+    def test_huge_S_gives_finite_numbers(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        env = json.loads(out, parse_constant=pytest.fail)
+        assert env["result"]["value"] == {"re": 0.0, "im": 0.0}
+        assert env["err_estimate"] == 0.0
+
+    def test_overflowing_finite_sum_is_an_error(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle", "finite", "--lambdas", "2,0.5",
+            "--shifts", "2000,0", "--n", "2", "--json",
+        )
+        assert code == 1
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert list(payload) == ["command", "error", "message"]
+        assert payload["command"] == "oracle finite"
+        assert payload["error"] == "OverflowError"
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_near_coincident_roots_merge_in_any_order(self, capsys, order):
+        # 0.3 and 0.30000132 are 1.32e-6 apart, over the threshold of
+        # 1e-6 * 1.30000132, but each is within it of 0.30000125
+        lams = ["0.3", "0.30000125", "0.30000132"][::order]
+        code, env, err = run_json(
+            capsys, "eval", "--lambdas", ",".join(lams), "--S", "0")
+        assert code == 0, err
+        assert env["result"]["route"] == "confluent"
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ls = [mpmath.mpf(v) for v in lams]
+            want = mpmath.fsum(
+                li ** 2 * mpmath.fprod((1 - lj**2) / ((li - lj) * (1 - li * lj))
+                                       for lj in ls if lj is not li)
+                for li in ls)
+        got = env["result"]["value"]["re"]
+        assert abs(got - float(want)) <= 1e-9 * (1 + abs(got))
+
+    def test_ar_acf_charges_roots_and_lags_as_one_total(self, capsys):
+        # 1 unit for the roots of an AR(1) model, 25 * 11 * 4 for 4 lags
+        argv = ["ar", "acf", "--alpha", "0.6", "--jmax", "3"]
+        code, _, _ = run_json(capsys, *argv, "--budget", "1101")
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--budget", "1100", "--json")
+        assert code == 1
+        assert json.loads(out)["message"] == (
+            "ar acf needs 1,101 work units, over the budget of 1,100")
+
+    def test_envelope_data(self):
+        from serialsum.cli import _plain
+
+        data = {"z": (1 + 2j, complex(math.inf, 0)),
+                "x": [math.nan, -math.inf, 1.5, True, None, 3]}
+        assert _plain(data) == {
+            "z": [{"re": 1.0, "im": 2.0}, {"re": None, "im": 0.0}],
+            "x": [None, None, 1.5, True, None, 3],
+        }
+        assert list(_plain(data)) == ["z", "x"]
 
 
 class TestNegativeLists:

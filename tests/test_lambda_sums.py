@@ -149,6 +149,32 @@ class TestRootMultiset:
         with pytest.raises(ValueError):
             RootMultiset(((0.5, 1), (0.5 + 1e-9, 1)))
 
+    @pytest.mark.parametrize("lams", [
+        # each is within the threshold of 0.30000125 but not of the other
+        [0.3, 0.30000125, 0.30000132],
+        # a conjugate pair merges into its mean 0.5, which is within the
+        # threshold of 0.500001425 though neither member is
+        [0.5 + 0.675e-6j, 0.5 - 0.675e-6j, 0.500001425],
+    ])
+    def test_clustering_is_transitive_and_order_free(self, lams):
+        for order in itertools.permutations(lams):
+            r = ms(*order)
+            assert [m for _, m in r.entries] == [3]
+            # the mean of the members in input order
+            assert r.entries[0][0] == sum(order) / 3
+
+    def test_clusters_keep_the_order_of_their_first_members(self):
+        r = ms(0.1, 0.5, 0.1 + 1e-9, 0.5 + 1e-9, -0.2)
+        assert [m for _, m in r.entries] == [2, 2, 1]
+        assert [round(v.real, 6) for v, _ in r.entries] == [0.1, 0.5, -0.2]
+
+    def test_root_count_is_checked_before_clustering(self):
+        # 20,000 roots 5e-5 apart: comparing every pair would take minutes
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="root count"):
+            ms(*[k / 20_000 - 0.5 for k in range(20_000)])
+        assert time.perf_counter() - started < 0.5
+
     def test_conjugate_closed(self):
         assert ms(0.3 + 0.2j, 0.3 - 0.2j).is_conjugate_closed()
         assert not ms(0.3 + 0.2j, 0.1).is_conjugate_closed()
@@ -239,6 +265,15 @@ class TestFDistinct:
 
     def test_pair_s1(self):
         assert f_distinct(ms(0.5, 0.3), 1).value == pytest.approx(16 / 17, rel=1e-13)
+
+    @pytest.mark.parametrize("S", [10**63, 2**1024, 10**400])
+    def test_huge_S_gives_zero_with_a_zero_bound(self, S):
+        # lambda**S underflows to 0, and no OverflowError on the way
+        for evaluate, roots in [(f_distinct, ms(0.5, -0.3 + 0.2j, -0.3 - 0.2j)),
+                                (f_general, ms(0.5, -0.3 + 0.2j, -0.3 - 0.2j)),
+                                (f_general, RootMultiset(((0.9, 6),)))]:
+            got = evaluate(roots, S)
+            assert got.value == 0 and got.err_estimate == 0
 
     @pytest.mark.parametrize("S", [0, 1, 3])
     def test_absorbing_zero(self, S):
@@ -609,6 +644,10 @@ class TestSeriesOracle:
                 series_oracle([0.99999999999999, 0.5], 0, 1e-3)
         assert math.isfinite(exc.value.achievable_bound)
 
+    def test_nan_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="tol"):
+            series_oracle([0.5, 0.3], 0, math.nan)
+
     def test_huge_shift_exceeds_budget_quickly(self):
         started = time.perf_counter()
         with pytest.raises(BudgetExceededError) as exc:
@@ -747,6 +786,22 @@ class TestFiniteSum:
         limit = f_distinct(RootMultiset.from_lambdas(lams), 1).value
         assert abs((t2 - t1) / n - limit) <= 1e-9
         assert time.perf_counter() - started < 2.0
+
+    def test_rejects_shifts_beyond_int64_and_non_finite_roots(self):
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            FiniteSumSpec((0.5, 0.3), (10**20, 0), 2)
+        with pytest.raises(ValueError, match="finite"):
+            FiniteSumSpec((math.nan, 0.3), (0, 0), 2)
+
+    @pytest.mark.parametrize("lams, shifts", [
+        ((2.0, 0.5), (2000, 0)),
+        ((2.0, 0.5, 0.25), (2000, 0, 0)),
+    ])
+    def test_overflow_is_an_error_not_a_value(self, lams, shifts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                finite_sum(FiniteSumSpec(lams, shifts, 3))
 
     def test_rejects_positive_adjust(self):
         with pytest.raises(ValueError):
