@@ -23,6 +23,7 @@ and `acf` for an AR(1) model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -197,16 +198,10 @@ def default_burn_in(alphas: Sequence[float]) -> int:
 _BLOCK = 256
 
 
-def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
-    """X_t = eps_t + alpha_1*X_{t-1} + ... + alpha_k*X_{t-k} from a zero state.
-
-    Within a block of B steps the output is T @ e + Z @ s: T is the B x B
-    lower-triangular Toeplitz matrix of the impulse response h, e the
-    block's noise, s the k values carried in from the previous block and Z
-    their zero-input responses.  One run of the recursion over B steps gives
-    h and Z, one matrix product gives T @ e for every block, and a loop over
-    the blocks adds Z @ s.
-    """
+@functools.lru_cache(maxsize=1)
+def _filter_blocks(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """T and Z of `_ar_filter` for one model, read-only.  The last model's
+    are kept, so the seeds of `ar check` build them once."""
     import numpy as np
 
     a = np.asarray(alphas, dtype=float)
@@ -223,6 +218,24 @@ def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
     h, Z = resp[k:, 0], resp[k:, 1:]
     lag = np.subtract.outer(np.arange(B), np.arange(B))
     T = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
+    T.flags.writeable = Z.flags.writeable = False
+    return T, Z
+
+
+def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
+    """X_t = eps_t + alpha_1*X_{t-1} + ... + alpha_k*X_{t-k} from a zero state.
+
+    Within a block of B steps the output is T @ e + Z @ s: T is the B x B
+    lower-triangular Toeplitz matrix of the impulse response h, e the
+    block's noise, s the k values carried in from the previous block and Z
+    their zero-input responses.  One run of the recursion over B steps gives
+    h and Z (`_filter_blocks`), one matrix product gives T @ e for every
+    block, and a loop over the blocks adds Z @ s.
+    """
+    import numpy as np
+
+    T, Z = _filter_blocks(tuple(float(a) for a in alphas))
+    B, k = Z.shape
 
     # the forced response of each block, written straight into x so that
     # the noise is not copied; the last block is partial

@@ -110,7 +110,12 @@ def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("SERIALSUM_BUDGET")
-    return int(float(env)) if env else lambda_sums.DEFAULT_BUDGET
+    if not env:
+        return lambda_sums.DEFAULT_BUDGET
+    budget = float(env)
+    if not math.isfinite(budget):  # a usage error, as a malformed one is
+        raise ValueError(f"SERIALSUM_BUDGET must be finite, got {env!r}")
+    return int(budget)
 
 
 #: Work units charged per unit of CLI work, from measured costs at about

@@ -31,8 +31,10 @@ sampled on the half circle, each factor in a positive real form with no
 cancellation, and the rounding bound is a few dozen eps per root, with a
 part growing as 1/(1 - |lambda|) for complex roots only) and `finite_sum`
 (the exact finite-n sum, both as the trace of a product of l Toeplitz
-matrices and as a direct enumerator), plus `linear_coefficient` which
-extracts the n-slope from finite sums.
+matrices, taken through the displacement structure of their partial
+products as 1-D convolutions without forming any matrix, and as a direct
+enumerator), plus `linear_coefficient` which extracts the n-slope from
+finite sums.
 
 The closed forms need no numpy: the oracles and the root sampler import it
 where they use it, so `import serialsum` and `f_general` load none.
@@ -588,8 +590,10 @@ def finite_sum_with_error(
 ) -> tuple[complex, float]:
     """The exact finite cyclic sum and a bound on its rounding error.
 
-    The sum is the trace of a product of l Toeplitz matrices: O(n) work
-    and memory for l = 2, O(n**2) memory and (l-2)*n**3 work above.
+    The sum is the trace of a product of l Toeplitz matrices, taken from
+    their displacement structure without forming any matrix (`_trace_sum`):
+    O(n) work for l = 2 and (l-2)*(2l-1)*n**2 multiply-adds above, in
+    O(l*n) memory.
     Raises BudgetExceededError, before allocating anything, when that work
     exceeds ``budget``, and OverflowError when the sum or its bound is not
     finite in float64 (a root outside the unit disk, raised to a power).
@@ -605,10 +609,11 @@ def finite_sum_with_error(
 
 
 def _finite_sum_work(ell: int, n: int) -> int:
-    # each of the l steps makes about a dozen passes over vectors of
-    # length 2n; above l = 2, l - 2 matrix products and about l passes
-    # over n x n entries (the copied factors and blocks, the closing dots)
-    return (ell - 2) * (n**3 + ell * n * n) + 24 * ell * n
+    # each of the l factors makes about a dozen passes over vectors of
+    # length 2n, and (l - 2)*(2l - 1) Toeplitz matrix-vector products take
+    # n**2 multiply-adds each; measured from l = 3 up, a unit takes 0.4-1.1
+    # ns at the largest n of the default budget, the most for complex roots
+    return (ell - 2) * (2 * ell - 1) * n * n + 24 * ell * n
 
 
 def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
@@ -624,48 +629,27 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     return p
 
 
-#: Rows of the first factor carried through the chain of products at once.
-#: Fastest of 32..400 at the benchmark's sizes; from 200 rows up the block
-#: temporaries grow past the allocator's reuse and page-fault again.
-_ROW_BLOCK = 128
-
-
-def _toeplitz(diag: np.ndarray, cols: int) -> np.ndarray:
-    """A[a, b] = diag[a - b + cols - 1], as a strided view of ``diag``:
-    row a is diag[a : a + cols] read backwards."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    return sliding_window_view(diag[::-1], cols)[::-1]
-
-
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y; a real x times a C-contiguous complex y is one real product
-    on y's interleaved float64 view, not a complex one."""
-    import numpy as np
-
-    if x.dtype == np.float64 and y.dtype == np.complex128:
-        return (x @ y.view(np.float64)).view(np.complex128)
-    return x @ y
-
-
 def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     """tr(A_1 ... A_l) and a bound on its rounding error.
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
-    the cyclic lattice exactly once.  For l = 2 it is closed as
-    sum_d c[d] * (A_2)_{b, b + d}, where c[d] sums the entries of A_1 on
-    its diagonal a - b = d, and no matrix is built.
+    the cyclic lattice exactly once.  A_m is Toeplitz, A[a, b] = t(a - b),
+    and is held as the vector of its diagonals.
 
-    Above, the cycle is first rotated (the trace does not change) so that
-    it closes on a complex factor whose successor is real, when there is
-    one: the products then start on a real matrix, and a real times a
-    complex matrix is one real product.  The rows of the first factor go
-    through the chain in blocks of ``_ROW_BLOCK``, each copied from its
-    strided Toeplitz view, against the other factors made contiguous once;
-    each row is closed by its dot product with the matching column of the
-    last factor's view, and the rows are summed.  Memory is the l - 2
-    middle factors and a few blocks of rows, and no n x n product is formed.
+    No product is formed.  P_k = A_1 ... A_k has displacement rank 2(k - 1)
+    (Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979): for i, j >= 1,
+    P_k[i, j] - P_k[i-1, j-1] = sum_r g_r[i] * h_r[j].  With r rows in
+    A = A_{k+1}, the step to P_{k+1} = P_k A keeps each generator as
+    (g, h A[1:, 1:]) and adds (P_k[1:, 0], A[0, 1:]) and
+    (-P_k[:-1, r-1], t(r - j) for j >= 1).  A column of P_k is a chain of
+    Toeplitz matrix-vector products from a column of A_k, and every
+    product is a direct 1-D convolution.  Summing the displacements along
+    the diagonal of the square P_l gives
+    tr(P_l) = n_1 * P_l[0, 0] + sum_r sum_{i>=1} (n_1 - i) * g_r[i] * h_r[i].
+    For l = 2 the generators are slices of the two diagonal vectors, and
+    the work is O(n).  Above, it is (l - 2)*(2l - 1) products of about n**2
+    multiply-adds; memory is O(l*n).
     """
     import numpy as np
 
@@ -674,8 +658,8 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     ns = [spec.n + d for d in spec.upper_adjust]
 
     # A product of l powers above the floor stays a normal float: products
-    # that underflow to subnormals run many times slower in the matrix
-    # products, and the error bound counts every dropped term.
+    # that underflow to subnormals run many times slower in the
+    # convolutions, and the error bound counts every dropped term.
     floor = _TINY ** (1 / ell)
     diags = []
     masses = []
@@ -695,45 +679,56 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
         peaks.append(float(mag.max()))
         kmax = max(kmax, hi)
 
-    if ell == 2:
-        # P = A_1 holds the same entry at each of the count[d] positions of
-        # its diagonal d, so no matrix is built
-        n1, nl = ns
-        d = np.arange(1 - nl, n1)
-        c = (np.minimum(n1, nl + d) - np.maximum(0, d)) * diags[0]
-        # (A_2)_{b, b + d} = lambda_2**|s_2 - d| is A_2's diagonal -d
-        value = complex(c @ diags[1][::-1])
-    else:
-        first = next((m for m in range(ell) if np.isrealobj(diags[m])
-                      and np.iscomplexobj(diags[m - 1])), 0)
-        mats = [_toeplitz(diags[m % ell], ns[(m + 1) % ell])
-                for m in range(first, first + ell)]
-        middle = [np.ascontiguousarray(a) for a in mats[1:-1]]
-        close = mats[-1]
-        rows = np.empty(ns[first], np.result_type(*diags))
-        for lo in range(0, ns[first], _ROW_BLOCK):
-            block = slice(lo, lo + _ROW_BLOCK)
-            x = np.ascontiguousarray(mats[0][block])
-            for y in middle:
-                x = _matmul(x, y)
-            rows[block] = np.einsum("ij,ji->i", x, close[:, block])
-        value = complex(rows.sum())
+    def column(m: int, j: int) -> np.ndarray:  # A_m[:, j], m from 0
+        start = ns[(m + 1) % ell] - 1 - j
+        return diags[m][start : start + ns[m]]
 
-    # A power lam**k computed from lam**lo and k - lo complex products
-    # carries a relative error below 4*k*eps, and a term multiplies l of
-    # them with one more rounding each.  Summation adds at most n_max
-    # roundings in each of the l - 2 products, in each row's dot product
-    # with the closing factor and in the sum of the rows, or 2*n_max in
-    # the dot product that closes l = 2 (Higham 2002, sec. 3.5).  Fixing
-    # one index and summing the others along the cycle bounds sum |terms|
-    # by n_max times the largest entry of one step times the masses
-    # sum |diag| of the others.  A dropped term has one factor below the
-    # floor and the others at most their peaks.
-    abs_sum = max(ns) * min(
+    def times(factors: list, x: np.ndarray) -> np.ndarray:
+        # the product of the Toeplitz factors with these diagonals, times x
+        for d in reversed(factors):
+            x = np.convolve(d, x, "valid")
+        return x
+
+    n1 = ns[0]
+    weights = np.arange(n1 - 1, 0, -1)  # n_1 - i at i = 1..n_1-1
+    gens = []  # (weights * g over rows 1.., h over columns 1..)
+    for k in range(1, ell):  # P_{k+1} = P_k A_{k+1}, A_{k+1} = diags[k]
+        r, q = ns[k], ns[(k + 1) % ell]
+        inner = diags[k][1:-1]  # A[1:, 1:], (r - 1) x (q - 1)
+        if r > 1 and q > 1:  # h A[1:, 1:] is h reversed, convolved, reversed
+            gens = [(g, np.convolve(inner, h[::-1], "valid")[::-1]) for g, h in gens]
+        else:  # A[1:, 1:] is empty
+            gens = [(g, np.zeros(q - 1, np.result_type(h, inner))) for g, h in gens]
+        first = times(diags[: k - 1], column(k - 1, 0))
+        last = times(diags[: k - 1], column(k - 1, r - 1))
+        gens += [(weights * first[1:], diags[k][: q - 1][::-1]),
+                 (-weights * last[:-1], diags[k][r:][::-1])]
+    # P_l[0, 0] = A_1[0, :] @ A_2 ... A_l[:, 0]
+    corner = diags[0][ns[1] - 1 :: -1] @ times(diags[1:-1], column(ell - 1, 0))
+    value = complex(n1 * corner + sum(g @ h for g, h in gens))
+
+    # Every number computed is a signed sum of terms, each the product of
+    # one floored power from each factor, and its rounding error is at most
+    # eps times the number of roundings on a term's path times the same
+    # computation over the moduli (Higham 2002, sec. 3.5).  A power lam**k
+    # computed from lam**lo and k - lo complex products carries a relative
+    # error below 4*k*eps, and a term multiplies l of them with at most
+    # 3*eps (complex) per product, the weight n_1 - i and n_1 included.
+    # Summation adds at most n_max roundings in each of the at most l - 2
+    # matrix-vector products on a path and in the closing dot product, and
+    # 2l more in the sum of the 2l - 1 closing parts (Higham 2002, sec. 3.1).
+    # Over the moduli, P_l[0, 0] and each generator's sum over i fix one
+    # index of the cycle and sum the others, and so are at most the largest
+    # entry of one factor times the masses sum |diag| of the others; with
+    # weights at most n_1, the 2l - 1 parts sum to at most (2l - 1)*n_1 times
+    # that.  A dropped term has one factor below the floor and the others at
+    # most their peaks.
+    abs_sum = (2 * ell - 1) * n1 * min(
         peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
     )
     dropped = floor * math.prod(ns) * math.prod(max(1.0, p) for p in peaks)
-    err = (ell * (4 * kmax + 3) + (ell + 1) * max(ns)) * _EPS * abs_sum + dropped
+    rounds = ell * (4 * kmax + 5) + (ell - 1) * max(ns)
+    err = rounds * _EPS * abs_sum + dropped
     return value, err
 
 

@@ -182,6 +182,16 @@ class TestOracle:
         assert code == 1
         assert json.loads(out)["error"] == "BudgetExceeded"
 
+    @pytest.mark.parametrize("budget", ["inf", "-inf", "nan", "1e400", "abc"])
+    def test_non_finite_budget_env_var_is_a_usage_error(
+        self, capsys, monkeypatch, budget
+    ):
+        monkeypatch.setenv("SERIALSUM_BUDGET", budget)
+        code, out, err = run(capsys, "ar", "roots", "--alpha", "0.5", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestConjecture:
     def test_small_probe_passes(self, capsys):

@@ -3,11 +3,14 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serialsum import (
     BudgetExceededError,
@@ -25,7 +28,6 @@ from serialsum import (
     linear_coefficient,
     series_oracle,
 )
-from serialsum import lambda_sums
 from serialsum.lambda_sums import (
     DEFAULT_BUDGET,
     _LOG_RHO_FRACTIONS,
@@ -63,6 +65,38 @@ def mp_limit(lams, S, dps=50):
             )
             for i, li in enumerate(ls)
         )
+
+
+def mp_trace(spec, dps=50):
+    """The finite sum tr(A_1 ... A_l) at ``dps`` digits, in O(l*n**2)
+    operations: each factor is applied to the columns of the running
+    product by the two first-order recursions of x -> sum_b lam**|p - b| x[b]
+    (forward over b <= p, backward over b > p, p = a + s_m)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        zero = mpmath.mpf(0)
+        ns = [spec.n + d for d in spec.upper_adjust]
+        cols = [[mpmath.mpf(int(i == j)) for i in range(ns[0])]
+                for j in range(ns[0])]
+        for m in reversed(range(len(ns))):
+            v, s, rows = spec.lambdas[m], spec.shifts[m], ns[m]
+            lam = mpmath.mpf(v.real) if v.imag == 0 else mpmath.mpc(v)
+            lo, hi = min(0, s), max(len(cols[0]), rows + s)
+            new = []
+            for x in cols:
+                ext = [zero] * (hi - lo)
+                ext[-lo : -lo + len(x)] = x
+                fwd, acc = [], zero
+                for e in ext:
+                    acc = lam * acc + e
+                    fwd.append(acc)
+                out, acc = [zero] * (hi - lo), zero
+                for p in range(hi - lo - 1, -1, -1):
+                    out[p] = fwd[p] + acc
+                    acc = lam * (acc + ext[p])
+                new.append(out[s - lo : s - lo + rows])
+            cols = new
+        return mpmath.fsum(cols[i][i] for i in range(ns[0]))
 
 
 def near_circle_roots(rng, ell):
@@ -714,11 +748,9 @@ class TestFiniteSum:
             a, b = finite_sum(spec), finite_sum_direct(spec)
             assert abs(a - b) <= 1e-12 * abs(b), (case, spec)
 
-    @pytest.mark.parametrize("block", [2, lambda_sums._ROW_BLOCK])
-    def test_every_rotation_matches_enumeration(self, monkeypatch, block):
-        # the trace closes on a complex factor followed by a real one; the
-        # rotations of each cycle put its complex factors in every position
-        monkeypatch.setattr(lambda_sums, "_ROW_BLOCK", block)
+    def test_every_rotation_matches_enumeration(self):
+        # the rotations of each cycle put its complex factors in every
+        # position of the chain of products
         z, w = cmath.rect(0.8, 2.0), cmath.rect(0.6, 0.7)
         cycles = [
             ((z, z.conjugate(), 0.7), 15),
@@ -745,8 +777,7 @@ class TestFiniteSum:
         (0.5, cmath.rect(0.7, 0.4), -0.8, -0.5j),  # a real factor after a complex one
     ])
     def test_row_blocks_match_dense_trace(self, lams):
-        # n = 300 takes three blocks of rows; the reference multiplies the
-        # explicit matrices
+        # n = 300, against the explicit matrices multiplied out
         ell, n = len(lams), 300
         shifts, adjust = (2, -1, 0, 1)[:ell], (0, -3, -1, 0)[:ell]
         ns = [n + d for d in adjust]
@@ -764,7 +795,7 @@ class TestFiniteSum:
             finite_sum(spec)
         assert exc.value.achievable_bound == float("inf")
         with pytest.raises(BudgetExceededError):
-            linear_coefficient(lams, (0,) * 6, 400)
+            linear_coefficient(lams, (0,) * 6, 1000)
 
     def test_large_shift_costs_nothing(self):
         # only the rows + cols - 1 exponents a matrix reads are computed
@@ -810,6 +841,57 @@ class TestFiniteSum:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             FiniteSumSpec((0.5, 0.3), (0, 0), 2, (0, -2))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_err_bounds_enumeration(self, data):
+        # shifts, adjustments, zero and complex roots, and |lambda| > 1; n
+        # stops at 5 and 4 for l = 5 and 6, where n**l terms are enumerated
+        ell = data.draw(st.integers(2, 6), label="ell")
+        n = data.draw(st.integers(1, {5: 5, 6: 4}.get(ell, 8)), label="n")
+        root = st.one_of(
+            st.floats(-1.1, 1.1),
+            st.just(0.0),
+            st.builds(cmath.rect, st.floats(0, 1.05), st.floats(-math.pi, math.pi)),
+        )
+        lams = tuple(data.draw(st.lists(root, min_size=ell, max_size=ell)))
+        shifts = tuple(data.draw(st.lists(
+            st.integers(-3, 3), min_size=ell, max_size=ell)))
+        adjust = tuple(data.draw(st.lists(
+            st.integers(-min(3, n - 1), 0), min_size=ell, max_size=ell)))
+        spec = FiniteSumSpec(lams, shifts, n, adjust)
+        value, err = finite_sum_with_error(spec)
+        assert abs(value - finite_sum_direct(spec)) <= err
+
+    @pytest.mark.parametrize("lams, shifts, n, adjust", [
+        ((0.99, -0.985, 0.975), (1, -2, 0), 60, (0, -1, -2)),
+        ((cmath.rect(0.999, 0.3), cmath.rect(0.999, -0.3), -0.97, 0.98),
+         (0, 1, -1, 2), 50, (0, -1, 0, -2)),
+        ((cmath.rect(0.95, 2.0), cmath.rect(0.95, -2.0), 1.02, -0.99, 0.0),
+         (2, 0, -1, 1, -3), 40, (-1, 0, 0, -3, 0)),
+        ((cmath.rect(0.99, 1.1), cmath.rect(0.99, -1.1), cmath.rect(0.97, -2.5),
+          cmath.rect(0.97, 2.5), 1.01, -0.995), (1, -1, 0, 2, -2, 3), 40,
+         (0, -2, 0, -1, 0, 0)),
+    ])
+    def test_err_bounds_mpmath_near_circle(self, lams, shifts, n, adjust):
+        # roots within 0.03 of +-1, pairs at modulus 0.95-0.999 and roots
+        # up to 1.02, against the trace at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        spec = FiniteSumSpec(lams, shifts, n, adjust)
+        value, err = finite_sum_with_error(spec)
+        assert float(abs(mpmath.mpc(value) - mp_trace(spec))) <= err
+
+    def test_memory_is_linear_in_n(self):
+        # l = 3 at n = 2000 holds O(l*n) numbers; one n x n matrix is 32 MB
+        spec = FiniteSumSpec((cmath.rect(0.9, 1.0), cmath.rect(0.9, -1.0), 0.6),
+                             (1, -1, 2), 2000)
+        tracemalloc.start()
+        try:
+            finite_sum_with_error(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestLinearCoefficient:
