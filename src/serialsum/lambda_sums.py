@@ -611,8 +611,9 @@ def finite_sum_with_error(
 def _finite_sum_work(ell: int, n: int) -> int:
     # each of the l factors makes about a dozen passes over vectors of
     # length 2n, and (l - 2)*(2l - 1) Toeplitz matrix-vector products take
-    # n**2 multiply-adds each; measured from l = 3 up, a unit takes 0.4-1.1
-    # ns at the largest n of the default budget, the most for complex roots
+    # n**2 multiply-adds each; from l = 3 up, a unit takes 0.4-1.1 ns at the
+    # largest n of the default budget on a 2-core Xeon, the most for complex
+    # roots
     return (ell - 2) * (2 * ell - 1) * n * n + 24 * ell * n
 
 
