@@ -299,10 +299,15 @@ def empirical_acf(sample: SeriesSample, j_max: int) -> list[float]:
     """Zero-mean sample autocorrelations r_0..r_{j_max}."""
     if j_max < 0 or j_max >= sample.n:
         raise BadLagError(f"j_max {j_max} out of range for n={sample.n}")
-    _, denom = sum_stats(sample, 0)
+    import numpy as np
+
+    x = sample.values
+    # the lag-j sums of `sum_stats`, one dot product each, lag 0 the denominator
+    sums = [float(np.dot(x[: x.size - j], x[j:])) for j in range(j_max + 1)]
+    denom = sums[0]
     if denom == 0:
         raise DegenerateSampleError("all-zero sample")
-    return [sum_stats(sample, j)[1] / denom for j in range(j_max + 1)]
+    return [s / denom for s in sums]
 
 
 #: Rows `write_csv` formats per write, so its memory stays bounded.

@@ -602,7 +602,7 @@ def finite_sum_with_error(
 
     _charge("finite sum", _finite_sum_work(len(spec.lambdas), spec.n), budget)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value, err = _trace_sum(spec)
+        value, err = _trace_sum(spec, _diagonals(spec, _power_tables(spec)))
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise OverflowError("the finite sum overflows float64")
     return value, err
@@ -610,11 +610,13 @@ def finite_sum_with_error(
 
 def _finite_sum_work(ell: int, n: int) -> int:
     # each of the l factors makes about a dozen passes over vectors of
-    # length 2n, and (l - 2)*(2l - 1) Toeplitz matrix-vector products take
-    # n**2 multiply-adds each; from l = 3 up, a unit takes 0.4-1.1 ns at the
-    # largest n of the default budget on a 2-core Xeon, the most for complex
-    # roots
-    return (ell - 2) * (2 * ell - 1) * n * n + 24 * ell * n
+    # length 2n (its power table, the cut diagonals, their moduli and the
+    # weighted generators, each in fresh pages at large n), and
+    # (l - 2)*(2l - 1) Toeplitz matrix-vector products take n**2 multiply-adds
+    # each; at the largest n of the default budget a unit takes 0.5-1.2 ns
+    # for l = 2 and 0.1-0.8 ns from l = 3 up on a 2-core Xeon, the most for
+    # complex roots
+    return (ell - 2) * (2 * ell - 1) * n * n + 60 * ell * n
 
 
 def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
@@ -625,18 +627,92 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     base = lam.real if lam.imag == 0 else lam
     p = np.full(count, base)
     p[0] = np.power(base, lo)
-    p = np.cumprod(p)
+    # For |lam| < 1, once a power is below half the floor every later one is
+    # too: rounding, a few eps a product, cannot double a power within 10**15
+    # steps.  Past the floor the products only underflow, and for |lam| > 0.5
+    # they stall at the least subnormal, where each multiply runs many times
+    # slower; so they stop a little past a quarter of the floor.
+    stop = count
+    if 0 < abs(base) < 1 and p[0] != 0:
+        steps = math.log(floor / 4 / abs(p[0])) / math.log(abs(base))
+        stop = min(count, max(1, math.ceil(steps * (1 + 1e-9)) + 2))
+    if stop == count:
+        p = np.cumprod(p)
+    else:
+        np.cumprod(p[:stop], out=p[:stop])
+        if abs(p[stop - 1]) < floor / 2:
+            p[stop:] = 0
+        else:  # the estimate fell short: the whole product
+            np.cumprod(p[stop - 1 :], out=p[stop - 1 :])
     p[np.abs(p) < floor] = 0
     return p
 
 
-def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
+def _span(s: int, rows: int, cols: int) -> tuple[int, int]:
+    """The least and the greatest exponent |d + s| over d = 1 - cols ..
+    rows - 1: the ends of a V, or of one of its arms."""
+    a, b = s + 1 - cols, s + rows - 1
+    if a >= 0:
+        return a, b
+    if b <= 0:
+        return -b, -a
+    return 0, max(-a, b)
+
+
+def _cut(table: np.ndarray, lo: int, s: int, rows: int, cols: int) -> np.ndarray:
+    """lam**|d + s| for d = 1 - cols .. rows - 1, from table[k] = lam**(lo + k),
+    which must cover `_span`."""
+    import numpy as np
+
+    a, b = s + 1 - cols, s + rows - 1  # d + s at the two ends
+    if a >= 0:  # the rising arm
+        return table[a - lo : b - lo + 1]
+    if b <= 0:  # the falling arm, reversed so that it is contiguous
+        return table[-b - lo : -a - lo + 1][::-1].copy()
+    # the V crosses zero, so lo = 0: lam**-a .. lam**1, then lam**0 .. lam**b
+    return np.concatenate((table[-a:0:-1], table[: b + 1]))
+
+
+def _power_tables(spec: FiniteSumSpec) -> list[tuple[int, np.ndarray]]:
+    """Per factor, (lo, table) with table[k] = lam**(lo + k) over the `_span`
+    of the exponents its diagonals read, so a large shift costs nothing."""
+    ell = len(spec.lambdas)
+    ns = [spec.n + d for d in spec.upper_adjust]
+    # A product of l powers above the floor stays a normal float: products
+    # that underflow to subnormals run many times slower in the
+    # convolutions, and `_trace_sum`'s bound counts every dropped term.
+    floor = _TINY ** (1 / ell)
+    tables = []
+    for m, (lam, s) in enumerate(zip(spec.lambdas, spec.shifts)):
+        lo, hi = _span(s, ns[m], ns[(m + 1) % ell])
+        tables.append((lo, _powers(lam, lo, hi - lo + 1, floor)))
+    return tables
+
+
+def _diagonals(
+    spec: FiniteSumSpec, tables: list[tuple[int, np.ndarray]]
+) -> list[np.ndarray]:
+    """Per factor A_m, its diagonals cut from the power tables of a spec of
+    the same roots and shifts and at least this n (`_power_tables`)."""
+    ell = len(spec.lambdas)
+    ns = [spec.n + d for d in spec.upper_adjust]
+    return [
+        _cut(table, lo, s, ns[m], ns[(m + 1) % ell])
+        for m, ((lo, table), s) in enumerate(zip(tables, spec.shifts))
+    ]
+
+
+def _trace_sum(spec: FiniteSumSpec, diags: list[np.ndarray]) -> tuple[complex, float]:
     """tr(A_1 ... A_l) and a bound on its rounding error.
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
     the cyclic lattice exactly once.  A_m is Toeplitz, A[a, b] = t(a - b),
-    and is held as the vector of its diagonals.
+    and is held as the vector of its diagonals, diags[m][d + n_{m+1} - 1]
+    = t(d).  Each vector is cut from one table of the root's powers
+    (`_diagonals`), a slice of it where d + s_m keeps one sign and a
+    reversed head joined to a slice where it changes sign; no exponent is
+    formed.  `linear_coefficient` cuts T(n) and T(2n) from the same tables.
 
     No product is formed.  P_k = A_1 ... A_k has displacement rank 2(k - 1)
     (Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979): for i, j >= 1,
@@ -654,31 +730,18 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     """
     import numpy as np
 
-    lams = spec.lambdas
-    ell = len(lams)
+    ell = len(spec.lambdas)
     ns = [spec.n + d for d in spec.upper_adjust]
 
-    # A product of l powers above the floor stays a normal float: products
-    # that underflow to subnormals run many times slower in the
-    # convolutions, and the error bound counts every dropped term.
-    floor = _TINY ** (1 / ell)
-    diags = []
-    masses = []
-    peaks = []
-    kmax = 0
-    for m, (lam, s) in enumerate(zip(lams, spec.shifts)):
-        rows, cols = ns[m], ns[(m + 1) % ell]
-        # diag[d + cols - 1] = lam**|d + s| on the diagonal a - b = d; only
-        # the rows + cols - 1 exponents it reads are computed, so a large
-        # shift costs nothing
-        exps = np.abs(np.arange(1 - cols, rows) + s)
-        lo, hi = int(exps.min()), int(exps.max())
-        diag = _powers(lam, lo, hi - lo + 1, floor)[exps - lo]
-        diags.append(diag)
+    floor = _TINY ** (1 / ell)  # the floor of `_power_tables`
+    masses, peaks = [], []
+    for diag in diags:
         mag = np.abs(diag)
         masses.append(float(mag.sum()))
         peaks.append(float(mag.max()))
-        kmax = max(kmax, hi)
+    kmax = max(
+        _span(s, ns[m], ns[(m + 1) % ell])[1] for m, s in enumerate(spec.shifts)
+    )
 
     def column(m: int, j: int) -> np.ndarray:  # A_m[:, j], m from 0
         start = ns[(m + 1) % ell] - 1 - j
@@ -761,6 +824,8 @@ def linear_coefficient(
     residue.  err_estimate combines the geometric residue bound with the
     rounding bounds of both finite sums (the residue bound alone drops
     below machine precision for moderate n_base, where rounding dominates).
+    Both sums cut their diagonals from one table of each root's powers,
+    built for T(2*n_base).
     Raises BudgetExceededError when the two finite sums together need more
     than DEFAULT_BUDGET work units.
     """
@@ -778,8 +843,9 @@ def linear_coefficient(
     _charge("finite sum",
             _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base),
             DEFAULT_BUDGET)
-    t1, e1 = _trace_sum(spec1)
-    t2, e2 = _trace_sum(spec2)
+    tables = _power_tables(spec2)  # T(n_base) reads a part of each
+    t1, e1 = _trace_sum(spec1, _diagonals(spec1, tables))
+    t2, e2 = _trace_sum(spec2, _diagonals(spec2, tables))
     value = (t2 - t1) / n_base
 
     if r > 0:

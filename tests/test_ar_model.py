@@ -275,6 +275,16 @@ class TestEmpiricalAcf:
         s = SeriesSample(np.array([0.5, -1.0, 2.0, 0.3]), seed=0, burn_in=0)
         assert empirical_acf(s, 2)[0] == 1.0
 
+    def test_equals_lag_sums_bit_for_bit(self):
+        # every lag, the last included, against sum_stats lag by lag
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 1000):
+            s = SeriesSample(rng.standard_normal(n) * 1e3, seed=0, burn_in=0)
+            denom = sum_stats(s, 0)[1]
+            assert empirical_acf(s, n - 1) == [
+                sum_stats(s, j)[1] / denom for j in range(n)
+            ]
+
     def test_ar1_monte_carlo(self):
         sample = simulate(ARModel((0.6,), 1.0), 200_000, seed=3)
         r1 = empirical_acf(sample, 1)[1]

@@ -1,11 +1,14 @@
 import cmath
+import importlib.util
 import itertools
 import math
 import re
+import sys
 import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,12 @@ from serialsum.lambda_sums import (
     DEFAULT_BUDGET,
     _LOG_RHO_FRACTIONS,
     _conjugate_closed,
+    _diagonals,
     _g_jet,
+    _power_tables,
+    _powers,
+    _span,
+    _trace_sum,
     finite_sum_with_error,
 )
 from serialsum.numerics import Jet
@@ -97,6 +105,43 @@ def mp_trace(spec, dps=50):
                 new.append(out[s - lo : s - lo + rows])
             cols = new
         return mpmath.fsum(cols[i][i] for i in range(ns[0]))
+
+
+def plain_powers(lam, lo, count, floor):
+    """lam**lo .. lam**(lo + count - 1) by one cumulative product over the
+    whole count, floored: the reference for `_powers`, which stops early."""
+    base = lam.real if lam.imag == 0 else lam
+    p = np.full(count, base)
+    p[0] = np.power(base, lo)
+    p = np.cumprod(p)
+    p[np.abs(p) < floor] = 0
+    return p
+
+
+def gathered_diagonals(spec):
+    """Each factor's diagonals gathered from its powers through an array of
+    the exponents |d + s|: the reference for the cuts of `_diagonals`."""
+    ell = len(spec.lambdas)
+    ns = [spec.n + d for d in spec.upper_adjust]
+    floor = sys.float_info.min ** (1 / ell)
+    diags = []
+    for m, (lam, s) in enumerate(zip(spec.lambdas, spec.shifts)):
+        exps = np.abs(np.arange(1 - ns[(m + 1) % ell], ns[m]) + s)
+        lo, hi = int(exps.min()), int(exps.max())
+        diags.append(plain_powers(lam, lo, hi - lo + 1, floor)[exps - lo])
+    return diags
+
+
+def oracle_linear_ops(seed):
+    """The `linear` ops of the benchmark's oracles workload at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [
+        (inputs.dec(op["lambdas"]), op["shifts"], op["n_base"], op["adjust"])
+        for op in inputs.oracle_ops(seed) if op["kind"] == "linear"
+    ]
 
 
 def near_circle_roots(rng, ell):
@@ -811,6 +856,73 @@ class TestFiniteSum:
         assert finite_sum(far) == finite_sum(near) == finite_sum_direct(near)
         assert time.perf_counter() - started < 1.0
 
+    def test_cut_diagonals_equal_the_gather(self):
+        # each cut of the power tables (a slice, a reversed slice, a reversed
+        # head joined to a slice) against the exponent gather, bit for bit,
+        # with their masses and peaks and the trace and bound they give
+        rng = np.random.default_rng(41)
+        cuts, dropped = set(), 0
+        for _ in range(500):
+            ell = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 300 if ell == 2 else 30))
+            adjust = tuple(int(d) for d in rng.integers(-min(3, n - 1), 1, size=ell))
+            lams, shifts = [], []
+            for m in range(ell):
+                rows, cols = n + adjust[m], n + adjust[(m + 1) % ell]
+                r = (rng.uniform(0.3, 1), rng.uniform(1, 1.05),
+                     10 ** -rng.uniform(10, 40), 0.0)[rng.integers(4)]
+                lams.append(complex(r * rng.choice((-1, 1))) if rng.random() < 0.5
+                            else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+                s = (int(rng.integers(-3, 4)),
+                     cols - 1 + int(rng.integers(-1, 30)),  # the V at and above 0
+                     1 - rows - int(rng.integers(-1, 30)),  # at and below 0
+                     int(rng.choice((-1, 1)) * rng.integers(300, 800)),
+                     int(rng.choice((-1, 1)) * 10**9 + rng.integers(-3, 4)))
+                shifts.append(s[rng.integers(5)])
+                a, b = shifts[-1] + 1 - cols, shifts[-1] + rows - 1
+                cuts.add("rising" if a >= 0 else "falling" if b <= 0 else "V")
+            spec = FiniteSumSpec(tuple(lams), tuple(shifts), n, adjust)
+            with np.errstate(over="ignore", invalid="ignore"):
+                cut = _diagonals(spec, _power_tables(spec))
+                ref = gathered_diagonals(spec)
+                for lam, c, g in zip(lams, cut, ref):
+                    assert c.dtype == g.dtype and np.array_equal(c, g, equal_nan=True)
+                    for stat in (np.sum, np.max):
+                        assert repr(stat(np.abs(c))) == repr(stat(np.abs(g)))
+                    dropped += lam != 0 and not g.all()
+                assert repr(_trace_sum(spec, cut)) == repr(_trace_sum(spec, ref)), spec
+        assert cuts == {"rising", "falling", "V"} and dropped > 100
+
+    @pytest.mark.parametrize("lam, lo, count, ell", [
+        (0.9, 0, 5000, 2),  # below the floor past k = 3,360, stalls in subnormals
+        (-0.95, 7, 20000, 3),
+        (cmath.rect(0.9, 1.0), 0, 5000, 2),
+        (cmath.rect(0.999, 2.0), 40, 300_000, 6),
+        (0.3, 0, 2000, 2),  # underflows to zero
+        (0.9, 3355, 100, 2),  # starts just above the floor
+        (cmath.rect(0.9, 1.0), 10**9, 10, 2),  # starts at zero
+        (1e-30, 0, 50, 4),
+        (0.0, 0, 5, 2),
+        (1.0, 0, 1000, 2),
+        (cmath.rect(1.01, 0.5), 0, 100_000, 3),  # overflows
+    ], ids=lambda v: f"{v:.3g}" if isinstance(v, complex) else None)
+    def test_powers_stop_past_the_floor(self, lam, lo, count, ell):
+        floor = sys.float_info.min ** (1 / ell)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _powers(complex(lam), lo, count, floor)
+            want = plain_powers(complex(lam), lo, count, floor)
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+    def test_powers_short_stop_takes_the_whole_product(self, monkeypatch):
+        # a stop estimated short of the floor (here by halving the log of the
+        # fall to it) continues the one product over the whole table
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda x: log(x) / 2 if x < 0.5 else log(x))
+        floor = sys.float_info.min ** (1 / 2)
+        for lam in (0.9, cmath.rect(0.95, 2.0)):
+            got = _powers(complex(lam), 3, 20000, floor)
+            assert np.array_equal(got, plain_powers(complex(lam), 3, 20000, floor))
+
     def test_pair_is_linear_in_n(self):
         # l = 2 builds no matrix; an n x n one would take 160 GB here
         started = time.perf_counter()
@@ -922,6 +1034,44 @@ class TestLinearCoefficient:
             assert abs(base.value - other.value) <= (
                 base.err_estimate + other.err_estimate
             )
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_shared_tables_change_nothing(self, seed):
+        # T(n_base) is cut from the power tables built for T(2*n_base); in
+        # the benchmark's shapes every span starts at the same exponent at
+        # both sizes, so the result is exactly that of two separate sums
+        for lams, shifts, n_base, adjust in oracle_linear_ops(seed):
+            ell = len(lams)
+            for m, s in enumerate(shifts):
+                spans = [_span(s, n + adjust[m], n + adjust[(m + 1) % ell])
+                         for n in (n_base, 2 * n_base)]
+                assert spans[0][0] == spans[1][0]
+            got = linear_coefficient(lams, shifts, n_base, adjust)
+            t1, e1 = finite_sum_with_error(FiniteSumSpec(lams, shifts, n_base, adjust))
+            t2, e2 = finite_sum_with_error(
+                FiniteSumSpec(lams, shifts, 2 * n_base, adjust))
+            r = max(abs(v) for v in lams)
+            err_exp = 100.0 * ell * n_base * r**n_base / (1 - r) ** ell
+            assert got.value == (t2 - t1) / n_base
+            assert got.err_estimate == err_exp + (e1 + e2) / n_base
+
+    @pytest.mark.parametrize("lams, shifts, n_base", [
+        ((0.1, -0.2), (30, -25), 18),
+        ((0.05, -0.04, 0.03), (15, -3, 1), 10),
+    ])
+    def test_shifted_span_start_stays_within_the_bound(self, lams, shifts, n_base):
+        # here a span starts at a lower exponent at 2*n_base, so T(n_base)
+        # is cut from a table that starts at a lower power
+        assert any(_span(s, n_base, n_base)[0] > _span(s, 2 * n_base, 2 * n_base)[0]
+                   for s in shifts)
+        got = linear_coefficient(lams, shifts, n_base)
+        t1 = finite_sum_direct(FiniteSumSpec(lams, shifts, n_base))
+        t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, 2 * n_base))
+        e1 = finite_sum_with_error(FiniteSumSpec(lams, shifts, n_base))[1]
+        e2 = finite_sum_with_error(FiniteSumSpec(lams, shifts, 2 * n_base))[1]
+        slope = (t2 - t1) / n_base
+        assert abs(got.value - slope) <= got.err_estimate
+        assert abs(got.value - slope) <= 2 * (e1 + e2) / n_base  # rounding alone
 
     def test_rejects_insufficient_n_base(self):
         with pytest.raises(ValueError):
