@@ -602,7 +602,7 @@ def finite_sum_with_error(
 
     _charge("finite sum", _finite_sum_work(len(spec.lambdas), spec.n), budget)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value, err = _trace_sum(spec, _diagonals(spec, _power_tables(spec)))
+        value, err = _trace_sum(spec, _power_tables(spec))
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise OverflowError("the finite sum overflows float64")
     return value, err
@@ -619,6 +619,14 @@ def _finite_sum_work(ell: int, n: int) -> int:
     return (ell - 2) * (2 * ell - 1) * n * n + 60 * ell * n
 
 
+def _floor(ell: int) -> float:
+    # Powers below this are set to zero: a product of l powers above it stays
+    # a normal float, products that underflow to subnormals run many times
+    # slower in the convolutions, and `_trace_sum`'s bound counts every
+    # dropped term.
+    return _TINY ** (1 / ell)
+
+
 def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     """lam**lo .. lam**(lo + count - 1) (0**0 = 1), in float64 when lam is
     real, with powers below ``floor`` in modulus set to zero."""
@@ -631,15 +639,17 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     # too: rounding, a few eps a product, cannot double a power within 10**15
     # steps.  Past the floor the products only underflow, and for |lam| > 0.5
     # they stall at the least subnormal, where each multiply runs many times
-    # slower; so they stop a little past a quarter of the floor.
+    # slower; so they stop a little past a quarter of the floor.  That more
+    # than halves the time of l = 2 at large n.  Tables of at most 1,024
+    # powers skip it: the estimate costs a few microseconds, 3-7% of a
+    # small finite sum, and there a stall (only from a start among the
+    # subnormals) costs at most 1,024 slow multiplies.
     stop = count
-    if 0 < abs(base) < 1 and p[0] != 0:
+    if count > 1024 and 0 < abs(base) < 1 and p[0] != 0:
         steps = math.log(floor / 4 / abs(p[0])) / math.log(abs(base))
         stop = min(count, max(1, math.ceil(steps * (1 + 1e-9)) + 2))
-    if stop == count:
-        p = np.cumprod(p)
-    else:
-        np.cumprod(p[:stop], out=p[:stop])
+    np.cumprod(p[:stop], out=p[:stop])
+    if stop < count:
         if abs(p[stop - 1]) < floor / 2:
             p[stop:] = 0
         else:  # the estimate fell short: the whole product
@@ -648,23 +658,26 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     return p
 
 
-def _span(s: int, rows: int, cols: int) -> tuple[int, int]:
-    """The least and the greatest exponent |d + s| over d = 1 - cols ..
-    rows - 1: the ends of a V, or of one of its arms."""
-    a, b = s + 1 - cols, s + rows - 1
-    if a >= 0:
-        return a, b
-    if b <= 0:
-        return -b, -a
-    return 0, max(-a, b)
+def _ends(spec: FiniteSumSpec) -> list[tuple[int, int]]:
+    """Per factor A_m, the least and the greatest d + s_m over its diagonals
+    d = 1 - n_{m+1} .. n_m - 1 (cyclic)."""
+    ell = len(spec.lambdas)
+    ns = [spec.n + d for d in spec.upper_adjust]
+    return [(s + 1 - ns[(m + 1) % ell], s + ns[m] - 1)
+            for m, s in enumerate(spec.shifts)]
 
 
-def _cut(table: np.ndarray, lo: int, s: int, rows: int, cols: int) -> np.ndarray:
-    """lam**|d + s| for d = 1 - cols .. rows - 1, from table[k] = lam**(lo + k),
-    which must cover `_span`."""
+def _span(a: int, b: int) -> tuple[int, int]:
+    """The least and the greatest |e| over e = a .. b: the ends of a V, or
+    of one of its arms."""
+    return max(a, -b, 0), max(-a, b)
+
+
+def _cut(table: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
+    """lam**|e| for e = a .. b, from table[k] = lam**(lo + k), which must
+    cover `_span`."""
     import numpy as np
 
-    a, b = s + 1 - cols, s + rows - 1  # d + s at the two ends
     if a >= 0:  # the rising arm
         return table[a - lo : b - lo + 1]
     if b <= 0:  # the falling arm, reversed so that it is contiguous
@@ -674,45 +687,32 @@ def _cut(table: np.ndarray, lo: int, s: int, rows: int, cols: int) -> np.ndarray
 
 
 def _power_tables(spec: FiniteSumSpec) -> list[tuple[int, np.ndarray]]:
-    """Per factor, (lo, table) with table[k] = lam**(lo + k) over the `_span`
-    of the exponents its diagonals read, so a large shift costs nothing."""
-    ell = len(spec.lambdas)
-    ns = [spec.n + d for d in spec.upper_adjust]
-    # A product of l powers above the floor stays a normal float: products
-    # that underflow to subnormals run many times slower in the
-    # convolutions, and `_trace_sum`'s bound counts every dropped term.
-    floor = _TINY ** (1 / ell)
+    """Per factor, (lo, table) with table[k] = lam**(lo + k), floored, over
+    the `_span` of the exponents its diagonals read, so a large shift costs
+    nothing."""
+    floor = _floor(len(spec.lambdas))
     tables = []
-    for m, (lam, s) in enumerate(zip(spec.lambdas, spec.shifts)):
-        lo, hi = _span(s, ns[m], ns[(m + 1) % ell])
+    for lam, (a, b) in zip(spec.lambdas, _ends(spec)):
+        lo, hi = _span(a, b)
         tables.append((lo, _powers(lam, lo, hi - lo + 1, floor)))
     return tables
 
 
-def _diagonals(
+def _trace_sum(
     spec: FiniteSumSpec, tables: list[tuple[int, np.ndarray]]
-) -> list[np.ndarray]:
-    """Per factor A_m, its diagonals cut from the power tables of a spec of
-    the same roots and shifts and at least this n (`_power_tables`)."""
-    ell = len(spec.lambdas)
-    ns = [spec.n + d for d in spec.upper_adjust]
-    return [
-        _cut(table, lo, s, ns[m], ns[(m + 1) % ell])
-        for m, ((lo, table), s) in enumerate(zip(tables, spec.shifts))
-    ]
-
-
-def _trace_sum(spec: FiniteSumSpec, diags: list[np.ndarray]) -> tuple[complex, float]:
-    """tr(A_1 ... A_l) and a bound on its rounding error.
+) -> tuple[complex, float]:
+    """tr(A_1 ... A_l) and a bound on its rounding error, from the power
+    tables (`_power_tables`) of a spec of the same roots and shifts and at
+    least this n.
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
     the cyclic lattice exactly once.  A_m is Toeplitz, A[a, b] = t(a - b),
     and is held as the vector of its diagonals, diags[m][d + n_{m+1} - 1]
-    = t(d).  Each vector is cut from one table of the root's powers
-    (`_diagonals`), a slice of it where d + s_m keeps one sign and a
-    reversed head joined to a slice where it changes sign; no exponent is
-    formed.  `linear_coefficient` cuts T(n) and T(2n) from the same tables.
+    = t(d).  Each vector is cut from the table of the root's powers: a
+    slice of it where d + s_m keeps one sign, and a reversed head joined to
+    a slice where it changes sign; no exponent is formed.
+    `linear_coefficient` cuts T(n) and T(2n) from the same tables.
 
     No product is formed.  P_k = A_1 ... A_k has displacement rank 2(k - 1)
     (Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979): for i, j >= 1,
@@ -733,15 +733,14 @@ def _trace_sum(spec: FiniteSumSpec, diags: list[np.ndarray]) -> tuple[complex, f
     ell = len(spec.lambdas)
     ns = [spec.n + d for d in spec.upper_adjust]
 
-    floor = _TINY ** (1 / ell)  # the floor of `_power_tables`
+    ends = _ends(spec)
+    diags = [_cut(table, lo, a, b) for (lo, table), (a, b) in zip(tables, ends)]
     masses, peaks = [], []
     for diag in diags:
         mag = np.abs(diag)
         masses.append(float(mag.sum()))
         peaks.append(float(mag.max()))
-    kmax = max(
-        _span(s, ns[m], ns[(m + 1) % ell])[1] for m, s in enumerate(spec.shifts)
-    )
+    kmax = max(_span(a, b)[1] for a, b in ends)
 
     def column(m: int, j: int) -> np.ndarray:  # A_m[:, j], m from 0
         start = ns[(m + 1) % ell] - 1 - j
@@ -790,7 +789,7 @@ def _trace_sum(spec: FiniteSumSpec, diags: list[np.ndarray]) -> tuple[complex, f
     abs_sum = (2 * ell - 1) * n1 * min(
         peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
     )
-    dropped = floor * math.prod(ns) * math.prod(max(1.0, p) for p in peaks)
+    dropped = _floor(ell) * math.prod(ns) * math.prod(max(1.0, p) for p in peaks)
     rounds = ell * (4 * kmax + 5) + (ell - 1) * max(ns)
     err = rounds * _EPS * abs_sum + dropped
     return value, err
@@ -844,8 +843,8 @@ def linear_coefficient(
             _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base),
             DEFAULT_BUDGET)
     tables = _power_tables(spec2)  # T(n_base) reads a part of each
-    t1, e1 = _trace_sum(spec1, _diagonals(spec1, tables))
-    t2, e2 = _trace_sum(spec2, _diagonals(spec2, tables))
+    t1, e1 = _trace_sum(spec1, tables)
+    t2, e2 = _trace_sum(spec2, tables)
     value = (t2 - t1) / n_base
 
     if r > 0:

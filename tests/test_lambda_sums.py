@@ -35,7 +35,9 @@ from serialsum.lambda_sums import (
     DEFAULT_BUDGET,
     _LOG_RHO_FRACTIONS,
     _conjugate_closed,
-    _diagonals,
+    _cut,
+    _ends,
+    _finite_sum_work,
     _g_jet,
     _power_tables,
     _powers,
@@ -43,6 +45,7 @@ from serialsum.lambda_sums import (
     _trace_sum,
     finite_sum_with_error,
 )
+from serialsum import lambda_sums
 from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
 
@@ -120,7 +123,7 @@ def plain_powers(lam, lo, count, floor):
 
 def gathered_diagonals(spec):
     """Each factor's diagonals gathered from its powers through an array of
-    the exponents |d + s|: the reference for the cuts of `_diagonals`."""
+    the exponents |d + s|: the reference for the cuts of `_trace_sum`."""
     ell = len(spec.lambdas)
     ns = [spec.n + d for d in spec.upper_adjust]
     floor = sys.float_info.min ** (1 / ell)
@@ -856,7 +859,7 @@ class TestFiniteSum:
         assert finite_sum(far) == finite_sum(near) == finite_sum_direct(near)
         assert time.perf_counter() - started < 1.0
 
-    def test_cut_diagonals_equal_the_gather(self):
+    def test_cut_diagonals_equal_the_gather(self, monkeypatch):
         # each cut of the power tables (a slice, a reversed slice, a reversed
         # head joined to a slice) against the exponent gather, bit for bit,
         # with their masses and peaks and the trace and bound they give
@@ -883,14 +886,21 @@ class TestFiniteSum:
                 cuts.add("rising" if a >= 0 else "falling" if b <= 0 else "V")
             spec = FiniteSumSpec(tuple(lams), tuple(shifts), n, adjust)
             with np.errstate(over="ignore", invalid="ignore"):
-                cut = _diagonals(spec, _power_tables(spec))
+                tables = _power_tables(spec)
+                cut = [_cut(table, lo, a, b)
+                       for (lo, table), (a, b) in zip(tables, _ends(spec))]
                 ref = gathered_diagonals(spec)
                 for lam, c, g in zip(lams, cut, ref):
                     assert c.dtype == g.dtype and np.array_equal(c, g, equal_nan=True)
                     for stat in (np.sum, np.max):
                         assert repr(stat(np.abs(c))) == repr(stat(np.abs(g)))
                     dropped += lam != 0 and not g.all()
-                assert repr(_trace_sum(spec, cut)) == repr(_trace_sum(spec, ref)), spec
+                got = _trace_sum(spec, tables)
+                # the same sum over the gathered diagonals in place of its cuts
+                gathered = iter(ref)
+                with monkeypatch.context() as patch:
+                    patch.setattr(lambda_sums, "_cut", lambda *_: next(gathered))
+                    assert repr(got) == repr(_trace_sum(spec, tables)), spec
         assert cuts == {"rising", "falling", "V"} and dropped > 100
 
     @pytest.mark.parametrize("lam, lo, count, ell", [
@@ -899,7 +909,9 @@ class TestFiniteSum:
         (cmath.rect(0.9, 1.0), 0, 5000, 2),
         (cmath.rect(0.999, 2.0), 40, 300_000, 6),
         (0.3, 0, 2000, 2),  # underflows to zero
-        (0.9, 3355, 100, 2),  # starts just above the floor
+        (0.9, 3355, 2000, 2),  # starts just above the floor
+        (0.5, 0, 1025, 2),  # the shortest table that is cut
+        (0.9, 6800, 1024, 2),  # too short to cut: stalls from the start
         (cmath.rect(0.9, 1.0), 10**9, 10, 2),  # starts at zero
         (1e-30, 0, 50, 4),
         (0.0, 0, 5, 2),
@@ -1042,10 +1054,10 @@ class TestLinearCoefficient:
         # both sizes, so the result is exactly that of two separate sums
         for lams, shifts, n_base, adjust in oracle_linear_ops(seed):
             ell = len(lams)
-            for m, s in enumerate(shifts):
-                spans = [_span(s, n + adjust[m], n + adjust[(m + 1) % ell])
-                         for n in (n_base, 2 * n_base)]
-                assert spans[0][0] == spans[1][0]
+            ends = [_ends(FiniteSumSpec(lams, shifts, n, adjust))
+                    for n in (n_base, 2 * n_base)]
+            for ends1, ends2 in zip(*ends):
+                assert _span(*ends1)[0] == _span(*ends2)[0]
             got = linear_coefficient(lams, shifts, n_base, adjust)
             t1, e1 = finite_sum_with_error(FiniteSumSpec(lams, shifts, n_base, adjust))
             t2, e2 = finite_sum_with_error(
@@ -1062,8 +1074,8 @@ class TestLinearCoefficient:
     def test_shifted_span_start_stays_within_the_bound(self, lams, shifts, n_base):
         # here a span starts at a lower exponent at 2*n_base, so T(n_base)
         # is cut from a table that starts at a lower power
-        assert any(_span(s, n_base, n_base)[0] > _span(s, 2 * n_base, 2 * n_base)[0]
-                   for s in shifts)
+        ends = [_ends(FiniteSumSpec(lams, shifts, n)) for n in (n_base, 2 * n_base)]
+        assert any(_span(*ends1)[0] > _span(*ends2)[0] for ends1, ends2 in zip(*ends))
         got = linear_coefficient(lams, shifts, n_base)
         t1 = finite_sum_direct(FiniteSumSpec(lams, shifts, n_base))
         t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, 2 * n_base))
@@ -1076,6 +1088,23 @@ class TestLinearCoefficient:
     def test_rejects_insufficient_n_base(self):
         with pytest.raises(ValueError):
             linear_coefficient([0.9, 0.3], [0, 0], 50)
+
+    def test_pair_budget_limit(self, monkeypatch):
+        # both sums are charged, T(n_base) and T(2*n_base), so two roots stop
+        # at n_base = 555,555; the work past the charge is not run here
+        class Admitted(Exception):
+            pass
+
+        def admitted(spec):
+            raise Admitted
+
+        assert (_finite_sum_work(2, 555_555) + _finite_sum_work(2, 1_111_110)
+                <= DEFAULT_BUDGET)
+        monkeypatch.setattr(lambda_sums, "_power_tables", admitted)
+        with pytest.raises(Admitted):
+            linear_coefficient((0.5, -0.3), (0, 0), 555_555)
+        with pytest.raises(BudgetExceededError):
+            linear_coefficient((0.5, -0.3), (0, 0), 555_556)
 
 
 class TestConjectureProbe:
