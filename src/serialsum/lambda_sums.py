@@ -613,7 +613,7 @@ def _finite_sum_work(ell: int, n: int) -> int:
     # length 2n (its power table, the cut diagonals, their moduli and the
     # weighted generators, each in fresh pages at large n), and
     # (l - 2)*(2l - 1) Toeplitz matrix-vector products take n**2 multiply-adds
-    # each; at the largest n of the default budget a unit takes 0.5-1.2 ns
+    # each; at the largest n of the default budget a unit takes 0.5-1.5 ns
     # for l = 2 and 0.1-0.8 ns from l = 3 up on a 2-core Xeon, the most for
     # complex roots
     return (ell - 2) * (2 * ell - 1) * n * n + 60 * ell * n
@@ -826,7 +826,9 @@ def linear_coefficient(
     Both sums cut their diagonals from one table of each root's powers,
     built for T(2*n_base).
     Raises BudgetExceededError when the two finite sums together need more
-    than DEFAULT_BUDGET work units.
+    than DEFAULT_BUDGET work units.  Both are charged in full: the shared
+    tables save only the table of T(n_base), and at l = 2 the call takes
+    about as long as the two sums apart.
     """
     lams = tuple(complex(v) for v in lambdas)
     ell = len(lams)
