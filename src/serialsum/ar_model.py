@@ -12,6 +12,14 @@ form of `lambda_sums`: the spectral density of the process is the series
 oracle's symbol, so gamma_j is proportional to F(lambda; j), and A_i is
 the closed form's term for lambda_i at S = 0 divided by their sum.
 
+Simulation has one engine, `_stream`: it draws each seed's noise from
+that seed's generator chunk by chunk, and runs a group of seeds through
+the blocked filter together, so it holds about `_IN_FLIGHT` samples at
+once, however long the series and however many the seeds.  `simulate`
+fills its array from it, `_simulate_csv` (`ar simulate`) writes each
+chunk to the CSV file, and `_sample_acfs` (`ar check`) adds each chunk to
+its seeds' lag sums.
+
 Note: `empirical_acf` uses the known-zero-mean estimator (no sample-mean
 subtraction) because the process mean is exactly zero.  Generic ACF tools
 subtract the mean and will differ slightly.
@@ -184,24 +192,33 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
 
 def default_burn_in(alphas: Sequence[float]) -> int:
     """Smallest burn-in with max|lambda|**burn_in < 1e-12."""
-    cr = char_roots(alphas)
+    return _burn_in(char_roots(alphas))
+
+
+def _burn_in(cr: CharRoots) -> int:
+    """`default_burn_in` from the model's roots, found once by the caller."""
     if not cr.stationary:
         raise NotStationaryError("burn-in requires a stationary model")
+    k = len(cr.roots)
     r = max(abs(lam) for lam in cr.roots)
     if r == 0:
-        return len(list(alphas))
-    return max(len(list(alphas)), math.ceil(math.log(1e-12) / math.log(r)))
+        return k
+    return max(k, math.ceil(math.log(1e-12) / math.log(r)))
 
 
-#: Block length of the blocked recursion in `_ar_filter`, raised to k for
+#: Block length of the blocked recursion in `_filter`, raised to k for
 #: an AR(k) model with k above it.
 _BLOCK = 256
+
+#: Samples that `_stream` filters at once, over all the seeds of a group,
+#: whatever n and the number of seeds: its buffers take 16 bytes each.
+_IN_FLIGHT = 1 << 15
 
 
 @functools.lru_cache(maxsize=1)
 def _filter_blocks(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """T and Z of `_ar_filter` for one model, read-only.  The last model's
-    are kept, so the seeds of `ar check` build them once."""
+    """T and Z of `_filter` for one model, read-only.  The last model's
+    are kept, so the chunks and seeds of one command build them once."""
     import numpy as np
 
     a = np.asarray(alphas, dtype=float)
@@ -222,32 +239,86 @@ def _filter_blocks(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return T, Z
 
 
-def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
-    """X_t = eps_t + alpha_1*X_{t-1} + ... + alpha_k*X_{t-k} from a zero state.
+def _filter(T: np.ndarray, Z: np.ndarray, eps: np.ndarray, x: np.ndarray,
+            state: np.ndarray) -> np.ndarray:
+    """Run the AR recursion along each row of eps into the same row of x,
+    from the k values before the row in the same row of state, and return
+    the last k values of each row of x (a view).
 
-    Within a block of B steps the output is T @ e + Z @ s: T is the B x B
-    lower-triangular Toeplitz matrix of the impulse response h, e the
-    block's noise, s the k values carried in from the previous block and Z
-    their zero-input responses.  One run of the recursion over B steps gives
-    h and Z (`_filter_blocks`), one matrix product gives T @ e for every
-    block, and a loop over the blocks adds Z @ s.
+    The rows' length is a multiple of the block length B.  Within a block
+    of B steps the output is T @ e + Z @ s: T is the B x B lower-triangular
+    Toeplitz matrix of the impulse response h, e the block's noise, s the
+    k values carried in from the block before and Z their zero-input
+    responses (`_filter_blocks`).  One matrix product gives T @ e for every
+    block of every row, and a loop over the blocks adds Z @ s to all rows.
     """
+    import numpy as np
+
+    B, k = Z.shape
+    np.matmul(eps.reshape(-1, B), T.T, out=x.reshape(-1, B))
+    blocks = x.reshape(len(x), -1, B)
+    for b in range(blocks.shape[1]):
+        blocks[:, b] += state @ Z.T
+        state = blocks[:, b, B - k :]
+    return state
+
+
+def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
+    """X_t = eps_t + alpha_1*X_{t-1} + ... + alpha_k*X_{t-k} from a zero
+    state, for one series of any length, by `_filter`."""
     import numpy as np
 
     T, Z = _filter_blocks(tuple(float(a) for a in alphas))
     B, k = Z.shape
-
-    # the forced response of each block, written straight into x so that
-    # the noise is not copied; the last block is partial
     n = len(eps)
-    full = n - n % B
-    x = np.zeros(-(-n // B) * B)
-    np.matmul(eps[:full].reshape(-1, B), T.T, out=x[:full].reshape(-1, B))
-    x[full:n] = T[: n - full, : n - full] @ eps[full:]
-    x = x.reshape(-1, B)
-    for b in range(1, len(x)):
-        x[b] += Z @ x[b - 1, B - k :]
-    return x.ravel()[:n]
+    # zero noise past the end changes no value before it: T is triangular
+    padded = np.zeros((1, -(-n // B) * B))
+    padded[0, :n] = eps
+    x = np.empty_like(padded)
+    _filter(T, Z, padded, x, np.zeros((1, k)))
+    return x[0, :n]
+
+
+def _stream(model: ARModel, n: int, burn_in: int, seeds: Sequence[int]):
+    """Simulate n values after burn_in for each seed, chunk by chunk.
+
+    Yields (rows, t0, x): row i of x holds values t0, t0+1, ... of the
+    series of seeds[rows][i], counted after the burn-in.  The seeds run in
+    groups, one group's chunks in order from t0 = 0, and x is a view that
+    the next step overwrites.  Each seed's noise is drawn from
+    default_rng(seed) piece by piece, which gives the same stream as one
+    draw, and each chunk of a group is one call of `_filter`, so about
+    `_IN_FLIGHT` samples are held at once, however long or many the
+    series.  The caller checks that the model is stationary, n >= 1 and
+    burn_in >= 0.
+    """
+    import numpy as np
+
+    T, Z = _filter_blocks(model.alphas)
+    B, k = Z.shape
+    total = burn_in + n
+    # whole blocks, no more than the series needs, over all seeds at once
+    # when they fit
+    width = B * max(1, min(-(-total // B), _IN_FLIGHT // (B * len(seeds))))
+    group = max(1, min(len(seeds), _IN_FLIGHT // width))
+    buffers = np.empty((2, group * width))
+    for first in range(0, len(seeds), group):
+        rngs = [np.random.default_rng(s) for s in seeds[first : first + group]]
+        rows = slice(first, first + len(rngs))
+        state = np.zeros((len(rngs), k))
+        for start in range(0, total, width):
+            need = min(width, total - start)
+            size = -(-need // B) * B
+            eps, x = (buf[: len(rngs) * size].reshape(len(rngs), size)
+                      for buf in buffers)
+            for row, rng in zip(eps, rngs):
+                rng.standard_normal(out=row[:need])
+            eps[:, need:] = 0.0
+            eps *= model.sigma
+            state = _filter(T, Z, eps, x, state).copy()
+            skip = max(0, burn_in - start)
+            if skip < need:
+                yield rows, start + skip - burn_in, x[:, skip:need]
 
 
 def simulate(
@@ -261,23 +332,24 @@ def simulate(
     steps (k for k above that): one matrix product with the lower-triangular
     Toeplitz matrix of the impulse response gives every block's response to
     its own noise, and a loop over the blocks adds the response to the last
-    k values of the block before.
+    k values of the block before.  The series is made in chunks
+    (`_stream`), so besides the n returned values it holds a few hundred KB.
     """
     cr = char_roots(model.alphas)
     if not cr.stationary:
         raise NotStationaryError("cannot simulate a non-stationary model")
     if burn_in is None:
-        burn_in = default_burn_in(model.alphas)
+        burn_in = _burn_in(cr)
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    eps = model.sigma * rng.standard_normal(burn_in + n)
-    x = _ar_filter(model.alphas, eps)
-    return SeriesSample(x[burn_in:], seed=seed, burn_in=burn_in)
+    values = np.empty(n)
+    for _, t0, x in _stream(model, n, burn_in, [seed]):
+        values[t0 : t0 + x.shape[1]] = x[0]
+    return SeriesSample(values, seed=seed, burn_in=burn_in)
 
 
 def sum_stats(sample: SeriesSample, j: int) -> tuple[float, float]:
@@ -310,8 +382,37 @@ def empirical_acf(sample: SeriesSample, j_max: int) -> list[float]:
     return [s / denom for s in sums]
 
 
-#: Rows `write_csv` formats per write, so its memory stays bounded.
-_CSV_ROWS = 1 << 16
+def _sample_acfs(model: ARModel, n: int, burn_in: int, seeds: Sequence[int],
+                 j_max: int) -> np.ndarray:
+    """`empirical_acf(simulate(model, n, burn_in, seed), j_max)` for each
+    seed, as the rows of one array, with no series held whole.
+
+    Each chunk of `_stream` adds to its seeds' lag sums, joined to the
+    last j_max values of the chunks before.  The caller checks what
+    `simulate` checks.
+    """
+    if j_max < 0 or j_max >= n:
+        raise BadLagError(f"j_max {j_max} out of range for n={n}")
+    import numpy as np
+
+    sums = np.zeros((len(seeds), j_max + 1))
+    for rows, t0, x in _stream(model, n, burn_in, seeds):
+        if t0 == 0:
+            tail = x[:, :0]
+        y = np.concatenate([tail, x], axis=1)
+        for j in range(min(j_max + 1, y.shape[1])):
+            # the products whose later value lies in this chunk
+            lo = max(tail.shape[1], j)
+            sums[rows, j] += np.einsum("ij,ij->i", y[:, lo:],
+                                       y[:, lo - j : y.shape[1] - j])
+        tail = y[:, max(0, y.shape[1] - j_max) :]
+    if not sums[:, 0].all():
+        raise DegenerateSampleError("all-zero sample")
+    return sums / sums[:, :1]
+
+
+#: Rows formatted per write of the CSV file, so its memory stays bounded.
+_CSV_ROWS = 1 << 12
 
 
 def write_csv(sample: SeriesSample, path) -> None:
@@ -320,9 +421,21 @@ def write_csv(sample: SeriesSample, path) -> None:
     Each value is written with repr, so it reads back exactly, and each
     line ends in CRLF, as `csv.writer` writes it.
     """
-    values = sample.values
+    _write_rows(path, [sample.values])
+
+
+def _simulate_csv(model: ARModel, n: int, burn_in: int, seed: int, path) -> None:
+    """`write_csv(simulate(model, n, burn_in, seed), path)`, each chunk of
+    `_stream` written as it is made.  The caller checks what `simulate`
+    checks."""
+    _write_rows(path, (x[0] for _, _, x in _stream(model, n, burn_in, [seed])))
+
+
+def _write_rows(path, chunks) -> None:
+    """The file of `write_csv`, from the series in consecutive pieces."""
     with open(path, "w", newline="") as fh:
         fh.write("x\r\n")
-        for lo in range(0, len(values), _CSV_ROWS):
-            rows = values[lo : lo + _CSV_ROWS].tolist()
-            fh.write("\r\n".join(map(repr, rows)) + "\r\n")
+        for chunk in chunks:
+            for lo in range(0, len(chunk), _CSV_ROWS):
+                rows = chunk[lo : lo + _CSV_ROWS].tolist()
+                fh.write("\r\n".join(map(repr, rows)) + "\r\n")

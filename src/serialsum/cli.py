@@ -6,9 +6,12 @@ default output is human-readable text.  The env var SERIALSUM_BUDGET
 overrides the work budget of the series and finite-sum oracles, of
 `conjecture` and of the `ar` commands, each of which charges its work as
 one total, through `lambda_sums._charge`.
-Only `ar check` imports numpy here; the other commands load it, if at
-all, through the library calls that use it, so `eval`, and `ar roots` and
-`ar acf` for an AR(1) model, load none.
+Only `ar check` imports numpy here, for its statistics over seeds; the
+other commands load it, if at all, through the library calls that use
+it, so `eval`, and `ar roots` and `ar acf` for an AR(1) model, load none.
+`ar simulate` and `ar check` find the characteristic roots once and take
+their series from `ar_model`'s chunked engine, so their memory does not
+grow with --n or --seeds.
 """
 
 from __future__ import annotations
@@ -315,8 +318,11 @@ def _cmd_ar(args) -> int:
     if args.ar_command == "check" and not args.zmax >= 0:  # NaN too
         raise ValueError("--zmax must be >= 0")
     seeds = args.seeds if args.ar_command == "check" else 1
+    # the command's one root-finding: the burn-in, the stationarity check
+    # and the simulation all use these roots
+    cr = ar_model.char_roots(alphas)
     burn_in = (args.burn_in if args.burn_in is not None
-               else ar_model.default_burn_in(alphas))
+               else ar_model._burn_in(cr))
     if args.n < 1 or burn_in < 0 or getattr(args, "jmax", 0) < 0:
         # a negative count would take work off the total
         raise ValueError("--n must be >= 1, and --burn-in and --jmax >= 0")
@@ -327,12 +333,13 @@ def _cmd_ar(args) -> int:
         work += (_acf_units(len(alphas), args.jmax)
                  + (args.jmax + 1) * args.n * seeds // 8)
     _charge(command, work, budget)
+    if not cr.stationary:  # reached only with an explicit --burn-in
+        raise ar_model.NotStationaryError("cannot simulate a non-stationary model")
 
     if args.ar_command == "simulate":
         inputs.update({"sigma": args.sigma, "n": args.n, "seed": args.seed})
-        sample = ar_model.simulate(model, args.n, burn_in, args.seed)
-        ar_model.write_csv(sample, args.out)
-        result = {"rows": sample.n, "burn_in": sample.burn_in, "path": args.out}
+        ar_model._simulate_csv(model, args.n, burn_in, args.seed, args.out)
+        result = {"rows": args.n, "burn_in": burn_in, "path": args.out}
         _emit(args, inputs, result, 0.0, started)
         return 0
 
@@ -343,12 +350,10 @@ def _cmd_ar(args) -> int:
         {"sigma": args.sigma, "n": args.n, "seed": args.seed,
          "seeds": args.seeds, "jmax": args.jmax}
     )
-    _, rhos = ar_model.acf(alphas, args.jmax)
-    per_seed = []
-    for s in range(args.seed, args.seed + args.seeds):
-        sample = ar_model.simulate(model, args.n, burn_in, s)
-        per_seed.append(ar_model.empirical_acf(sample, args.jmax))
-    batch = np.asarray(per_seed)
+    rhos = ar_model._rho_recursion(alphas, args.jmax)
+    batch = ar_model._sample_acfs(
+        model, args.n, burn_in, range(args.seed, args.seed + args.seeds),
+        args.jmax)
     means = batch.mean(axis=0)
     ses = batch.std(axis=0, ddof=1) / np.sqrt(args.seeds)
     zs = [0.0]

@@ -17,7 +17,15 @@ from serialsum import (
     simulate,
     sum_stats,
 )
-from serialsum.ar_model import _BLOCK, _ar_filter, default_burn_in, write_csv
+from serialsum import ar_model
+from serialsum.ar_model import (
+    _BLOCK,
+    _ar_filter,
+    _sample_acfs,
+    _stream,
+    default_burn_in,
+    write_csv,
+)
 from _gen import draw_roots
 
 AR2_ALPHAS = (0.5, -0.06)  # roots 0.3 and 0.2
@@ -252,6 +260,95 @@ class TestArFilter:
     def test_simulate_rejects_negative_burn_in(self):
         with pytest.raises(ValueError):
             simulate(ARModel((0.6,), 1.0), 10, burn_in=-5, seed=0)
+
+
+#: X_t = 0.3 X_{t-1} + 0.5 X_{t-k}: an order above the block length
+K_ABOVE_BLOCK = (0.3,) + (0.0,) * (_BLOCK + 40) + (0.5,)
+
+
+class TestStream:
+    """`simulate` and the per-seed ACFs of `ar check` are made chunk by
+    chunk by `_stream`: against the plain recursion of each seed's noise,
+    and against `empirical_acf` of the whole series."""
+
+    @pytest.fixture(params=["two-block chunks", "default chunks"])
+    def small_chunks(self, request, monkeypatch):
+        """True when one seed's chunk is cut to two blocks of 256."""
+        if request.param == "two-block chunks":
+            monkeypatch.setattr(ar_model, "_IN_FLIGHT", 2 * _BLOCK)
+        return request.param == "two-block chunks"
+
+    @staticmethod
+    def reference(alphas, sigma, seed, total):
+        eps = sigma * np.random.default_rng(seed).standard_normal(total)
+        return _plain_recursion(alphas, eps)
+
+    @staticmethod
+    def check_simulate(alphas, cases):
+        # the first values of a longer draw are the values of a shorter one
+        want = TestStream.reference(alphas, 1.7, 11, max(n + b for n, b in cases))
+        for n, burn_in in cases:
+            got = simulate(ARModel(alphas, 1.7), n, burn_in, seed=11)
+            ref = want[burn_in : burn_in + n]
+            assert got.n == n and got.burn_in == burn_in
+            assert np.max(np.abs(got.values - ref)) <= 1e-10 * np.max(np.abs(ref)), (
+                n, burn_in)
+
+    @pytest.mark.parametrize("alphas", [(0.6,), (2 * 0.99 * np.cos(0.3), -0.99**2)])
+    def test_simulate_matches_plain_recursion(self, small_chunks, alphas):
+        # n and burn-in at block and chunk edges, +-1: a chunk is two
+        # blocks of 256, or the whole series
+        B = _BLOCK
+        self.check_simulate(alphas, [
+            (1, 0), (B - 1, 0), (B, 0), (B + 1, 0), (2 * B - 1, 0), (2 * B, 0),
+            (2 * B + 1, 0), (1, B - 1), (1, B), (1, B + 1), (B - 1, B + 1),
+            (B + 1, 2 * B - 1), (2 * B + 1, 2 * B), (3 * B, B + 1)])
+
+    def test_simulate_order_above_block(self, monkeypatch):
+        # the block is k long, and a chunk one block; finding the roots is
+        # an eigenvalue problem of order 298 per call, so two cases only
+        monkeypatch.setattr(ar_model, "_IN_FLIGHT", 2 * _BLOCK)
+        B = len(K_ABOVE_BLOCK)
+        self.check_simulate(K_ABOVE_BLOCK, [(2 * B + 1, 0), (B - 1, B + 1)])
+
+    def test_simulate_across_default_chunks(self):
+        n = ar_model._IN_FLIGHT + 1
+        got = simulate(ARModel((0.6,), 1.0), n, burn_in=2, seed=3)
+        want = self.reference((0.6,), 1.0, 3, n + 2)[2:]
+        assert np.max(np.abs(got.values - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_groups_of_seeds(self, small_chunks):
+        # five seeds run as one group, or in two-block chunks as 2 + 2 + 1
+        model, n, burn_in = ARModel(AR2_ALPHAS, 1.7), 3 * _BLOCK + 1, _BLOCK + 1
+        seeds = [7, 8, 9, 10, 11]
+        got = np.full((len(seeds), n), np.nan)
+        groups = set()
+        for rows, t0, x in _stream(model, n, burn_in, seeds):
+            got[rows, t0 : t0 + x.shape[1]] = x
+            groups.add((rows.start, rows.stop))
+        assert len(groups) == (3 if small_chunks else 1)
+        for row, seed in zip(got, seeds):
+            want = self.reference(AR2_ALPHAS, 1.7, seed, burn_in + n)[burn_in:]
+            assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, j_max", [
+        (3 * _BLOCK, 2 * _BLOCK + 5),  # more lags than a two-block chunk
+        (300, 299),
+        (1, 0),
+        (2000, 3),
+    ])
+    def test_sample_acfs_match_empirical_acf(self, small_chunks, n, j_max):
+        model, burn_in, seeds = ARModel(AR2_ALPHAS, 1.0), 57, range(3, 8)
+        got = _sample_acfs(model, n, burn_in, seeds, j_max)
+        want = [empirical_acf(simulate(model, n, burn_in, s), j_max) for s in seeds]
+        assert got.shape == (len(seeds), j_max + 1)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-14
+
+    def test_sample_acfs_refuse_as_empirical_acf_does(self):
+        with pytest.raises(BadLagError):
+            _sample_acfs(ARModel((0.6,), 1.0), 10, 0, [1, 2], 10)
+        with pytest.raises(DegenerateSampleError):
+            _sample_acfs(ARModel((0.6,), 0.0), 10, 0, [1, 2], 3)
 
 
 class TestSumStats:

@@ -5,11 +5,20 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import serialsum
+from serialsum.ar_model import (
+    ARModel,
+    default_burn_in,
+    empirical_acf,
+    simulate,
+    write_csv,
+)
 from serialsum.cli import main
 
 
@@ -319,7 +328,12 @@ class TestAr:
         ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2",
          "--budget", "20000"],
     ])
-    def test_simulation_budget_exceeded(self, capsys, tmp_path, argv):
+    def test_simulation_budget_exceeded(self, capsys, monkeypatch, tmp_path, argv):
+        def work_started(*args, **kwargs):
+            raise AssertionError("simulation started before the budget check")
+
+        monkeypatch.setattr(serialsum.ar_model, "simulate", work_started)
+        monkeypatch.setattr(serialsum.ar_model, "_stream", work_started)
         if argv[1] == "simulate":
             argv = argv + ["--out", str(tmp_path / "x.csv")]
         started = time.perf_counter()
@@ -346,6 +360,7 @@ class TestAr:
 
         monkeypatch.setattr(serialsum.ar_model, "acf", work_started)
         monkeypatch.setattr(serialsum.ar_model, "simulate", work_started)
+        monkeypatch.setattr(serialsum.ar_model, "_stream", work_started)
         monkeypatch.setattr(serialsum.lambda_sums, "conjecture_probe", work_started)
         started = time.perf_counter()
         code, out, _ = run(capsys, *argv, "--json")
@@ -403,6 +418,79 @@ class TestAr:
         )
         assert code == 1
         assert json.loads(out)["command"] == "oracle series"
+
+
+class TestStreaming:
+    """`ar simulate` and `ar check` make their series chunk by chunk, so
+    their memory does not grow with --n or --seeds."""
+
+    def test_simulate_csv_spans_chunks(self, capsys, tmp_path):
+        # 70,000 rows: three chunks of one seed
+        n, seed = 70_000, 5
+        out = tmp_path / "x.csv"
+        code, env, _ = run_json(
+            capsys, "ar", "simulate", "--alpha", "0.5,-0.06", "--sigma", "2",
+            "--n", str(n), "--seed", str(seed), "--out", str(out))
+        assert code == 0
+        burn_in = env["result"]["burn_in"]
+        assert burn_in == default_burn_in([0.5, -0.06])
+        # an independent recursion of the same noise
+        eps = 2 * np.random.default_rng(seed).standard_normal(burn_in + n)
+        x1 = x2 = 0.0
+        want = []
+        for e in eps.tolist():
+            x1, x2 = 0.5 * x1 - 0.06 * x2 + e, x1
+            want.append(x1)
+        want = np.array(want[burn_in:])
+        lines = out.read_text().split()
+        assert lines[0] == "x"
+        got = np.array([float(v) for v in lines[1:]])
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        ref = tmp_path / "ref.csv"
+        write_csv(simulate(ARModel((0.5, -0.06), 2.0), n, burn_in, seed), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("n, jmax, seeds", [
+        # 64 seeds go in chunks of 512 samples
+        (1000, 600, 64),
+        (300, 299, 3),
+    ])
+    def test_check_means_the_per_seed_acfs(self, capsys, n, jmax, seeds):
+        code, env, _ = run_json(
+            capsys, "ar", "check", "--alpha", "0.5,-0.06", "--n", str(n),
+            "--seed", "4", "--jmax", str(jmax), "--seeds", str(seeds),
+            "--zmax", "1e9")
+        assert code == 0
+        model = ARModel((0.5, -0.06), 1.0)
+        burn_in = default_burn_in(model.alphas)
+        per_seed = [empirical_acf(simulate(model, n, burn_in, s), jmax)
+                    for s in range(4, 4 + seeds)]
+        got = np.array(env["result"]["rho_empirical"])
+        assert np.max(np.abs(got - np.mean(per_seed, axis=0))) <= 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        # the README check: 20 seeds of 200,057 samples
+        ["ar", "check", "--alpha", "0.5,-0.06", "--n", "200000", "--seed", "1",
+         "--jmax", "3"],
+        ["ar", "simulate", "--alpha", "0.5,-0.06", "--n", "500000", "--seed",
+         "1", "--out", "{out}"],
+    ])
+    def test_peak_memory_is_bounded(self, capsys, tmp_path, argv):
+        # the series alone would take 1.6 and 4 MB
+        argv = [str(tmp_path / "x.csv") if a == "{out}" else a for a in argv]
+        small = list(argv)
+        small[small.index("--n") + 1] = "1000"
+        assert main(small) in (0, 1)  # imports and caches of a first run
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code in (0, 1)
+        assert peak < 2_000_000
 
 
 class TestCleanExits:
