@@ -211,7 +211,8 @@ def _burn_in(cr: CharRoots) -> int:
 _BLOCK = 256
 
 #: Samples that `_stream` filters at once, over all the seeds of a group,
-#: whatever n and the number of seeds: its buffers take 16 bytes each.
+#: whatever n and the number of seeds; each takes 16 bytes, its noise and
+#: its output.
 _IN_FLIGHT = 1 << 15
 
 
