@@ -326,6 +326,8 @@ def _cmd_ar(args) -> int:
     if args.n < 1 or burn_in < 0 or getattr(args, "jmax", 0) < 0:
         # a negative count would take work off the total
         raise ValueError("--n must be >= 1, and --burn-in and --jmax >= 0")
+    if args.seed < 0:  # refused here, before `ar simulate` opens its file
+        raise ValueError("--seed must be >= 0")
     # the roots, every simulated sample and the ACF of `ar check` make one
     # total, checked before any noise is drawn
     work += _UNITS_PER_SAMPLE * (burn_in + args.n) * seeds

@@ -390,6 +390,9 @@ class TestAr:
         ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "0"],
         ["ar", "simulate", "--alpha", "0.6", "--n", "10", "--burn-in", "-5",
          "--out", "{out}"],
+        ["ar", "simulate", "--alpha", "0.6", "--n", "10", "--seed", "-1",
+         "--out", "{out}"],
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seed", "-1"],
     ])
     def test_bad_seeds_and_burn_in_exit_2(self, capsys, tmp_path, argv):
         out = tmp_path / "x.csv"
