@@ -1,13 +1,7 @@
 """serialsum: closed-form limits of cyclic geometric lattice sums arising
 in AR(k) moment calculations, with independent brute-force oracles."""
 
-from .numerics import (
-    DegenerateJetError,
-    InsufficientOrderError,
-    Jet,
-    NodeCollisionError,
-    confluent_divided_difference,
-)
+from .numerics import DegenerateJetError, Jet
 from .lambda_sums import (
     BudgetExceededError,
     CollisionError,

@@ -264,22 +264,6 @@ def _filter(T: np.ndarray, Z: np.ndarray, eps: np.ndarray, x: np.ndarray,
     return state
 
 
-def _ar_filter(alphas: Sequence[float], eps: np.ndarray) -> np.ndarray:
-    """X_t = eps_t + alpha_1*X_{t-1} + ... + alpha_k*X_{t-k} from a zero
-    state, for one series of any length, by `_filter`."""
-    import numpy as np
-
-    T, Z = _filter_blocks(tuple(float(a) for a in alphas))
-    B, k = Z.shape
-    n = len(eps)
-    # zero noise past the end changes no value before it: T is triangular
-    padded = np.zeros((1, -(-n // B) * B))
-    padded[0, :n] = eps
-    x = np.empty_like(padded)
-    _filter(T, Z, padded, x, np.zeros((1, k)))
-    return x[0, :n]
-
-
 def _stream(model: ARModel, n: int, burn_in: int, seeds: Sequence[int]):
     """Simulate n values after burn_in for each seed, chunk by chunk.
 

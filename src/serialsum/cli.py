@@ -122,12 +122,15 @@ def _budget(args) -> int:
 
 
 #: Work units charged per unit of CLI work, from measured costs at about
-#: 8 ns per unit (one simulated sample takes about 80 ns).  A probe trial
-#: takes 1.3-2.0 ms; a theoretical ACF lag about (0.5 + 0.15k) us for an
-#: AR(k) model, and 1-2 us more to emit; an empirical ACF lag about
-#: 0.6 ns per sample; the characteristic roots of an AR(k) model 4-10 ns
-#: per k**3.
+#: 8 ns per unit (one simulated sample takes about 80 ns).  A seed's
+#: generator and its share of the filter's set-up take 27-33 us, a CSV
+#: row 1.1-1.6 us to format and write, and a probe trial 1.3-2.0 ms; a
+#: theoretical ACF lag about (0.5 + 0.15k) us for an AR(k) model, and
+#: 1-2 us more to emit; an empirical ACF lag about 0.6 ns per sample; the
+#: characteristic roots of an AR(k) model 4-10 ns per k**3.
 _UNITS_PER_SAMPLE = 10
+_UNITS_PER_SEED = 4_000
+_UNITS_PER_ROW = 160
 _UNITS_PER_TRIAL = 250_000
 
 
@@ -328,10 +331,13 @@ def _cmd_ar(args) -> int:
         raise ValueError("--n must be >= 1, and --burn-in and --jmax >= 0")
     if args.seed < 0:  # refused here, before `ar simulate` opens its file
         raise ValueError("--seed must be >= 0")
-    # the roots, every simulated sample and the ACF of `ar check` make one
-    # total, checked before any noise is drawn
-    work += _UNITS_PER_SAMPLE * (burn_in + args.n) * seeds
-    if args.ar_command == "check":
+    # the roots, each seed and its simulated samples, and the CSV rows of
+    # `ar simulate` or the ACF of `ar check` make one total, checked before
+    # any noise is drawn
+    work += (_UNITS_PER_SEED + _UNITS_PER_SAMPLE * (burn_in + args.n)) * seeds
+    if args.ar_command == "simulate":
+        work += _UNITS_PER_ROW * args.n
+    else:
         work += (_acf_units(len(alphas), args.jmax)
                  + (args.jmax + 1) * args.n * seeds // 8)
     _charge(command, work, budget)

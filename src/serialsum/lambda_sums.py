@@ -21,7 +21,9 @@ term by term, and it extends continuously to any multiplicities.  The
 Taylor coefficients of G at a root of multiplicity m are built in closed
 form to order m - 1 (binomials times geometric series, multiplied as
 truncated Cauchy products; McCurdy, Ng & Parlett, Math. Comp. 43, 1984)
-and handed to the divided-difference table as one `Jet`.
+and fill the repeated entries of the Hermite divided-difference table
+(`confluent_divided_difference_cond`).  The table takes the entries as
+`RootMultiset` has checked them: finite, inside the disk, separated.
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -48,8 +50,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
-
-from .numerics import Jet, confluent_divided_difference_cond
 
 #: Relative clustering threshold: roots closer than this are treated as one
 #: repeated root.  Direct evaluation loses ~|log10(delta)| digits to
@@ -325,10 +325,13 @@ def _ipow(z: complex, n: int) -> complex:
     return out
 
 
-def _g_jet(x0: complex, order: int, lams: Sequence[complex], power: int) -> Jet:
-    """Jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0.
+def _g_jet(
+    x0: complex, order: int, lams: Sequence[complex], power: int
+) -> list[complex]:
+    """Taylor coefficients 0..order of G(x) = x**power * prod_j
+    (1-l_j^2)/(1-x*l_j) at x0.
 
-    The Taylor coefficients in h = x - x0 are closed forms: x**power gives
+    The coefficients in h = x - x0 are closed forms: x**power gives
     C(power, k) * x0**(power-k) (0**0 = 1), and each root l gives the
     geometric series c/d * (l/d)**k, with c = 1 - l**2 and d = 1 - x0*l.
     The factors are multiplied as truncated Cauchy products.
@@ -343,27 +346,67 @@ def _g_jet(x0: complex, order: int, lams: Sequence[complex], power: int) -> Jet:
         factor = [c * q**k for k in range(n)]
         coeffs = [sum(coeffs[i] * factor[k - i] for i in range(k + 1))
                   for k in range(n)]
-    return Jet(x0, tuple(coeffs))
+    return coeffs
+
+
+def confluent_divided_difference_cond(
+    entries: Sequence[tuple[complex, int]], coeffs: Sequence[Sequence[complex]]
+) -> tuple[complex, float]:
+    """Hermite divided difference f[x1,...,x1, ..., xr,...,xr] and a
+    forward-error scale.
+
+    ``entries`` are the (node, multiplicity) pairs of a `RootMultiset`,
+    which has checked them, and ``coeffs[i]`` holds f's Taylor
+    coefficients at entry i, at least as many as its multiplicity.  With
+    all multiplicities 1 this is the ordinary divided difference; a single
+    node of multiplicity m gives f^(m-1)(x) / (m-1)!.  The second value
+    propagates entry magnitudes through the same table recursion;
+    multiplied by machine epsilon it estimates the rounding error of the
+    result.  Heuristic, not a rigorous bound.
+    """
+    # the nodes with repeats kept contiguous, so equal entries in the
+    # table are always filled from the coefficients of a single node
+    z: list[complex] = []
+    taylor: list[Sequence[complex]] = []
+    for (v, m), c in zip(entries, coeffs):
+        z.extend([v] * m)
+        taylor.extend([c] * m)
+    n = len(z)
+
+    col = [c[0] for c in taylor]
+    mag = [abs(c) for c in col]
+    for k in range(1, n):
+        new_col = [0j] * (n - k)
+        new_mag = [0.0] * (n - k)
+        for i in range(n - k):
+            dz = z[i + k] - z[i]
+            if dz == 0:
+                new_col[i] = taylor[i][k]
+                new_mag[i] = abs(new_col[i])
+            else:
+                new_col[i] = (col[i + 1] - col[i]) / dz
+                new_mag[i] = (mag[i + 1] + mag[i]) / abs(dz)
+        col, mag = new_col, new_mag
+    return col[0], mag[0] * n
 
 
 def f_general(roots: RootMultiset, S: int) -> LimitValue:
     """Limit value for any root multiplicities (the confluent evaluator).
 
-    Evaluates the confluent divided difference of G(x) over the node
-    multiset, from closed-form Taylor coefficients of G at each node;
-    agrees with :func:`f_distinct` for all-distinct inputs and extends
-    continuously to repeated roots.  As there, err_estimate scales the
-    table's magnitude scale by S + l, for the rounding of x**(S+l-1).
+    Evaluates the confluent divided difference of G(x) over the root
+    multiset (`confluent_divided_difference_cond`), from closed-form
+    Taylor coefficients of G at each entry (`_g_jet`); agrees with
+    :func:`f_distinct` for all-distinct inputs and extends continuously
+    to repeated roots.  As there, err_estimate scales the table's
+    magnitude scale by S + l, for the rounding of x**(S+l-1).
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     S = min(S, _S_CAP)
     lams = roots.lambdas
     power = S + len(lams) - 1
-    jets = [_g_jet(v, m - 1, lams, power) for v, m in roots.entries]
-    value, cond = confluent_divided_difference_cond(
-        list(roots.entries), jets, CLUSTER_DELTA
-    )
+    coeffs = [_g_jet(v, m - 1, lams, power) for v, m in roots.entries]
+    value, cond = confluent_divided_difference_cond(roots.entries, coeffs)
     value, real_ok = _certify(value, roots.is_conjugate_closed())
     return LimitValue(value, _EPS * ((power + 1) * cond + abs(value)), real_ok)
 

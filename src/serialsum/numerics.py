@@ -1,32 +1,23 @@
-"""Univariate complex jets and Hermite (confluent) divided differences.
+"""Univariate complex jets: truncated Taylor expansions with arithmetic.
 
 A jet carries the truncated Taylor expansion of a function at a point:
-``c0 + c1*(x - center) + ... + cm*(x - center)**m``.  The divided-difference
-table consumes those coefficients at repeated nodes, so the same code
-handles distinct and confluent node sets.  Arithmetic on jets propagates
-the coefficients exactly (up to rounding), which gives high-order
-derivatives of small rational expressions without step-size tuning; the
-library's own evaluator, `lambda_sums.f_general`, builds its coefficients
-in closed form instead and uses `Jet` only to carry them.
+``c0 + c1*(x - center) + ... + cm*(x - center)**m``.  Arithmetic on jets
+propagates the coefficients exactly (up to rounding), which gives
+high-order derivatives of small rational expressions without step-size
+tuning.  The library's evaluator, `lambda_sums.f_general`, does not use
+them: it builds G's Taylor coefficients in closed form (`_g_jet`) and
+hands them to its own divided-difference table as plain sequences.  Jet
+arithmetic stays as the tests' reference for those coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class DegenerateJetError(ZeroDivisionError):
     """Division by a jet whose constant term is zero."""
-
-
-class InsufficientOrderError(ValueError):
-    """A jet does not carry enough Taylor coefficients for the requested use."""
-
-
-class NodeCollisionError(ValueError):
-    """Two nominally distinct nodes are numerically identical."""
 
 
 def _require_finite(z: complex) -> complex:
@@ -116,83 +107,3 @@ class Jet:
             base = base * base
             p >>= 1
         return result
-
-
-def confluent_divided_difference(
-    nodes: Sequence[tuple[complex, int]],
-    f_jets: Sequence[Jet],
-    collision_tol: float = 1e-6,
-) -> complex:
-    """Hermite divided difference f[x1,...,x1, ..., xr,...,xr].
-
-    ``nodes`` lists (value, multiplicity) pairs; ``f_jets[i]`` carries the
-    Taylor coefficients of f at ``nodes[i][0]`` to order at least
-    multiplicity - 1.  With all multiplicities 1 this is the ordinary
-    divided difference; a single node of multiplicity m gives
-    f^(m-1)(x) / (m-1)!.
-    """
-    value, _ = confluent_divided_difference_cond(nodes, f_jets, collision_tol)
-    return value
-
-
-def confluent_divided_difference_cond(
-    nodes: Sequence[tuple[complex, int]],
-    f_jets: Sequence[Jet],
-    collision_tol: float = 1e-6,
-) -> tuple[complex, float]:
-    """As :func:`confluent_divided_difference`, plus a forward-error scale.
-
-    The second return value propagates entry magnitudes through the same
-    table recursion; multiplied by machine epsilon it estimates the rounding
-    error of the result.  Heuristic, not a rigorous bound.
-    """
-    if len(nodes) != len(f_jets):
-        raise ValueError("one jet per node required")
-    if not nodes:
-        raise ValueError("at least one node required")
-
-    values = [_require_finite(v) for v, _ in nodes]
-    mults = [m for _, m in nodes]
-    if any(m < 1 for m in mults):
-        raise ValueError("multiplicities must be >= 1")
-    scale = 1.0 + max(abs(v) for v in values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= collision_tol * scale:
-                raise NodeCollisionError(
-                    f"nodes {values[i]} and {values[j]} are numerically identical; "
-                    "merge them into one node with summed multiplicity"
-                )
-    for (v, m), jet in zip(nodes, f_jets):
-        if jet.center != complex(v):
-            raise ValueError("jet center must equal its node value")
-        if jet.order < m - 1:
-            raise InsufficientOrderError(
-                f"node {v} with multiplicity {m} needs a jet of order >= {m - 1}, "
-                f"got {jet.order}"
-            )
-
-    # Expanded node list with repeats kept contiguous, so equal entries in
-    # the table are always filled from Taylor coefficients of a single jet.
-    z: list[complex] = []
-    jet_of: list[Jet] = []
-    for (v, m), jet in zip(nodes, f_jets):
-        z.extend([complex(v)] * m)
-        jet_of.extend([jet] * m)
-    n = len(z)
-
-    col = [jet_of[i].coeffs[0] for i in range(n)]
-    mag = [abs(c) for c in col]
-    for k in range(1, n):
-        new_col = [0j] * (n - k)
-        new_mag = [0.0] * (n - k)
-        for i in range(n - k):
-            dz = z[i + k] - z[i]
-            if dz == 0:
-                new_col[i] = jet_of[i].coeffs[k]
-                new_mag[i] = abs(new_col[i])
-            else:
-                new_col[i] = (col[i + 1] - col[i]) / dz
-                new_mag[i] = (mag[i + 1] + mag[i]) / abs(dz)
-        col, mag = new_col, new_mag
-    return col[0], mag[0] * n

@@ -20,7 +20,6 @@ from serialsum import (
 from serialsum import ar_model
 from serialsum.ar_model import (
     _BLOCK,
-    _ar_filter,
     _sample_acfs,
     _stream,
     default_burn_in,
@@ -211,6 +210,10 @@ class TestSimulate:
         with pytest.raises(NotStationaryError):
             simulate(ARModel((1.2,), 1.0), 10, seed=0)
 
+    def test_simulate_rejects_negative_burn_in(self):
+        with pytest.raises(ValueError):
+            simulate(ARModel((0.6,), 1.0), 10, burn_in=-5, seed=0)
+
     def test_default_burn_in_forgets_start(self):
         b = default_burn_in([0.6])
         assert 0.6**b < 1e-12
@@ -231,35 +234,6 @@ def _plain_recursion(alphas, eps):
             a * x[t - i] for i, a in enumerate(alphas, 1) if t - i >= 0
         ))
     return np.array(x)
-
-
-class TestArFilter:
-    @pytest.mark.parametrize("alphas, n", [
-        ((0.6,), 3 * _BLOCK),
-        # complex pair at radius 0.99
-        ((2 * 0.99 * np.cos(0.3), -0.99**2), 4 * _BLOCK),
-        # double root at 0.25
-        ((0.5, -0.0625), 2 * _BLOCK),
-        # length not a multiple of the block
-        (AR2_ALPHAS, 2 * _BLOCK + 37),
-        ((0.6,), 1),
-        # order above the block length: X_t = 0.3 X_{t-1} + 0.5 X_{t-k}
-        ((0.3,) + (0.0,) * (_BLOCK + 40) + (0.5,), 3 * _BLOCK + 100),
-    ])
-    def test_matches_plain_recursion(self, alphas, n):
-        eps = np.random.default_rng(n).standard_normal(n)
-        got = _ar_filter(alphas, eps)
-        want = _plain_recursion(alphas, eps)
-        assert got.shape == (n,)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-
-    def test_zero_noise_is_exactly_zero(self):
-        got = _ar_filter((2 * 0.99 * np.cos(0.3), -0.99**2), np.zeros(3 * _BLOCK + 5))
-        assert np.all(got == 0)
-
-    def test_simulate_rejects_negative_burn_in(self):
-        with pytest.raises(ValueError):
-            simulate(ARModel((0.6,), 1.0), 10, burn_in=-5, seed=0)
 
 
 #: X_t = 0.3 X_{t-1} + 0.5 X_{t-k}: an order above the block length
@@ -294,15 +268,26 @@ class TestStream:
             assert np.max(np.abs(got.values - ref)) <= 1e-10 * np.max(np.abs(ref)), (
                 n, burn_in)
 
-    @pytest.mark.parametrize("alphas", [(0.6,), (2 * 0.99 * np.cos(0.3), -0.99**2)])
+    @pytest.mark.parametrize("alphas", [
+        (0.6,),
+        (2 * 0.99 * np.cos(0.3), -0.99**2),  # complex pair at radius 0.99
+        (0.5, -0.0625),  # double root at 0.25
+        AR2_ALPHAS,
+    ])
     def test_simulate_matches_plain_recursion(self, small_chunks, alphas):
         # n and burn-in at block and chunk edges, +-1: a chunk is two
-        # blocks of 256, or the whole series
+        # blocks of 256, or the whole series; and a length off every edge
         B = _BLOCK
         self.check_simulate(alphas, [
             (1, 0), (B - 1, 0), (B, 0), (B + 1, 0), (2 * B - 1, 0), (2 * B, 0),
             (2 * B + 1, 0), (1, B - 1), (1, B), (1, B + 1), (B - 1, B + 1),
-            (B + 1, 2 * B - 1), (2 * B + 1, 2 * B), (3 * B, B + 1)])
+            (B + 1, 2 * B - 1), (2 * B + 1, 2 * B), (3 * B, B + 1),
+            (2 * B + 37, 0)])
+
+    def test_zero_noise_is_exactly_zero(self, small_chunks):
+        model = ARModel((2 * 0.99 * np.cos(0.3), -0.99**2), 0.0)
+        got = simulate(model, 3 * _BLOCK + 5, burn_in=_BLOCK + 1, seed=0)
+        assert np.all(got.values == 0)
 
     def test_simulate_order_above_block(self, monkeypatch):
         # the block is k long, and a chunk one block; finding the roots is

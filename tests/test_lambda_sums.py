@@ -559,10 +559,9 @@ class TestGJet:
         lams = [x0] * (order + 1) + [0.7, -0.4 + 0.3j, -0.4 + 0.3j, 0.0]
         for power in range(11):
             got = _g_jet(x0, order, lams, power)
-            ref = g_jet_reference(x0, order, lams, power)
-            assert got.center == ref.center
-            assert len(got.coeffs) == order + 1
-            for a, b in zip(got.coeffs, ref.coeffs):
+            ref = g_jet_reference(x0, order, lams, power).coeffs
+            assert len(got) == order + 1
+            for a, b in zip(got, ref):
                 assert abs(a - b) <= 1e-13 * abs(b), (power, got, ref)
 
     def test_f_general_does_no_jet_arithmetic(self, monkeypatch):
