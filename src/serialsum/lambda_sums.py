@@ -35,8 +35,11 @@ part growing as 1/(1 - |lambda|) for complex roots only) and `finite_sum`
 (the exact finite-n sum, both as the trace of a product of l Toeplitz
 matrices, taken through the displacement structure of their partial
 products as 1-D convolutions without forming any matrix, and as a direct
-enumerator), plus `linear_coefficient` which extracts the n-slope from
-finite sums.
+enumerator), plus `linear_coefficient`, which takes the n-slope as the
+first difference T(n+1) - T(n): the sum over the shell of lattice points
+that growing every range by one adds, one chain of Toeplitz
+matrix-vector products per corner, with a bound on the residue left by
+the finite box.
 
 The closed forms need no numpy: the oracles and the root sampler import it
 where they use it, so `import serialsum` and `f_general` load none.
@@ -662,6 +665,16 @@ def _finite_sum_work(ell: int, n: int) -> int:
     return (ell - 2) * (2 * ell - 1) * n * n + 60 * ell * n
 
 
+def _shell_work(ell: int, n: int) -> int:
+    # `_shell_sum` at n: l*(l - 2) Toeplitz matrix-vector products of about
+    # (n + 1)**2 multiply-adds, and a few passes over each factor's power
+    # table and diagonals of length 2n.  At the largest n of the default
+    # budget a unit takes 0.1-0.6 ns from l = 3 up on a 2-core Xeon, the
+    # most for complex roots, and at 100 units per root and n 0.2-0.8 ns
+    # for l = 2, the most on a first call into fresh pages.
+    return ell * (ell - 2) * (n + 1) ** 2 + 100 * ell * (n + 1)
+
+
 def _floor(ell: int) -> float:
     # Powers below this are set to zero: a product of l powers above it stays
     # a normal float, products that underflow to subnormals run many times
@@ -697,15 +710,19 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
             p[stop:] = 0
         else:  # the estimate fell short: the whole product
             np.cumprod(p[stop - 1 :], out=p[stop - 1 :])
-    p[np.abs(p) < floor] = 0
+    # The moduli of a geometric sequence are least at one end, and rounding
+    # cannot halve one within 10**15 steps, so ends at least twice the
+    # floor leave nothing to set to zero.
+    if not min(abs(p[0]), abs(p[-1])) >= 2 * floor:
+        p[np.abs(p) < floor] = 0
     return p
 
 
-def _ends(spec: FiniteSumSpec) -> list[tuple[int, int]]:
+def _ends(spec: FiniteSumSpec, grow: int = 0) -> list[tuple[int, int]]:
     """Per factor A_m, the least and the greatest d + s_m over its diagonals
-    d = 1 - n_{m+1} .. n_m - 1 (cyclic)."""
+    d = 1 - n_{m+1} .. n_m - 1 (cyclic), at n = spec.n + grow."""
     ell = len(spec.lambdas)
-    ns = [spec.n + d for d in spec.upper_adjust]
+    ns = [spec.n + grow + d for d in spec.upper_adjust]
     return [(s + 1 - ns[(m + 1) % ell], s + ns[m] - 1)
             for m, s in enumerate(spec.shifts)]
 
@@ -729,13 +746,15 @@ def _cut(table: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
     return np.concatenate((table[-a:0:-1], table[: b + 1]))
 
 
-def _power_tables(spec: FiniteSumSpec) -> list[tuple[int, np.ndarray]]:
+def _power_tables(
+    spec: FiniteSumSpec, grow: int = 0
+) -> list[tuple[int, np.ndarray]]:
     """Per factor, (lo, table) with table[k] = lam**(lo + k), floored, over
-    the `_span` of the exponents its diagonals read, so a large shift costs
-    nothing."""
+    the `_span` of the exponents its diagonals read at n = spec.n + grow,
+    so a large shift costs nothing."""
     floor = _floor(len(spec.lambdas))
     tables = []
-    for lam, (a, b) in zip(spec.lambdas, _ends(spec)):
+    for lam, (a, b) in zip(spec.lambdas, _ends(spec, grow)):
         lo, hi = _span(a, b)
         tables.append((lo, _powers(lam, lo, hi - lo + 1, floor)))
     return tables
@@ -745,8 +764,7 @@ def _trace_sum(
     spec: FiniteSumSpec, tables: list[tuple[int, np.ndarray]]
 ) -> tuple[complex, float]:
     """tr(A_1 ... A_l) and a bound on its rounding error, from the power
-    tables (`_power_tables`) of a spec of the same roots and shifts and at
-    least this n.
+    tables (`_power_tables`) of the spec.
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
@@ -755,7 +773,6 @@ def _trace_sum(
     = t(d).  Each vector is cut from the table of the root's powers: a
     slice of it where d + s_m keeps one sign, and a reversed head joined to
     a slice where it changes sign; no exponent is formed.
-    `linear_coefficient` cuts T(n) and T(2n) from the same tables.
 
     No product is formed.  P_k = A_1 ... A_k has displacement rank 2(k - 1)
     (Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979): for i, j >= 1,
@@ -838,6 +855,80 @@ def _trace_sum(
     return value, err
 
 
+def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
+    """T(n+1) - T(n) and a bound on its rounding error, with n = spec.n,
+    for roots inside the unit disk.
+
+    The difference sums the shell of lattice points that growing every
+    range by one adds: those with some index at its new top, 0-based
+    i_m = n_m.  Split by the first such m, the ranges before m are the old
+    ones, [0, n_j), and those after m the new ones, [0, n_j + 1), so part m
+    is the corner entry e_{n_m}' A_m A_{m+1} ... A_{m-1} e_{n_m} of factors
+    cut to those ranges.  It is a chain from the column of A_{m-1} at n_m
+    through l - 2 Toeplitz matrix-vector products (`np.convolve`), closed
+    by a dot product with the row of A_m at n_m.  The diagonals of every
+    factor so cut are a slice of one cut of its power table at n + 1
+    (`_power_tables`, `_cut`; `_trace_sum` has the layout).  That makes
+    l*(l - 2) products of about n**2 multiply-adds, O(n) work for l = 2,
+    and memory O(l*n); no displacement generator is subtracted.
+    """
+    import numpy as np
+
+    ell = len(spec.lambdas)
+    ns = [spec.n + d for d in spec.upper_adjust]
+    ends = _ends(spec, 1)
+    diags = [_cut(table, lo, a, b)
+             for (lo, table), (a, b) in zip(_power_tables(spec, 1), ends)]
+
+    def factor(j: int, rows: int, cols: int) -> np.ndarray:
+        # A_j cut to its first rows and cols, as diags[j][d + cols - 1] = t(d)
+        top = ns[(j + 1) % ell] + 1
+        return diags[j][top - cols : top + rows - 1]
+
+    value = 0j
+    for m in range(ell):
+        lens = [n + (j > m) for j, n in enumerate(ns)]
+        prev = (m - 1) % ell
+        x = diags[prev][: lens[prev]]  # A_{m-1}[:, n_m]
+        for j in range(m + ell - 2, m, -1):
+            j %= ell
+            x = np.convolve(factor(j, lens[j], lens[(j + 1) % ell]), x, "valid")
+        row = diags[m][diags[m].size - lens[(m + 1) % ell] :]  # A_m[n_m, ::-1]
+        value += complex(row @ x[::-1])
+
+    # As in `_trace_sum` (Higham 2002, secs. 3.1 and 3.5): each computed
+    # number is a signed sum of terms, one floored power from each factor,
+    # and errs by at most eps times the roundings on a term's path times
+    # the same computation over the moduli.  A power lam**k carries below
+    # 4*k*eps and each of the l products of a term 3*eps; a part adds at
+    # most n_max + 1 roundings in each of its l - 2 matrix-vector products
+    # and in its dot product, and the sum of the l parts l more.  Over the
+    # moduli, part m fixes i_m: its row of A_m sums to at most the mass
+    # of A_m's diagonals, each later factor summed over its column index to
+    # at most its mass, and A_{m-1} at the closing index n_m is at most its
+    # peak.  With rho = |lam| < 1 and lo, hi the `_span` of the exponents
+    # e = a..b, the peak is rho**lo and the mass sum rho**|e| is
+    # (rho**lo - rho**(hi + 1))/(1 - rho) on one arm of the V, and
+    # (1 + rho - rho**(1 - a) - rho**(b + 1))/(1 - rho) across it.  A
+    # dropped term has one factor below the floor, the others at most 1,
+    # and the shell has prod(n_j + 1) - prod(n_j) terms.
+    masses, peaks = [], []
+    for lam, (a, b) in zip(spec.lambdas, ends):
+        rho = abs(lam)
+        lo, hi = _span(a, b)
+        peaks.append(rho**lo)
+        if a < 0 < b:
+            masses.append((1 + rho - rho ** (1 - a) - rho ** (b + 1)) / (1 - rho))
+        else:
+            masses.append((rho**lo - rho ** (hi + 1)) / (1 - rho))
+    abs_sum = sum(peaks[j] * math.prod(masses[:j] + masses[j + 1:])
+                  for j in range(ell))
+    kmax = max(_span(a, b)[1] for a, b in ends)
+    rounds = ell * (4 * kmax + 3) + (ell - 1) * (max(ns) + 1) + ell
+    shell = math.prod(n + 1 for n in ns) - math.prod(ns)
+    return value, rounds * _EPS * abs_sum + _floor(ell) * shell
+
+
 def finite_sum_direct(spec: FiniteSumSpec) -> complex:
     """Direct O(n**l) enumeration; the correctness oracle for the reduction."""
     lams = spec.lambdas
@@ -861,17 +952,34 @@ def linear_coefficient(
 ) -> LimitValue:
     """Extract the n-proportional coefficient of the finite sum.
 
-    Returns (T(2*n_base) - T(n_base)) / n_base, which cancels the constant
-    part of T(n) exactly and leaves the slope plus an exponentially small
-    residue.  err_estimate combines the geometric residue bound with the
-    rounding bounds of both finite sums (the residue bound alone drops
-    below machine precision for moderate n_base, where rounding dominates).
-    Both sums cut their diagonals from one table of each root's powers,
-    built for T(2*n_base).
-    Raises BudgetExceededError when the two finite sums together need more
-    than DEFAULT_BUDGET work units.  Both are charged in full: the shared
-    tables save only the table of T(n_base), and at l = 2 the call takes
-    about as long as the two sums apart.
+    Returns the first difference D = T(n_base + 1) - T(n_base), the sum
+    over the shell of lattice points that growing every range by one adds
+    (`_shell_sum`), cut from one table of each root's powers at n_base + 1.
+    T(n) = F*n + C + (a residue that vanishes as n grows), so D tends to
+    F; it is F but for the residue.
+
+    err_estimate adds `_shell_sum`'s rounding bound to a bound on that
+    residue.  Take the coordinates u_j = n_j - i_j, from the top corner of
+    the box at n_base + 1 (n_j = n_base + d_j, 0-based i_j).  A term's
+    exponents are e_j = |u_{j+1} - u_j + c_j|, c_j = s_j + d_j - d_{j+1},
+    so they depend only on differences of u, and the shell's part m (u_m
+    = 0, u_j >= 1 before m, u_j >= 0 after it) tends to the same sum over
+    the unbounded corner; the parts of those sums add up to F.  A term of
+    the corner that the shell lacks has some u_j >= n_j + 1, and a cycle
+    through u_m = 0 and u_j moves at least 2*u_j in all, so its exponents
+    sum to E >= K = 2*(min n_j + 1) - sum |c_j|.  With r = max |lambda|
+    and 0 <= theta < 1, each such term is at most r**(theta*K) times
+    prod_j rho_j**e_j, rho_j = |lambda_j|**(1 - theta).  Summing the latter
+    over the whole corner of part m, the steps through every factor but
+    A_{m-1} are free integers, and sum over k of rho**|k + c| is at most
+    g = (1 + rho)/(1 - rho), so the residue is at most
+    r**(theta*K) * prod_j g_j * sum_j 1/g_j.  theta sets
+    (1 - theta)*log(1/r) = (l - 1)/K, which minimises the log of the bound
+    to first order: about r**(2*n_base), where the slope of two traces,
+    (T(2n) - T(n))/n, leaves about r**n.
+
+    Raises BudgetExceededError when the shell needs more than
+    DEFAULT_BUDGET work units (`_shell_work`).
     """
     lams = tuple(complex(v) for v in lambdas)
     ell = len(lams)
@@ -882,21 +990,18 @@ def linear_coefficient(
             f"n_base={n_base} too small for max|lambda|={r:g}: "
             "need max|lambda|**n_base < 1e-12"
         )
-    spec1 = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
-    spec2 = FiniteSumSpec(lams, tuple(shifts), 2 * n_base, tuple(upper_adjust))
-    _charge("finite sum",
-            _finite_sum_work(ell, n_base) + _finite_sum_work(ell, 2 * n_base),
-            DEFAULT_BUDGET)
-    tables = _power_tables(spec2)  # T(n_base) reads a part of each
-    t1, e1 = _trace_sum(spec1, tables)
-    t2, e2 = _trace_sum(spec2, tables)
-    value = (t2 - t1) / n_base
+    spec = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
+    _charge("finite sum", _shell_work(ell, n_base), DEFAULT_BUDGET)
+    value, err_round = _shell_sum(spec)
 
+    err_exp = 0.0
     if r > 0:
-        err_exp = 100.0 * ell * n_base * r**n_base / (1 - r) ** ell
-    else:
-        err_exp = 0.0
-    err_round = (e1 + e2) / n_base
+        ns = [n_base + d for d in spec.upper_adjust]
+        K = 2 * (min(ns) + 1) - sum(
+            abs(s + ns[j] - ns[(j + 1) % ell]) for j, s in enumerate(spec.shifts))
+        theta = max(0.0, 1 - (ell - 1) / (K * -math.log(r))) if K > 0 else 0.0
+        g = [(1 + a) / (1 - a) for a in (abs(v) ** (1 - theta) for v in lams)]
+        err_exp = r ** (theta * max(K, 0)) * math.prod(g) * sum(1 / x for x in g)
     value, real_ok = _certify(value, _conjugate_closed([(v, 1) for v in lams]))
     return LimitValue(value, err_exp + err_round, real_ok)
 

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import importlib.util
 import itertools
@@ -37,10 +38,11 @@ from serialsum.lambda_sums import (
     _conjugate_closed,
     _cut,
     _ends,
-    _finite_sum_work,
     _g_jet,
     _power_tables,
     _powers,
+    _shell_sum,
+    _shell_work,
     _span,
     _trace_sum,
     finite_sum_with_error,
@@ -564,14 +566,21 @@ class TestGJet:
             for a, b in zip(got, ref):
                 assert abs(a - b) <= 1e-13 * abs(b), (power, got, ref)
 
-    def test_f_general_does_no_jet_arithmetic(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Jet arithmetic in f_general")
-
-        for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__"):
-            monkeypatch.setattr(Jet, op, refuse)
-        got = f_general(RootMultiset(((0.5, 3), (-0.2, 2), (0.1, 1))), 2)
-        assert abs(got.value) > 0
+    def test_f_general_does_no_jet_arithmetic(self):
+        # f_general takes its Taylor coefficients in closed form, so
+        # lambda_sums neither imports numerics nor names Jet in any scope
+        tree = ast.parse(Path(lambda_sums.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [
+                    name for alias in node.names for name in (alias.name, alias.asname)
+                    if name]
+                assert not any("numerics" in name.split(".") for name in names)
+                assert "Jet" not in names
+            assert getattr(node, "id", None) != "Jet", ast.dump(node)
+            assert getattr(node, "attr", None) != "Jet", ast.dump(node)
+        assert "Jet" not in vars(lambda_sums)
+        assert all(v is not Jet for v in vars(lambda_sums).values())
 
 
 class TestReferences:
@@ -844,8 +853,8 @@ class TestFiniteSum:
         with pytest.raises(BudgetExceededError) as exc:
             finite_sum(spec)
         assert exc.value.achievable_bound == float("inf")
-        with pytest.raises(BudgetExceededError):
-            linear_coefficient(lams, (0,) * 6, 1000)
+        with pytest.raises(BudgetExceededError):  # six roots stop at 2,873
+            linear_coefficient(lams, (0,) * 6, 2_874)
 
     def test_large_shift_costs_nothing(self):
         # only the rows + cols - 1 exponents a matrix reads are computed
@@ -1047,63 +1056,128 @@ class TestLinearCoefficient:
             )
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
-    def test_shared_tables_change_nothing(self, seed):
-        # T(n_base) is cut from the power tables built for T(2*n_base); in
-        # the benchmark's shapes every span starts at the same exponent at
-        # both sizes, so the result is exactly that of two separate sums
+    def test_benchmark_shapes_take_the_shell(self, seed):
+        # the value is the shell sum as it stands, T(n_base + 1) - T(n_base)
+        # within the bounds of the shell and of both traces, and the limit
+        # within err_estimate, which adds the residue to the shell's bound
         for lams, shifts, n_base, adjust in oracle_linear_ops(seed):
-            ell = len(lams)
-            ends = [_ends(FiniteSumSpec(lams, shifts, n, adjust))
-                    for n in (n_base, 2 * n_base)]
-            for ends1, ends2 in zip(*ends):
-                assert _span(*ends1)[0] == _span(*ends2)[0]
             got = linear_coefficient(lams, shifts, n_base, adjust)
+            value, err = _shell_sum(FiniteSumSpec(lams, shifts, n_base, adjust))
+            assert got.value == value and got.err_estimate >= err
             t1, e1 = finite_sum_with_error(FiniteSumSpec(lams, shifts, n_base, adjust))
             t2, e2 = finite_sum_with_error(
-                FiniteSumSpec(lams, shifts, 2 * n_base, adjust))
-            r = max(abs(v) for v in lams)
-            err_exp = 100.0 * ell * n_base * r**n_base / (1 - r) ** ell
-            assert got.value == (t2 - t1) / n_base
-            assert got.err_estimate == err_exp + (e1 + e2) / n_base
+                FiniteSumSpec(lams, shifts, n_base + 1, adjust))
+            assert abs(value - (t2 - t1)) <= err + e1 + e2
+            S = abs(sum(shifts))
+            ref = closed_form_reference([(complex(v), 1) for v in lams], S)
+            assert float(abs(got.value - ref)) <= got.err_estimate
 
     @pytest.mark.parametrize("lams, shifts, n_base", [
         ((0.1, -0.2), (30, -25), 18),
         ((0.05, -0.04, 0.03), (15, -3, 1), 10),
     ])
     def test_shifted_span_start_stays_within_the_bound(self, lams, shifts, n_base):
-        # here a span starts at a lower exponent at 2*n_base, so T(n_base)
-        # is cut from a table that starts at a lower power
-        ends = [_ends(FiniteSumSpec(lams, shifts, n)) for n in (n_base, 2 * n_base)]
-        assert any(_span(*ends1)[0] > _span(*ends2)[0] for ends1, ends2 in zip(*ends))
+        # a shift moves the power tables of n_base + 1 off the zeroth power,
+        # and past the box: the shell is the difference of the direct sums
+        # within its rounding bound alone, while the limit, F = -2.04e-4 for
+        # the pair, is off by more than that and within the residue's bound
+        spec = FiniteSumSpec(lams, shifts, n_base)
+        assert any(_span(*ends)[0] > 0 for ends in _ends(spec, 1))
+        value, err = _shell_sum(spec)
+        t1 = finite_sum_direct(spec)
+        t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, n_base + 1))
+        assert abs(value - (t2 - t1)) <= err
         got = linear_coefficient(lams, shifts, n_base)
-        t1 = finite_sum_direct(FiniteSumSpec(lams, shifts, n_base))
-        t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, 2 * n_base))
-        e1 = finite_sum_with_error(FiniteSumSpec(lams, shifts, n_base))[1]
-        e2 = finite_sum_with_error(FiniteSumSpec(lams, shifts, 2 * n_base))[1]
-        slope = (t2 - t1) / n_base
-        assert abs(got.value - slope) <= got.err_estimate
-        assert abs(got.value - slope) <= 2 * (e1 + e2) / n_base  # rounding alone
+        ref = mp_limit(lams, abs(sum(shifts)))
+        assert err < float(abs(got.value - ref)) <= got.err_estimate
 
     def test_rejects_insufficient_n_base(self):
         with pytest.raises(ValueError):
             linear_coefficient([0.9, 0.3], [0, 0], 50)
 
     def test_pair_budget_limit(self, monkeypatch):
-        # both sums are charged, T(n_base) and T(2*n_base), so two roots stop
-        # at n_base = 555,555; the work past the charge is not run here
+        # the shell is charged l*(l - 2)*(n + 1)**2 + 100*l*(n + 1) units, so
+        # two roots stop at n_base = 999,999; the work past the charge is not
+        # run here
         class Admitted(Exception):
             pass
 
         def admitted(spec):
             raise Admitted
 
-        assert (_finite_sum_work(2, 555_555) + _finite_sum_work(2, 1_111_110)
-                <= DEFAULT_BUDGET)
-        monkeypatch.setattr(lambda_sums, "_power_tables", admitted)
+        assert _shell_work(2, 999_999) <= DEFAULT_BUDGET < _shell_work(2, 1_000_000)
+        monkeypatch.setattr(lambda_sums, "_shell_sum", admitted)
         with pytest.raises(Admitted):
-            linear_coefficient((0.5, -0.3), (0, 0), 555_555)
+            linear_coefficient((0.5, -0.3), (0, 0), 999_999)
         with pytest.raises(BudgetExceededError):
-            linear_coefficient((0.5, -0.3), (0, 0), 555_556)
+            linear_coefficient((0.5, -0.3), (0, 0), 1_000_000)
+
+    @pytest.mark.parametrize("lams, shifts, n, adjust", [
+        ((0.5, 0.3), (0, 0), 6, (0, 0)),  # real roots
+        ((0.6 + 0.3j, 0.6 - 0.3j, -0.4), (2, -3, 1), 5, (0, -1, 0)),  # a pair
+        ((0.5 + 0.4j, 0.2), (1, 1), 7, (-2, 0)),  # a lone complex root
+        ((0.0, 0.7, -0.5), (-1, 0, 3), 5, (0, 0, -2)),  # a zero root
+        ((0.0, 0.0), (0, 1), 4, (0, 0)),
+        ((0.6, 0.6, 0.6, -0.3), (0, 0, 0, 0), 4, (0, -1, -1, 0)),  # repeats
+        ((0.9, -0.8, 0.5 + 0.5j, 0.5 - 0.5j), (-5, 4, -2, 6), 4, (-3, 0, -1, -2)),
+        ((0.99, 0.3, -0.97, 0.2, 0.95), (7, -9, 1, 0, -2), 3, (0, -2, 0, -1, 0)),
+        ((0.9, 0.4), (-40, 35), 8, (0, -7)),  # each diagonal on one arm
+    ])
+    def test_shell_is_the_first_difference(self, lams, shifts, n, adjust):
+        # shifts whose exponents cross zero or stay on one side, adjustments
+        # down to ranges of one, against direct enumeration at n and n + 1
+        spec = FiniteSumSpec(lams, shifts, n, adjust)
+        value, err = _shell_sum(spec)
+        t1 = finite_sum_direct(spec)
+        t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, n + 1, adjust))
+        assert abs(value - (t2 - t1)) <= err
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_shell_bounds_enumeration(self, data):
+        ell = data.draw(st.integers(2, 5), label="ell")
+        n = data.draw(st.integers(1, {4: 4, 5: 3}.get(ell, 7)), label="n")
+        root = st.one_of(
+            st.floats(-0.999, 0.999),
+            st.just(0.0),
+            st.builds(cmath.rect, st.floats(0, 0.999), st.floats(-math.pi, math.pi)),
+        )
+        lams = tuple(data.draw(st.lists(root, min_size=ell, max_size=ell)))
+        shifts = tuple(data.draw(st.lists(
+            st.integers(-6, 6), min_size=ell, max_size=ell)))
+        adjust = tuple(data.draw(st.lists(
+            st.integers(-min(3, n - 1), 0), min_size=ell, max_size=ell)))
+        spec = FiniteSumSpec(lams, shifts, n, adjust)
+        value, err = _shell_sum(spec)
+        t1 = finite_sum_direct(spec)
+        t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, n + 1, adjust))
+        assert abs(value - (t2 - t1)) <= err
+
+    @pytest.mark.parametrize("entries, shifts, n_base, adjust", [
+        (((0.5, 1), (0.3, 1)), (0, 0), 40, (0, 0)),  # 0.5**40 = 9.1e-13
+        (((0.99, 1), (-0.6, 1)), (1, -2), 2750, (0, -3)),  # 0.99**2750 = 9.9e-13
+        (((0.99, 1), (0.98, 1), (-0.5, 1)), (2, 0, -1), 2750, (-1, 0, -2)),
+        (((cmath.rect(0.97, 1.2), 1), (cmath.rect(0.97, -1.2), 1), (0.4, 1)),
+         (-1, 2, 0), 908, (0, -1, -1)),  # 0.97**908 = 9.8e-13
+        (((cmath.rect(0.97, 2.0), 1), (cmath.rect(0.97, -2.0), 1),
+          (cmath.rect(0.97, 0.5), 1), (cmath.rect(0.97, -0.5), 1)),
+         (0, 1, 0, -2), 908, (0, 0, -2, 0)),
+        (((cmath.rect(0.8, 0.7), 1), (-0.3, 1)), (1, 0), 124, (0, 0)),  # lone
+        (((0.0, 1), (0.7, 1), (-0.5, 1)), (-1, 2, 1), 78, (0, -1, 0)),
+        (((0.6, 3), (-0.3, 1)), (1, -1, 2, 0), 55, (0, 0, -2, -1)),  # repeats
+        (((0.9, 2), (0.5, 2)), (0, 0, 0, 0), 263, (0, 0, 0, 0)),
+        (((0.5, 1), (0.3, 1)), (30, -31), 40, (0, 0)),  # the residue shows
+        (((0.1, 1), (-0.2, 1)), (30, -25), 18, (0, 0)),  # past the box
+    ])
+    def test_err_bounds_mpmath_slope(self, entries, shifts, n_base, adjust):
+        # against the limit at high precision, with roots near the circle and
+        # n_base just above the 1e-12 floor, where rounding and the residue
+        # bound must both hold
+        mpmath = pytest.importorskip("mpmath")
+        lams = [v for v, m in entries for _ in range(m)]
+        got = linear_coefficient(lams, shifts, n_base, adjust)
+        ref = closed_form_reference(entries, abs(sum(shifts)))
+        assert float(abs(mpmath.mpc(got.value) - ref)) <= got.err_estimate
 
 
 class TestConjectureProbe:
