@@ -24,17 +24,17 @@ Note: `empirical_acf` uses the known-zero-mean estimator (no sample-mean
 subtraction) because the process mean is exactly zero.  Generic ACF tools
 subtract the mean and will differ slightly.
 
-numpy is imported inside the functions that use it, so importing this
-module (and with it `serialsum`) loads none, and neither do `char_roots`
-and `acf` for an AR(1) model.
+The records are named tuples, and numpy is imported inside the functions
+that use it, so importing this module loads neither `dataclasses` nor
+numpy, and neither do `char_roots` and `acf` for an AR(1) model.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .lambda_sums import _distinct_terms
 
@@ -51,54 +51,53 @@ class DegenerateSampleError(ValueError):
     """All-zero sample: autocorrelations undefined."""
 
 
-@dataclass(frozen=True)
-class ARModel:
-    alphas: tuple[float, ...]
-    sigma: float
+class ARModel(namedtuple("ARModel", "alphas sigma")):
+    """Coefficients alpha_1..alpha_k and the noise standard deviation."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if len(self.alphas) < 1:
+    __slots__ = ()
+
+    def __new__(cls, alphas: tuple[float, ...], sigma: float):
+        alphas = tuple(float(a) for a in alphas)
+        sigma = float(sigma)
+        if len(alphas) < 1:
             raise ValueError("need at least one coefficient")
-        if self.alphas[-1] == 0:
+        if alphas[-1] == 0:
             raise ValueError("alpha_k must be nonzero (drop trailing zeros)")
-        if not 0 <= self.sigma < math.inf:  # NaN too
+        if not 0 <= sigma < math.inf:  # NaN too
             raise ValueError("sigma must be finite and >= 0")
+        return super().__new__(cls, alphas, sigma)
 
     @property
     def k(self) -> int:
         return len(self.alphas)
 
 
-@dataclass(frozen=True)
-class CharRoots:
-    roots: tuple[complex, ...]
-    stationary: bool
+class CharRoots(namedtuple("CharRoots", "roots stationary")):
+    """The characteristic roots, largest modulus first, and whether all
+    lie strictly inside the unit disk."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AcfModel:
+class AcfModel(namedtuple("AcfModel", "roots coeffs")):
     """Roots and mixture weights; ``coeffs`` is None when two roots are
     equal, where the mixture has no geometric form."""
 
-    roots: tuple[complex, ...]
-    coeffs: tuple[complex, ...] | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeriesSample:
-    values: np.ndarray
-    seed: int
-    burn_in: int
+class SeriesSample(namedtuple("SeriesSample", "values seed burn_in")):
+    """A simulated series, as a float64 array, with its seed and burn-in."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, values: np.ndarray, seed: int, burn_in: int):
         import numpy as np
 
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 1:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or len(values) < 1:
             raise ValueError("values must be a nonempty 1-D array")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, values, seed, burn_in)
 
     @property
     def n(self) -> int:
@@ -122,7 +121,9 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
         found = np.roots(poly)
         # |p(lam)| against sum_i |c_i| * |lam|**(k-i), both by Horner's
         # rule; a root outside the unit circle is checked on the reversed
-        # polynomial at 1/lam, so neither side can overflow
+        # polynomial at 1/lam, and the coefficients are divided by the
+        # largest modulus, so neither side can overflow
+        poly /= np.abs(poly).max()
         inside = np.abs(found) <= 1
         for coeffs, z, lams in (
             (poly, found[inside], found[inside]),

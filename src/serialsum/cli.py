@@ -6,9 +6,13 @@ default output is human-readable text.  The env var SERIALSUM_BUDGET
 overrides the work budget of the series and finite-sum oracles, of
 `conjecture` and of the `ar` commands, each of which charges its work as
 one total, through `lambda_sums._charge`.
-Only `ar check` imports numpy here, for its statistics over seeds; the
-other commands load it, if at all, through the library calls that use
-it, so `eval`, and `ar roots` and `ar acf` for an AR(1) model, load none.
+Each command imports the library module it runs, `lambda_sums` or
+`ar_model`, before its clock starts, so `import serialsum.cli` and the
+parser load neither; `main` imports `ar_model` on a ValueError, to tell
+its model errors (exit 1) from usage errors.  Only `ar check` imports
+numpy here, for its statistics over seeds; the other commands load it, if
+at all, through the library calls that use it, so `eval`, and `ar roots`
+and `ar acf` for an AR(1) model, load none.
 `ar simulate` and `ar check` find the characteristic roots once and take
 their series from `ar_model`'s chunked engine, so their memory does not
 grow with --n or --seeds.
@@ -23,15 +27,6 @@ import os
 import re
 import sys
 import time
-
-from . import ar_model, lambda_sums
-from .lambda_sums import (
-    BudgetExceededError,
-    FiniteSumSpec,
-    RootMultiset,
-    ShiftSpec,
-    _charge,
-)
 
 
 #: Options whose comma-separated value may start with a minus sign.
@@ -110,6 +105,8 @@ def _emit(args, inputs: dict, result: dict, err_estimate: float,
 
 
 def _budget(args) -> int:
+    from . import lambda_sums
+
     if args.budget is not None:
         return args.budget
     env = os.environ.get("SERIALSUM_BUDGET")
@@ -149,11 +146,15 @@ def _resolve_S(args, n_lambdas: int) -> int:
         shifts = _parse_int_list(args.shifts)
         if len(shifts) != n_lambdas:
             raise ValueError("--shifts must have one entry per lambda")
-        return ShiftSpec(tuple(shifts)).S
+        from . import lambda_sums
+
+        return lambda_sums.ShiftSpec(tuple(shifts)).S
     raise ValueError("one of --S or --shifts is required")
 
 
-def _build_multiset(args) -> RootMultiset:
+def _build_multiset(args):
+    from . import lambda_sums
+
     lams = _parse_complex_list(args.lambdas)
     if args.mult:
         mults = _parse_int_list(args.mult)
@@ -163,7 +164,7 @@ def _build_multiset(args) -> RootMultiset:
         if any(m < 1 for m in mults) or sum(mults) > 6:
             raise ValueError("--mult entries must be >= 1 and sum to at most 6")
         lams = [v for v, m in zip(lams, mults) for _ in range(m)]
-    roots = RootMultiset.from_lambdas(lams)
+    roots = lambda_sums.RootMultiset.from_lambdas(lams)
     if not args.allow_complex_result and not roots.is_conjugate_closed():
         raise ValueError(
             "root multiset is not closed under complex conjugation "
@@ -173,6 +174,8 @@ def _build_multiset(args) -> RootMultiset:
 
 
 def _cmd_eval(args) -> int:
+    from . import lambda_sums
+
     started = time.perf_counter()
     roots = _build_multiset(args)
     S = _resolve_S(args, roots.ell)
@@ -196,6 +199,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_oracle_series(args) -> int:
+    from . import lambda_sums
+
     started = time.perf_counter()
     lams = _parse_complex_list(args.lambdas)
     S = _resolve_S(args, len(lams))
@@ -211,11 +216,13 @@ def _cmd_oracle_series(args) -> int:
 
 
 def _cmd_oracle_finite(args) -> int:
+    from . import lambda_sums
+
     started = time.perf_counter()
     lams = _parse_complex_list(args.lambdas)
     shifts = _parse_int_list(args.shifts)
     adjust = _parse_int_list(args.adjust) if args.adjust else []
-    spec = FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
+    spec = lambda_sums.FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
     value, err = lambda_sums.finite_sum_with_error(spec, _budget(args))
     inputs = {
         "lambdas": lams,
@@ -229,9 +236,11 @@ def _cmd_oracle_finite(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import lambda_sums
+
     started = time.perf_counter()
     budget = _budget(args)
-    _charge("conjecture", _UNITS_PER_TRIAL * args.trials, budget)
+    lambda_sums._charge("conjecture", _UNITS_PER_TRIAL * args.trials, budget)
     report = lambda_sums.conjecture_probe(
         args.ell, args.trials, args.seed, args.tol, budget=budget
     )
@@ -283,6 +292,8 @@ def _format_complex(z: complex) -> str:
 
 
 def _cmd_ar(args) -> int:
+    from . import ar_model, lambda_sums
+
     started = time.perf_counter()
     alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
     if not alphas:
@@ -292,7 +303,7 @@ def _cmd_ar(args) -> int:
     # every subcommand finds the roots, an O(k**3) eigenvalue problem: they
     # are charged before they are found, and then once more in the total
     work = len(alphas) ** 3
-    _charge(command, work, budget)
+    lambda_sums._charge(command, work, budget)
 
     if args.ar_command == "roots":
         cr = ar_model.char_roots(alphas)
@@ -305,7 +316,7 @@ def _cmd_ar(args) -> int:
 
     if args.ar_command == "acf":
         inputs["jmax"] = args.jmax
-        _charge(command, work + _acf_units(len(alphas), args.jmax), budget)
+        lambda_sums._charge(command, work + _acf_units(len(alphas), args.jmax), budget)
         model, rhos = ar_model.acf(alphas, args.jmax)
         result = {
             "roots": list(model.roots),
@@ -340,7 +351,7 @@ def _cmd_ar(args) -> int:
     else:
         work += (_acf_units(len(alphas), args.jmax)
                  + (args.jmax + 1) * args.n * seeds // 8)
-    _charge(command, work, budget)
+    lambda_sums._charge(command, work, budget)
     if not cr.stationary:  # reached only with an explicit --burn-in
         raise ar_model.NotStationaryError("cannot simulate a non-stationary model")
 
@@ -466,15 +477,22 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    # before ValueError, which is a usage error: the model errors are ValueErrors
-    except (ar_model.NotStationaryError, ar_model.BadLagError,
-            ar_model.DegenerateSampleError, RuntimeError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OverflowError) as exc:
+        from . import lambda_sums  # every command has loaded it
+
+        if isinstance(exc, ValueError):  # a usage error, but for the model errors
+            from . import ar_model
+
+            if not isinstance(exc, (ar_model.NotStationaryError, ar_model.BadLagError,
+                                    ar_model.DegenerateSampleError)):
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         payload = {
             "command": _command_name(args),
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        if isinstance(exc, BudgetExceededError):
+        if isinstance(exc, lambda_sums.BudgetExceededError):
             payload["error"] = "BudgetExceeded"
             payload["achievable_bound"] = exc.achievable_bound
         if args.json:
@@ -482,9 +500,6 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

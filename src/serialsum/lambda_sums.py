@@ -32,17 +32,18 @@ with a proven aliasing bound; the symbol is even in the angle, so it is
 sampled on the half circle, each factor in a positive real form with no
 cancellation, and the rounding bound is a few dozen eps per root, with a
 part growing as 1/(1 - |lambda|) for complex roots only) and `finite_sum`
-(the exact finite-n sum, both as the trace of a product of l Toeplitz
+(the exact finite-n sum, as the trace of a product of l Toeplitz
 matrices, taken through the displacement structure of their partial
-products as 1-D convolutions without forming any matrix, and as a direct
-enumerator), plus `linear_coefficient`, which takes the n-slope as the
-first difference T(n+1) - T(n): the sum over the shell of lattice points
-that growing every range by one adds, one chain of Toeplitz
-matrix-vector products per corner, with a bound on the residue left by
-the finite box.
+products as 1-D convolutions without forming any matrix), plus
+`linear_coefficient`, which takes the n-slope as the first difference
+T(n+1) - T(n): the sum over the shell of lattice points that growing
+every range by one adds, one chain of Toeplitz matrix-vector products per
+corner, with a bound on the residue left by the finite box.
 
+The records (`RootMultiset`, `LimitValue`, ...) are named tuples, which
+validate their fields in `__new__`: the module imports no `dataclasses`.
 The closed forms need no numpy: the oracles and the root sampler import it
-where they use it, so `import serialsum` and `f_general` load none.
+where they use it, so importing this module and `f_general` load none.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 #: Relative clustering threshold: roots closer than this are treated as one
 #: repeated root.  Direct evaluation loses ~|log10(delta)| digits to
@@ -137,20 +138,18 @@ def _conjugate_closed(
     return True
 
 
-@dataclass(frozen=True)
-class RootMultiset:
+class RootMultiset(namedtuple("RootMultiset", "entries")):
     """Roots with multiplicities, all strictly inside the unit disk.
 
-    Distinct entries must be separated by more than ``CLUSTER_DELTA``
-    (relative); build via :meth:`from_lambdas` to merge near-coincident
-    values automatically.
+    ``entries`` holds (root, multiplicity) pairs.  Distinct entries must be
+    separated by more than ``CLUSTER_DELTA`` (relative); build via
+    :meth:`from_lambdas` to merge near-coincident values automatically.
     """
 
-    entries: tuple[tuple[complex, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = tuple((complex(v), int(m)) for v, m in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __new__(cls, entries: tuple[tuple[complex, int], ...]):
+        entries = tuple((complex(v), int(m)) for v, m in entries)
         if any(m < 1 for _, m in entries):
             raise ValueError("multiplicities must be >= 1")
         values = [v for v, _ in entries]
@@ -162,6 +161,7 @@ class RootMultiset:
                     f"entries {a} and {b} closer than the clustering threshold; "
                     "merge them before construction"
                 )
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_lambdas(cls, lambdas: Sequence[complex]) -> "RootMultiset":
@@ -206,67 +206,60 @@ class RootMultiset:
         return _conjugate_closed(self.entries, tol)
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(namedtuple("ShiftSpec", "shifts")):
     """Integer shifts s_1..s_l; only |sum s_i| enters the limit."""
 
-    shifts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
+    def __new__(cls, shifts: tuple[int, ...]):
+        return super().__new__(cls, tuple(int(s) for s in shifts))
 
     @property
     def S(self) -> int:
         return abs(sum(self.shifts))
 
 
-@dataclass(frozen=True)
-class LimitValue:
+class LimitValue(namedtuple(
+        "LimitValue", "value err_estimate is_real_certified truncation",
+        defaults=(None,))):
     """A computed limit with an error estimate and a realness flag.
 
     ``truncation`` is the series oracle's node count N (0 when every root
     is zero); the other evaluators leave it None.
     """
 
-    value: complex
-    err_estimate: float
-    is_real_certified: bool
-    truncation: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FiniteSumSpec:
+class FiniteSumSpec(namedtuple("FiniteSumSpec", "lambdas shifts n upper_adjust")):
     """The finite cyclic sum: indices i_m each range over [1, n + d_m].
 
     ``upper_adjust`` holds the d_m <= 0 adjustments (default: none).
     """
 
-    lambdas: tuple[complex, ...]
-    shifts: tuple[int, ...]
-    n: int
-    upper_adjust: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        lambdas = tuple(complex(v) for v in self.lambdas)
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "shifts", tuple(int(s) for s in self.shifts))
-        adjust = self.upper_adjust or (0,) * len(lambdas)
-        object.__setattr__(self, "upper_adjust", tuple(int(d) for d in adjust))
+    def __new__(cls, lambdas: tuple[complex, ...], shifts: tuple[int, ...],
+                n: int, upper_adjust: tuple[int, ...] = ()):
+        lambdas = tuple(complex(v) for v in lambdas)
+        shifts = tuple(int(s) for s in shifts)
+        upper_adjust = tuple(int(d) for d in upper_adjust or (0,) * len(lambdas))
         ell = len(lambdas)
         if ell < 2:
             raise ValueError("need at least two lambdas")
         if not all(map(cmath.isfinite, lambdas)):
             raise ValueError("lambdas must be finite")
-        if any(abs(s) >= 1 << 62 for s in self.shifts):  # int64 exponents
+        if any(abs(s) >= 1 << 62 for s in shifts):  # int64 exponents
             raise ValueError("shifts must be below 2**62 in magnitude")
-        if len(self.shifts) != ell or len(self.upper_adjust) != ell:
+        if len(shifts) != ell or len(upper_adjust) != ell:
             raise ValueError("shifts and upper_adjust must match lambdas in length")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if any(d > 0 for d in self.upper_adjust):
+        if any(d > 0 for d in upper_adjust):
             raise ValueError("upper adjustments must be <= 0")
-        if any(self.n + d < 1 for d in self.upper_adjust):
+        if any(n + d < 1 for d in upper_adjust):
             raise ValueError("adjusted upper limits must stay >= 1")
+        return super().__new__(cls, lambdas, shifts, n, upper_adjust)
 
 
 def _certify(value: complex, roots_conjugate_closed: bool) -> tuple[complex, bool]:
@@ -412,32 +405,6 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     value, cond = confluent_divided_difference_cond(roots.entries, coeffs)
     value, real_ok = _certify(value, roots.is_conjugate_closed())
     return LimitValue(value, _EPS * ((power + 1) * cond + abs(value)), real_ok)
-
-
-def f2_equal_reference(lam: complex, S: int) -> complex:
-    """Printed two-equal-roots closed form; test reference for f_general."""
-    lam = complex(lam)
-    if abs(lam) >= 1:
-        raise ValueError("|lambda| must be < 1")
-    return lam**S * (1 + S + (1 - S) * lam**2) / (1 - lam**2)
-
-
-def f3_triple_reference(lam: complex, S: int) -> complex:
-    """Printed triple-root closed form; test reference for f_general."""
-    lam = complex(lam)
-    if abs(lam) >= 1:
-        raise ValueError("|lambda| must be < 1")
-    return (
-        lam**S
-        * (
-            2
-            + 3 * S
-            + S * S
-            + 2 * (4 - S * S) * lam**2
-            + (2 - 3 * S + S * S) * lam**4
-        )
-        / (2 * (1 - lam**2) ** 2)
-    )
 
 
 #: log(rho) / log(1/r) tried in the aliasing bound; the best rho nears 1/r
@@ -929,21 +896,6 @@ def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     return value, rounds * _EPS * abs_sum + _floor(ell) * shell
 
 
-def finite_sum_direct(spec: FiniteSumSpec) -> complex:
-    """Direct O(n**l) enumeration; the correctness oracle for the reduction."""
-    lams = spec.lambdas
-    ell = len(lams)
-    ns = [spec.n + d for d in spec.upper_adjust]
-    total = 0j
-    for idx in itertools.product(*(range(1, nm + 1) for nm in ns)):
-        t = 1 + 0j
-        for m in range(ell):
-            e = abs(idx[m] - idx[(m + 1) % ell] + spec.shifts[m])
-            t *= lams[m] ** e if e else 1.0
-        total += t
-    return total
-
-
 def linear_coefficient(
     lambdas: Sequence[complex],
     shifts: Sequence[int],
@@ -1006,21 +958,20 @@ def linear_coefficient(
     return LimitValue(value, err_exp + err_round, real_ok)
 
 
-@dataclass(frozen=True)
-class ProbeTrial:
-    lambdas: tuple[complex, ...]
-    S: int
-    status: str  # "pass" | "fail" | "skip"
-    discrepancy: float | None
-    oracle_err: float | None
-    detail: str = ""
+class ProbeTrial(namedtuple(
+        "ProbeTrial", "lambdas S status discrepancy oracle_err detail",
+        defaults=("",))):
+    """One trial of `conjecture_probe`; ``status`` is "pass", "fail" or
+    "skip", and ``discrepancy`` and ``oracle_err`` are None on a skip."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    ell: int
-    tol: float
-    trials: tuple[ProbeTrial, ...] = field(default_factory=tuple)
+class ConjectureReport(namedtuple("ConjectureReport", "ell tol trials",
+                                  defaults=((),))):
+    """The trials of `conjecture_probe` at one ell and tol."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> int:

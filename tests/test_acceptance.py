@@ -11,17 +11,15 @@ from serialsum import (
     FiniteSumSpec,
     RootMultiset,
     conjecture_probe,
-    f2_equal_reference,
-    f3_triple_reference,
     f_distinct,
     f_general,
     finite_sum,
-    finite_sum_direct,
     linear_coefficient,
     series_oracle,
 )
 from serialsum.cli import main
 from _gen import draw_multiset, draw_roots
+from _references import f2_equal_reference, f3_triple_reference, finite_sum_direct
 
 
 def report(name, ok, detail=""):

@@ -13,7 +13,6 @@ from serialsum import (
     acf,
     char_roots,
     empirical_acf,
-    finite_sum_direct,
     simulate,
     sum_stats,
 )
@@ -26,6 +25,7 @@ from serialsum.ar_model import (
     write_csv,
 )
 from _gen import draw_roots
+from _references import finite_sum_direct
 
 AR2_ALPHAS = (0.5, -0.06)  # roots 0.3 and 0.2
 AR2_RHO1 = 0.5 / 1.06
@@ -112,6 +112,28 @@ class TestCharRoots:
         wrong[:] = 3.0  # outside the circle, checked on the reversed polynomial
         with pytest.raises(RuntimeError, match="residual"):
             char_roots([0.5 / k] * k)
+
+    @pytest.mark.parametrize("alphas, roots", [
+        ([1e308, 1e308], [1e308, -1.0]),
+        ([-1e308, 1e308], [-1e308, 1.0]),
+    ])
+    def test_huge_coefficients_do_not_overflow_the_check(self, alphas, roots):
+        # sum_i |c_i| * |lam|**(k-i) overflowed to inf at these, so any
+        # residual passed; an overflow warning is an error under pytest
+        cr = char_roots(alphas)
+        assert [z.real for z in cr.roots] == pytest.approx(roots, rel=1e-12)
+        assert all(z.imag == 0 for z in cr.roots)
+        assert not cr.stationary
+
+    @pytest.mark.parametrize("alphas", [[1e308, 1e308], [-1e308, 1e308]])
+    @pytest.mark.parametrize("which", [0, 1])  # outside the circle, inside it
+    def test_perturbed_root_with_huge_coefficients_is_refused(
+            self, monkeypatch, alphas, which):
+        found = np.roots([1.0, -alphas[0], -alphas[1]])
+        found[np.argsort(-np.abs(found))[which]] *= 1 + 1e-6
+        monkeypatch.setattr(np, "roots", lambda poly: found.copy())
+        with pytest.raises(RuntimeError, match="residual"):
+            char_roots(alphas)
 
 
 class TestAcf:

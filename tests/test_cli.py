@@ -239,6 +239,15 @@ class TestAr:
         assert res == pytest.approx([0.2, 0.3])
         assert env["result"]["stationary"] is True
 
+    def test_roots_of_huge_coefficients(self, capsys):
+        # the residual check once overflowed here: a traceback under
+        # -W error::RuntimeWarning
+        code, env, _ = run_json(capsys, "ar", "roots", "--alpha", "1e308,1e308")
+        assert code == 0
+        res = [r["re"] for r in env["result"]["roots"]]
+        assert res == pytest.approx([1e308, -1.0], rel=1e-12)
+        assert env["result"]["stationary"] is False
+
     def test_acf_markov(self, capsys):
         code, env, _ = run_json(
             capsys, "ar", "acf", "--alpha", "0.6", "--jmax", "3"
@@ -689,6 +698,49 @@ class TestContracts:
         ).stdout
         assert out.strip().splitlines()[-1] == "[]"
 
+    def test_commands_load_only_what_they_run(self):
+        # every command is a fresh process: `import serialsum` and the
+        # parser load no library module, and dataclasses with its inspect
+        # once took a third of a cold start; each command loads its own
+        script = (
+            "import json, sys\n"
+            "loaded = [set(sys.modules)]\n"
+            "def step():\n"
+            "    loaded.append(set(sys.modules))\n"
+            "    return sorted(loaded[-1] - loaded[-2])\n"
+            "import serialsum, serialsum.cli\n"
+            "serialsum.cli.build_parser()\n"
+            "start = step()\n"
+            "listed = sorted(set(serialsum.__all__) - set(dir(serialsum)))\n"
+            "assert serialsum.cli.main(['eval', '--lambdas', '0.5,0.3',"
+            " '--S', '1']) == 0\n"
+            "ev = step()\n"
+            "assert serialsum.cli.main(['ar', 'acf', '--alpha', '0.6']) == 0\n"
+            "acf = step()\n"
+            "for name in serialsum.__all__:\n"
+            "    getattr(serialsum, name)\n"
+            "star = {}\n"
+            "exec('from serialsum import *', star)\n"
+            "print(json.dumps([start, listed, ev, acf, sorted(star)]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=_src_env(), check=True,
+        ).stdout
+        start, listed, ev, acf, star = json.loads(out.strip().splitlines()[-1])
+
+        def ours(names):
+            return [m for m in names if m.split(".")[0] == "serialsum"]
+
+        assert ours(start) == ["serialsum", "serialsum.cli"]
+        assert "dataclasses" not in start and "inspect" not in start
+        assert listed == []  # dir(serialsum) covers __all__ before any load
+        assert ours(ev) == ["serialsum.lambda_sums"]
+        assert ours(acf) == ["serialsum.ar_model"]
+        assert set(star) - {"__builtins__"} == set(serialsum.__all__)
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            serialsum.nonexistent
+
     def test_public_names(self):
         assert set(serialsum.__all__) == {
             "ARModel", "AcfModel", "BadLagError",
@@ -698,8 +750,8 @@ class TestContracts:
             "NotStationaryError", "RootMultiset",
             "SeriesSample", "ShiftSpec", "acf", "ar_model", "char_roots",
             "conjecture_probe",
-            "empirical_acf", "f2_equal_reference", "f3_triple_reference",
-            "f_distinct", "f_general", "finite_sum", "finite_sum_direct",
+            "empirical_acf",
+            "f_distinct", "f_general", "finite_sum",
             "lambda_sums", "linear_coefficient", "numerics", "series_oracle",
             "simulate", "sum_stats",
         }

@@ -23,12 +23,9 @@ from serialsum import (
     RootMultiset,
     ShiftSpec,
     conjecture_probe,
-    f2_equal_reference,
-    f3_triple_reference,
     f_distinct,
     f_general,
     finite_sum,
-    finite_sum_direct,
     linear_coefficient,
     series_oracle,
 )
@@ -50,6 +47,7 @@ from serialsum.lambda_sums import (
 from serialsum import lambda_sums
 from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
+from _references import f2_equal_reference, f3_triple_reference, finite_sum_direct
 
 # Values frozen from independent brute-force summations (plain nested-loop
 # lattice sums and hand enumeration) computed before the evaluators existed.
