@@ -407,11 +407,6 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     return LimitValue(value, _EPS * ((power + 1) * cond + abs(value)), real_ok)
 
 
-#: log(rho) / log(1/r) tried in the aliasing bound; the best rho nears 1/r
-#: as N grows.  One minus a geometric sequence from 0.95 down to 1e-3.
-_LOG_RHO_FRACTIONS = tuple(1 - 0.95 * (1e-3 / 0.95) ** (i / 23) for i in range(24))
-
-
 def series_oracle(
     lambdas: Sequence[complex],
     S: int,
@@ -424,11 +419,11 @@ def series_oracle(
     f(z) = prod_m (1 - lambda_m**2) / ((1 - lambda_m*z) * (1 - lambda_m/z)),
     whose coefficients are the convolution of the kernels lambda_m**|j|
     (Gray, Toeplitz and Circulant Matrices: A Review).  The mean of
-    z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}.  N is the
-    first power of two above 2S at which the aliasing bound on the terms
-    p != 0 is below ``tol``: it is solved for from the bound and confirmed
-    on it.  The work is N*l: needing more than budget // l nodes raises
-    BudgetExceededError.
+    z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}.  N starts
+    at the first power of two above 2S and doubles until the aliasing bound
+    on the terms p != 0 is below ``tol``.  The work is N*l: needing more
+    than budget // l nodes raises BudgetExceededError, and ``tol`` must be
+    finite and positive.
 
     f is even in the angle theta, so the rule samples the half circle
     theta_k = 2*pi*k/N, k = 0..N//2, with weights 1, 2*cos(S*theta_k) and,
@@ -450,11 +445,9 @@ def series_oracle(
     1/(1 - |lambda|), from the rounding of theta -+ phi and of |lambda|.
     A zero root contributes the factor 1, the convention 0**0 = 1.
     """
-    import numpy as np
-
     lams = [complex(v) for v in lambdas]
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:  # NaN too
+        raise ValueError("tol must be finite and > 0")
     if S < 0:
         raise ValueError("S must be >= 0")
     ell = len(lams)
@@ -471,33 +464,34 @@ def series_oracle(
     # |lambda_m|, whose coefficients are positive and even in j, so
     # |c_j| <= g(rho) * rho**-|j| for 1 < rho < 1/r.  For N > S the terms
     # p != 0 sum to at most g(rho) * (rho**(S-N) + rho**(-S-N)) /
-    # (1 - rho**-N), taken in logs so that nothing overflows.
-    log_rho = -math.log(r) * np.array(_LOG_RHO_FRACTIONS)
+    # (1 - rho**-N), taken in logs so that nothing overflows.  At each N,
+    # r*rho = (N-S)/(N-S+k), with k roots of modulus r, minimises the part
+    # k*log(1/(1 - r*rho)) - (N-S)*log(rho) that grows near 1/r; where that
+    # rho is not above 1, log(rho) = log(1/r)/2.  log(rho) is kept strictly
+    # inside (0, log(1/r)), so every a*rho stays below 1 in logs.
+    log_r = math.log(r)
     mods = [abs(v) for v in lams if v != 0]
-    log_a = np.log(mods)[:, None]
-    # log(1 - a*rho) as log(-expm1(.)): stays finite when a*rho rounds to 1
-    log_g = sum(math.log1p(-a * a) for a in mods) - (
-        np.log(-np.expm1(log_a + log_rho)) + np.log(-np.expm1(log_a - log_rho))
-    ).sum(axis=0)
-    log_alias = log_g + np.log1p(np.exp(-2 * S * log_rho))
+    k_r = mods.count(r)
+    log_g0 = sum(math.log1p(-a * a) for a in mods)
+    log_mods = [math.log(a) for a in mods]
+    top = math.nextafter(-log_r, 0)  # the largest float below log(1/r)
 
     def alias(N: int) -> float:
-        log_bound = (
-            log_alias - (N - S) * log_rho - np.log1p(-np.exp(-N * log_rho))
+        log_rho = -log_r - math.log1p(k_r / (N - S))
+        log_rho = min(log_rho, top) if log_rho > 0 else -log_r / 2
+        log_g = log_g0 - sum(  # log((1 - a*rho)*(1 - a/rho)) per root
+            math.log(math.expm1(a + log_rho) * math.expm1(a - log_rho))
+            for a in log_mods
         )
-        return float(np.exp(log_bound.min()))
+        return math.exp(
+            log_g + math.log1p(math.exp(-2 * S * log_rho)) - (N - S) * log_rho
+            - math.log(-math.expm1(-N * log_rho))
+        )
 
+    # Double from the first power of two above 2S until the bound is below
+    # tol, or refuse at the budget's node count.
     cap = budget // ell
-    # Leaving out the factor 1/(1 - rho**-N) > 1, the bound at rho is below
-    # tol only once N exceeds S + (log_alias - log(tol)) / log(rho), so no
-    # power of two below the first one above the least of these passes.
-    # The bound decreases in N: doubling from there until it passes gives
-    # the N of a doubling from the first power of two above 2S.
-    least = S + float(((log_alias - math.log(tol)) / log_rho).min())
-    N = 1 << (2 * S).bit_length()
-    if least >= N:
-        N = 1 << int(min(least, cap) * (1 - 1e-9)).bit_length()
-    N = min(N, cap)
+    N = min(1 << (2 * S).bit_length(), cap)
     while (bound := alias(N)) >= tol:
         if N == cap:
             raise BudgetExceededError(
@@ -506,6 +500,8 @@ def series_oracle(
                 bound,
             )
         N = min(2 * N, cap)
+
+    import numpy as np
 
     # Each factor's numerator goes into ``quot``, and its denominators
     # B_rho = q + p*sin(.)**2 into one product, or a complex one for a root
@@ -615,7 +611,7 @@ def finite_sum_with_error(
 
     _charge("finite sum", _finite_sum_work(len(spec.lambdas), spec.n), budget)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value, err = _trace_sum(spec, _power_tables(spec))
+        value, err = _trace_sum(spec)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise OverflowError("the finite sum overflows float64")
     return value, err
@@ -727,11 +723,9 @@ def _power_tables(
     return tables
 
 
-def _trace_sum(
-    spec: FiniteSumSpec, tables: list[tuple[int, np.ndarray]]
-) -> tuple[complex, float]:
+def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     """tr(A_1 ... A_l) and a bound on its rounding error, from the power
-    tables (`_power_tables`) of the spec.
+    tables it builds (`_power_tables`).
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
@@ -761,7 +755,8 @@ def _trace_sum(
     ns = [spec.n + d for d in spec.upper_adjust]
 
     ends = _ends(spec)
-    diags = [_cut(table, lo, a, b) for (lo, table), (a, b) in zip(tables, ends)]
+    diags = [_cut(table, lo, a, b)
+             for (lo, table), (a, b) in zip(_power_tables(spec), ends)]
     masses, peaks = [], []
     for diag in diags:
         mag = np.abs(diag)
@@ -1032,6 +1027,8 @@ def conjecture_probe(
         raise ValueError("the conjecture probe covers ell in {5, 6} only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 < tol < math.inf:  # an infinite tol would pass any discrepancy
+        raise ValueError("tol must be finite and > 0")
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -536,6 +536,9 @@ class TestCleanExits:
          "--seeds", "1000000000"],
         ["oracle", "finite", "--lambdas", "0.5,0.3",
          "--shifts", "100000000000000000000,0", "--n", "2"],
+        # --tol inf once passed a conjecture trial with a discrepancy of 0.98
+        ["conjecture", "--ell", "5", "--trials", "1", "--tol", "inf"],
+        ["oracle", "series", "--lambdas", "0.5,0.3", "--S", "1", "--tol", "inf"],
     ])
     def test_refused_as_usage_errors(self, capsys, tmp_path, argv):
         out = tmp_path / "x.csv"
@@ -715,19 +718,26 @@ class TestContracts:
             "assert serialsum.cli.main(['eval', '--lambdas', '0.5,0.3',"
             " '--S', '1']) == 0\n"
             "ev = step()\n"
+            "for argv in (['--S', '1000000000'],"
+            " ['--lambdas', '0.99999999999999,0.5', '--S', '0', '--tol', '1e-3']):\n"
+            "    assert serialsum.cli.main(['oracle', 'series', '--lambdas',"
+            " '0.5,0.3', *argv]) == 1\n"
+            "refused = step()\n"
             "assert serialsum.cli.main(['ar', 'acf', '--alpha', '0.6']) == 0\n"
             "acf = step()\n"
             "for name in serialsum.__all__:\n"
             "    getattr(serialsum, name)\n"
             "star = {}\n"
             "exec('from serialsum import *', star)\n"
-            "print(json.dumps([start, listed, ev, acf, sorted(star)]))\n"
+            "print(json.dumps([start, listed, ev, refused, acf, sorted(star)]))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True, text=True, env=_src_env(), check=True,
         ).stdout
-        start, listed, ev, acf, star = json.loads(out.strip().splitlines()[-1])
+        start, listed, ev, refused, acf, star = json.loads(
+            out.strip().splitlines()[-1]
+        )
 
         def ours(names):
             return [m for m in names if m.split(".")[0] == "serialsum"]
@@ -736,6 +746,9 @@ class TestContracts:
         assert "dataclasses" not in start and "inspect" not in start
         assert listed == []  # dir(serialsum) covers __all__ before any load
         assert ours(ev) == ["serialsum.lambda_sums"]
+        # a series oracle refused by its budget or at its largest node
+        # count never reaches the sampling, and loads no numpy
+        assert refused == []
         assert ours(acf) == ["serialsum.ar_model"]
         assert set(star) - {"__builtins__"} == set(serialsum.__all__)
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
