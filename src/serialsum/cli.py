@@ -477,6 +477,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
+    except OSError as exc:  # a path that cannot be written, such as --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, OverflowError) as exc:
         from . import lambda_sums  # every command has loaded it
 

@@ -63,6 +63,8 @@ CLUSTER_DELTA = 1e-6
 #: Tolerance for certifying a result as real.
 REALNESS_TOL = 1e-10
 
+_CONJUGATE_TOL = 1e-12  # relative, for `_conjugate_closed`
+
 #: Default work budget of the series oracle (N*l symbol factors at N nodes)
 #: and of the finite-sum oracle (multiply-adds).
 DEFAULT_BUDGET = 200_000_000
@@ -115,18 +117,17 @@ def _check_roots(values: Sequence[complex], ell: int) -> None:
         raise ValueError(f"total root count must be in [2, 6], got {ell}")
 
 
-def _conjugate_closed(
-    entries: Sequence[tuple[complex, int]], tol: float = 1e-12
-) -> bool:
+def _conjugate_closed(entries: Sequence[tuple[complex, int]]) -> bool:
     """Whether each (root, multiplicity) entry v with |v.imag| >
-    tol*(1 + |v|) pairs off with an entry of the same multiplicity within
-    tol*(1 + |v|) of its conjugate, each entry in one pair at most.  A
-    flat list of roots, each of multiplicity 1, is taken as given: a root
-    repeated m times needs its conjugate m times, and nothing is merged."""
+    tol*(1 + |v|), tol = `_CONJUGATE_TOL`, pairs off with an entry of the
+    same multiplicity within tol*(1 + |v|) of its conjugate, each entry in
+    one pair at most.  A flat list of roots, each of multiplicity 1, is
+    taken as given: a root repeated m times needs its conjugate m times,
+    and nothing is merged."""
     rest = list(entries)
     while rest:
         v, m = rest.pop()
-        near = tol * (1 + abs(v))
+        near = _CONJUGATE_TOL * (1 + abs(v))
         if abs(v.imag) <= near:
             continue
         for i, (w, mw) in enumerate(rest):
@@ -202,8 +203,8 @@ class RootMultiset(namedtuple("RootMultiset", "entries")):
     def is_distinct(self) -> bool:
         return all(m == 1 for _, m in self.entries)
 
-    def is_conjugate_closed(self, tol: float = 1e-12) -> bool:
-        return _conjugate_closed(self.entries, tol)
+    def is_conjugate_closed(self) -> bool:
+        return _conjugate_closed(self.entries)
 
 
 class ShiftSpec(namedtuple("ShiftSpec", "shifts")):
@@ -602,7 +603,8 @@ def finite_sum_with_error(
     The sum is the trace of a product of l Toeplitz matrices, taken from
     their displacement structure without forming any matrix (`_trace_sum`):
     O(n) work for l = 2 and (l-2)*(2l-1)*n**2 multiply-adds above, in
-    O(l*n) memory.
+    O(l*n) memory.  The bound (`_rounding_bound`) is taken from the roots'
+    moduli in closed form, with no pass over the powers.
     Raises BudgetExceededError, before allocating anything, when that work
     exceeds ``budget``, and OverflowError when the sum or its bound is not
     finite in float64 (a root outside the unit disk, raised to a power).
@@ -618,9 +620,9 @@ def finite_sum_with_error(
 
 
 def _finite_sum_work(ell: int, n: int) -> int:
-    # each of the l factors makes about a dozen passes over vectors of
-    # length 2n (its power table, the cut diagonals, their moduli and the
-    # weighted generators, each in fresh pages at large n), and
+    # each of the l factors makes several passes over vectors of length 2n
+    # (its power table, the cut diagonals and the weighted generators, each
+    # in fresh pages at large n), and
     # (l - 2)*(2l - 1) Toeplitz matrix-vector products take n**2 multiply-adds
     # each; at the largest n of the default budget a unit takes 0.5-1.5 ns
     # for l = 2 and 0.1-0.8 ns from l = 3 up on a 2-core Xeon, the most for
@@ -641,8 +643,8 @@ def _shell_work(ell: int, n: int) -> int:
 def _floor(ell: int) -> float:
     # Powers below this are set to zero: a product of l powers above it stays
     # a normal float, products that underflow to subnormals run many times
-    # slower in the convolutions, and `_trace_sum`'s bound counts every
-    # dropped term.
+    # slower in the convolutions, and `_rounding_bound` counts every dropped
+    # term.
     return _TINY ** (1 / ell)
 
 
@@ -709,31 +711,75 @@ def _cut(table: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
     return np.concatenate((table[-a:0:-1], table[: b + 1]))
 
 
-def _power_tables(
-    spec: FiniteSumSpec, grow: int = 0
-) -> list[tuple[int, np.ndarray]]:
-    """Per factor, (lo, table) with table[k] = lam**(lo + k), floored, over
-    the `_span` of the exponents its diagonals read at n = spec.n + grow,
-    so a large shift costs nothing."""
+def _diagonals(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list]:
+    """Per factor A_m at n = spec.n + grow, its `_ends` (a, b) and its
+    floored diagonals lambda_m**|e|, e = a .. b, each cut (`_cut`) from a
+    table of powers over their `_span` only, so a shift costs nothing."""
     floor = _floor(len(spec.lambdas))
-    tables = []
-    for lam, (a, b) in zip(spec.lambdas, _ends(spec, grow)):
+    ends = _ends(spec, grow)
+    diags = []
+    for lam, (a, b) in zip(spec.lambdas, ends):
         lo, hi = _span(a, b)
-        tables.append((lo, _powers(lam, lo, hi - lo + 1, floor)))
-    return tables
+        diags.append(_cut(_powers(lam, lo, hi - lo + 1, floor), lo, a, b))
+    return ends, diags
+
+
+def _mass(rho: float, a: int, b: int) -> tuple[float, float]:
+    """The sum of rho**|e| over e = a .. b and its largest term, in closed
+    form; both are inf where a power overflows."""
+    lo, hi = _span(a, b)
+    try:
+        peak = max(rho**lo, rho**hi)
+        if rho == 1:
+            return float(b - a + 1), peak
+        if a < 0 < b:  # two arms from rho**0, which they share
+            return (1 + rho - rho ** (1 - a) - rho ** (b + 1)) / (1 - rho), peak
+        return (rho**lo - rho ** (hi + 1)) / (1 - rho), peak
+    except OverflowError:
+        return math.inf, math.inf
+
+
+def _rounding_bound(spec: FiniteSumSpec, ends: list, parts: int, length: int,
+                    points: int) -> float:
+    """A bound on the rounding error of a finite-sum kernel over the
+    diagonals at ``ends`` (`_diagonals`), plus the terms the floor dropped.
+
+    The kernel adds ``parts`` cycle sums with one index fixed, each counted
+    with its weight and closed by a path of l - 1 sums (matrix-vector
+    products and a dot product) of at most ``length`` terms, over
+    ``points`` lattice points.  Each computed number is a signed sum of
+    terms, one floored power from each factor, and errs by at most eps
+    times the roundings on a term's path times the same sum of moduli
+    (Higham 2002, sec. 3.5).  A power lam**k, from lam**lo by k - lo
+    complex products, carries below 4*k*eps, and each of the at most l
+    products of a term, its weight included, 3*eps; each sum on the path
+    adds length - 1 roundings, and the sum of the at most 2l - 1 parts
+    2l - 2 (Higham 2002, sec. 3.1).  Over the moduli, a cycle sum with one
+    index fixed is at most any one factor's peak times the others' masses
+    (`_mass`), each summed over the index it leads to from the fixed one.
+    A dropped term has one factor below the floor, the others at most
+    their peaks.
+    """
+    ell = len(spec.lambdas)
+    masses, peaks = zip(*(_mass(abs(lam), a, b)
+                          for lam, (a, b) in zip(spec.lambdas, ends)))
+    abs_sum = parts * min(
+        peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
+    )
+    kmax = max(_span(a, b)[1] for a, b in ends)
+    rounds = ell * (4 * kmax + 4) + (ell - 1) * length
+    dropped = _floor(ell) * points * math.prod(max(1.0, p) for p in peaks)
+    return rounds * _EPS * abs_sum + dropped
 
 
 def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
-    """tr(A_1 ... A_l) and a bound on its rounding error, from the power
-    tables it builds (`_power_tables`).
+    """tr(A_1 ... A_l) and a bound on its rounding error (`_rounding_bound`).
 
     (A_m)_{ab} = lambda_m**|a - b + s_m|, a < n_m and b < n_{m+1} (cyclic),
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
     the cyclic lattice exactly once.  A_m is Toeplitz, A[a, b] = t(a - b),
     and is held as the vector of its diagonals, diags[m][d + n_{m+1} - 1]
-    = t(d).  Each vector is cut from the table of the root's powers: a
-    slice of it where d + s_m keeps one sign, and a reversed head joined to
-    a slice where it changes sign; no exponent is formed.
+    = t(d), cut from one table of the root's powers (`_diagonals`).
 
     No product is formed.  P_k = A_1 ... A_k has displacement rank 2(k - 1)
     (Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979): for i, j >= 1,
@@ -747,22 +793,15 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     tr(P_l) = n_1 * P_l[0, 0] + sum_r sum_{i>=1} (n_1 - i) * g_r[i] * h_r[i].
     For l = 2 the generators are slices of the two diagonal vectors, and
     the work is O(n).  Above, it is (l - 2)*(2l - 1) products of about n**2
-    multiply-adds; memory is O(l*n).
+    multiply-adds; memory is O(l*n).  The rounding bound takes the 2l - 1
+    closing parts, P_l[0, 0] and each generator's sum over i, with their
+    weights (at most n_1), as (2l - 1)*n_1 cycle sums with one index fixed.
     """
     import numpy as np
 
     ell = len(spec.lambdas)
     ns = [spec.n + d for d in spec.upper_adjust]
-
-    ends = _ends(spec)
-    diags = [_cut(table, lo, a, b)
-             for (lo, table), (a, b) in zip(_power_tables(spec), ends)]
-    masses, peaks = [], []
-    for diag in diags:
-        mag = np.abs(diag)
-        masses.append(float(mag.sum()))
-        peaks.append(float(mag.max()))
-    kmax = max(_span(a, b)[1] for a, b in ends)
+    ends, diags = _diagonals(spec)
 
     def column(m: int, j: int) -> np.ndarray:  # A_m[:, j], m from 0
         start = ns[(m + 1) % ell] - 1 - j
@@ -791,30 +830,8 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     # P_l[0, 0] = A_1[0, :] @ A_2 ... A_l[:, 0]
     corner = diags[0][ns[1] - 1 :: -1] @ times(diags[1:-1], column(ell - 1, 0))
     value = complex(n1 * corner + sum(g @ h for g, h in gens))
-
-    # Every number computed is a signed sum of terms, each the product of
-    # one floored power from each factor, and its rounding error is at most
-    # eps times the number of roundings on a term's path times the same
-    # computation over the moduli (Higham 2002, sec. 3.5).  A power lam**k
-    # computed from lam**lo and k - lo complex products carries a relative
-    # error below 4*k*eps, and a term multiplies l of them with at most
-    # 3*eps (complex) per product, the weight n_1 - i and n_1 included.
-    # Summation adds at most n_max roundings in each of the at most l - 2
-    # matrix-vector products on a path and in the closing dot product, and
-    # 2l more in the sum of the 2l - 1 closing parts (Higham 2002, sec. 3.1).
-    # Over the moduli, P_l[0, 0] and each generator's sum over i fix one
-    # index of the cycle and sum the others, and so are at most the largest
-    # entry of one factor times the masses sum |diag| of the others; with
-    # weights at most n_1, the 2l - 1 parts sum to at most (2l - 1)*n_1 times
-    # that.  A dropped term has one factor below the floor and the others at
-    # most their peaks.
-    abs_sum = (2 * ell - 1) * n1 * min(
-        peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
-    )
-    dropped = _floor(ell) * math.prod(ns) * math.prod(max(1.0, p) for p in peaks)
-    rounds = ell * (4 * kmax + 5) + (ell - 1) * max(ns)
-    err = rounds * _EPS * abs_sum + dropped
-    return value, err
+    return value, _rounding_bound(
+        spec, ends, (2 * ell - 1) * n1, max(ns), math.prod(ns))
 
 
 def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
@@ -829,18 +846,19 @@ def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     cut to those ranges.  It is a chain from the column of A_{m-1} at n_m
     through l - 2 Toeplitz matrix-vector products (`np.convolve`), closed
     by a dot product with the row of A_m at n_m.  The diagonals of every
-    factor so cut are a slice of one cut of its power table at n + 1
-    (`_power_tables`, `_cut`; `_trace_sum` has the layout).  That makes
-    l*(l - 2) products of about n**2 multiply-adds, O(n) work for l = 2,
-    and memory O(l*n); no displacement generator is subtracted.
+    factor so cut are a slice of its diagonals at n + 1 (`_diagonals`;
+    `_trace_sum` has the layout).  That makes l*(l - 2) products of about
+    n**2 multiply-adds, O(n) work for l = 2, and memory O(l*n); no
+    displacement generator is subtracted.  The rounding bound
+    (`_rounding_bound`) takes each part as a cycle sum with i_m fixed over
+    the uncut factors at n + 1, on a shell of prod(n_j + 1) - prod(n_j)
+    points.
     """
     import numpy as np
 
     ell = len(spec.lambdas)
     ns = [spec.n + d for d in spec.upper_adjust]
-    ends = _ends(spec, 1)
-    diags = [_cut(table, lo, a, b)
-             for (lo, table), (a, b) in zip(_power_tables(spec, 1), ends)]
+    ends, diags = _diagonals(spec, 1)
 
     def factor(j: int, rows: int, cols: int) -> np.ndarray:
         # A_j cut to its first rows and cols, as diags[j][d + cols - 1] = t(d)
@@ -858,37 +876,8 @@ def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
         row = diags[m][diags[m].size - lens[(m + 1) % ell] :]  # A_m[n_m, ::-1]
         value += complex(row @ x[::-1])
 
-    # As in `_trace_sum` (Higham 2002, secs. 3.1 and 3.5): each computed
-    # number is a signed sum of terms, one floored power from each factor,
-    # and errs by at most eps times the roundings on a term's path times
-    # the same computation over the moduli.  A power lam**k carries below
-    # 4*k*eps and each of the l products of a term 3*eps; a part adds at
-    # most n_max + 1 roundings in each of its l - 2 matrix-vector products
-    # and in its dot product, and the sum of the l parts l more.  Over the
-    # moduli, part m fixes i_m: its row of A_m sums to at most the mass
-    # of A_m's diagonals, each later factor summed over its column index to
-    # at most its mass, and A_{m-1} at the closing index n_m is at most its
-    # peak.  With rho = |lam| < 1 and lo, hi the `_span` of the exponents
-    # e = a..b, the peak is rho**lo and the mass sum rho**|e| is
-    # (rho**lo - rho**(hi + 1))/(1 - rho) on one arm of the V, and
-    # (1 + rho - rho**(1 - a) - rho**(b + 1))/(1 - rho) across it.  A
-    # dropped term has one factor below the floor, the others at most 1,
-    # and the shell has prod(n_j + 1) - prod(n_j) terms.
-    masses, peaks = [], []
-    for lam, (a, b) in zip(spec.lambdas, ends):
-        rho = abs(lam)
-        lo, hi = _span(a, b)
-        peaks.append(rho**lo)
-        if a < 0 < b:
-            masses.append((1 + rho - rho ** (1 - a) - rho ** (b + 1)) / (1 - rho))
-        else:
-            masses.append((rho**lo - rho ** (hi + 1)) / (1 - rho))
-    abs_sum = sum(peaks[j] * math.prod(masses[:j] + masses[j + 1:])
-                  for j in range(ell))
-    kmax = max(_span(a, b)[1] for a, b in ends)
-    rounds = ell * (4 * kmax + 3) + (ell - 1) * (max(ns) + 1) + ell
     shell = math.prod(n + 1 for n in ns) - math.prod(ns)
-    return value, rounds * _EPS * abs_sum + _floor(ell) * shell
+    return value, _rounding_bound(spec, ends, ell, max(ns) + 1, shell)
 
 
 def linear_coefficient(
@@ -901,7 +890,8 @@ def linear_coefficient(
 
     Returns the first difference D = T(n_base + 1) - T(n_base), the sum
     over the shell of lattice points that growing every range by one adds
-    (`_shell_sum`), cut from one table of each root's powers at n_base + 1.
+    (`_shell_sum`), from each factor's diagonals at n_base + 1, with a
+    rounding bound (`_rounding_bound`) from the roots' moduli.
     T(n) = F*n + C + (a residue that vanishes as n grows), so D tends to
     F; it is F but for the residue.
 

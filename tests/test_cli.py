@@ -550,6 +550,15 @@ class TestCleanExits:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        out = tmp_path / "no" / "x.csv" if where == "missing directory" else tmp_path
+        code, stdout, err = run(capsys, "ar", "simulate", "--alpha", "0.5", "--n", "3",
+                                "--out", str(out), "--json")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--lambdas", "0.5,0.3", "--S", str(2**1024)],
         ["eval", "--lambdas", "0.5", "--mult", "6", "--S", str(10**63)],

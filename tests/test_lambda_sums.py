@@ -32,10 +32,10 @@ from serialsum import (
 from serialsum.lambda_sums import (
     DEFAULT_BUDGET,
     _conjugate_closed,
-    _cut,
+    _diagonals,
     _ends,
     _g_jet,
-    _power_tables,
+    _mass,
     _powers,
     _shell_sum,
     _shell_work,
@@ -925,9 +925,11 @@ class TestFiniteSum:
     def test_cut_diagonals_equal_the_gather(self, monkeypatch):
         # each cut of the power tables (a slice, a reversed slice, a reversed
         # head joined to a slice) against the exponent gather, bit for bit,
-        # with their masses and peaks and the trace and bound they give
+        # with the trace and bound they give; the closed-form mass and peak
+        # (`_mass`) bound the gathered moduli's sum and max, which fall short
+        # only by the floored terms and rounding
         rng = np.random.default_rng(41)
-        cuts, dropped = set(), 0
+        cuts, dropped, moduli = set(), 0, set()
         for _ in range(500):
             ell = int(rng.integers(2, 5))
             n = int(rng.integers(1, 300 if ell == 2 else 30))
@@ -936,7 +938,7 @@ class TestFiniteSum:
             for m in range(ell):
                 rows, cols = n + adjust[m], n + adjust[(m + 1) % ell]
                 r = (rng.uniform(0.3, 1), rng.uniform(1, 1.05),
-                     10 ** -rng.uniform(10, 40), 0.0)[rng.integers(4)]
+                     10 ** -rng.uniform(10, 40), 0.0, 1.0)[rng.integers(5)]
                 lams.append(complex(r * rng.choice((-1, 1))) if rng.random() < 0.5
                             else cmath.rect(r, rng.uniform(-math.pi, math.pi)))
                 s = (int(rng.integers(-3, 4)),
@@ -948,16 +950,26 @@ class TestFiniteSum:
                 a, b = shifts[-1] + 1 - cols, shifts[-1] + rows - 1
                 cuts.add("rising" if a >= 0 else "falling" if b <= 0 else "V")
             spec = FiniteSumSpec(tuple(lams), tuple(shifts), n, adjust)
+            floor = sys.float_info.min ** (1 / ell)
             with np.errstate(over="ignore", invalid="ignore"):
-                tables = _power_tables(spec)
-                cut = [_cut(table, lo, a, b)
-                       for (lo, table), (a, b) in zip(tables, _ends(spec))]
+                ends, cut = _diagonals(spec)
                 ref = gathered_diagonals(spec)
-                for lam, c, g in zip(lams, cut, ref):
+                for lam, (a, b), c, g in zip(lams, ends, cut, ref):
                     assert c.dtype == g.dtype and np.array_equal(c, g, equal_nan=True)
-                    for stat in (np.sum, np.max):
-                        assert repr(stat(np.abs(c))) == repr(stat(np.abs(g)))
                     dropped += lam != 0 and not g.all()
+                    mass, peak = _mass(abs(lam), a, b)
+                    if math.isinf(mass):  # a power overflows, and so does the table
+                        assert peak == math.inf and not np.isfinite(g).all()
+                        continue
+                    # rounding: below 4*k*eps in a power lam**k of the table, and
+                    # about eps/|1 - rho| where the closed form cancels near rho = 1
+                    tol = 1 + 1e-12 + 4 * (_span(a, b)[1] + 1) * sys.float_info.epsilon
+                    total, top = np.abs(g).sum(), np.abs(g).max()
+                    assert total <= mass * tol <= (total + g.size * floor) * tol**2
+                    assert top <= peak * tol <= max(top, floor) * tol**2
+                    rho = abs(lam)
+                    moduli.add("0" if rho == 0 else "tiny" if rho < 1e-9 else
+                               "<1" if rho < 1 else "=1" if rho == 1 else ">1")
                 got = _trace_sum(spec)
                 # the same sum over the gathered diagonals in place of its cuts
                 gathered = iter(ref)
@@ -965,6 +977,7 @@ class TestFiniteSum:
                     patch.setattr(lambda_sums, "_cut", lambda *_: next(gathered))
                     assert repr(got) == repr(_trace_sum(spec)), spec
         assert cuts == {"rising", "falling", "V"} and dropped > 100
+        assert moduli == {"0", "tiny", "<1", "=1", ">1"}
 
     @pytest.mark.parametrize("lam, lo, count, ell", [
         (0.9, 0, 5000, 2),  # below the floor past k = 3,360, stalls in subnormals
@@ -1186,6 +1199,14 @@ class TestLinearCoefficient:
         t1 = finite_sum_direct(spec)
         t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, n + 1, adjust))
         assert abs(value - (t2 - t1)) <= err
+
+    def test_rounding_bound_takes_one_peak_for_all_parts(self):
+        # each part of the shell fixes one index, so any one factor's peak
+        # times the others' masses bounds it, and the bound takes the least
+        # such product for all l parts: 7.6e-9 here, where a sum of each
+        # part's own product gave 1.8e-7 (the real error is 2.4e-14)
+        spec = FiniteSumSpec((0.99, 0.98, -0.5), (2, 0, -1), 2750, (-1, 0, -2))
+        assert _shell_sum(spec)[1] < 1e-8
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
