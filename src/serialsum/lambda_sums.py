@@ -16,14 +16,13 @@ the confluent divided difference of
 
     G(x) = x**(S+l-1) * prod_j (1 - lambda_j**2) / (1 - x*lambda_j)
 
-over the root multiset; for distinct roots this reproduces the closed form
-term by term, and it extends continuously to any multiplicities.  The
-Taylor coefficients of G at a root of multiplicity m are built in closed
-form to order m - 1 (binomials times geometric series, multiplied as
-truncated Cauchy products; McCurdy, Ng & Parlett, Math. Comp. 43, 1984)
-and fill the repeated entries of the Hermite divided-difference table
-(`confluent_divided_difference_cond`).  The table takes the entries as
-`RootMultiset` has checked them: finite, inside the disk, separated.
+over the root multiset as a sum of residues, one per distinct root
+(`confluent_divided_difference_cond`; McCurdy, Ng & Parlett, Math. Comp.
+43, 1984), each a term of the closed form where the roots are distinct.
+One first-order recurrence, `_divide` (a Taylor series over a linear
+factor), builds G's coefficients at each root to order m - 1 and divides
+them by the other roots' factors.  `numerics.Jet` is not used: it stays
+as the tests' reference and because the benchmark's tracing hooks read it.
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -322,27 +321,29 @@ def _ipow(z: complex, n: int) -> complex:
     return out
 
 
+def _divide(a: Sequence, u: complex, v: complex) -> list:
+    """Taylor coefficients of a(h) / (u + v*h), as many as ``a`` has, by
+    the recurrence b[k] = (a[k] - v*b[k-1]) / u."""
+    out = []
+    prev = 0
+    for ak in a:
+        prev = (ak - v * prev) / u
+        out.append(prev)
+    return out
+
+
 def _g_jet(
     x0: complex, order: int, lams: Sequence[complex], power: int
 ) -> list[complex]:
     """Taylor coefficients 0..order of G(x) = x**power * prod_j
-    (1-l_j^2)/(1-x*l_j) at x0.
-
-    The coefficients in h = x - x0 are closed forms: x**power gives
-    C(power, k) * x0**(power-k) (0**0 = 1), and each root l gives the
-    geometric series c/d * (l/d)**k, with c = 1 - l**2 and d = 1 - x0*l.
-    The factors are multiplied as truncated Cauchy products.
-    """
-    n = order + 1
-    coeffs = [math.comb(power, k) * _ipow(x0, power - k) if k <= power else 0j
-              for k in range(n)]
+    (1-l_j^2)/(1-x*l_j) at x0: prod_j (1 - l_j**2) * C(power, k) *
+    x0**(power-k) (0**0 = 1), divided by (1 - x0*l) - l*h for each root l
+    (`_divide`), h = x - x0."""
+    scale = math.prod(1 - lam * lam for lam in lams)
+    coeffs = [scale * math.comb(power, k) * _ipow(x0, power - k) if k <= power
+              else 0j for k in range(order + 1)]
     for lam in lams:
-        d = 1 - x0 * lam
-        q = lam / d
-        c = (1 - lam * lam) / d
-        factor = [c * q**k for k in range(n)]
-        coeffs = [sum(coeffs[i] * factor[k - i] for i in range(k + 1))
-                  for k in range(n)]
+        coeffs = _divide(coeffs, 1 - x0 * lam, -lam)
     return coeffs
 
 
@@ -356,46 +357,34 @@ def confluent_divided_difference_cond(
     which has checked them, and ``coeffs[i]`` holds f's Taylor
     coefficients at entry i, at least as many as its multiplicity.  With
     all multiplicities 1 this is the ordinary divided difference; a single
-    node of multiplicity m gives f^(m-1)(x) / (m-1)!.  The second value
-    propagates entry magnitudes through the same table recursion;
-    multiplied by machine epsilon it estimates the rounding error of the
-    result.  Heuristic, not a rigorous bound.
+    node of multiplicity m gives f^(m-1)(x) / (m-1)!.  The value is the
+    sum of residues sum_i [h**(m_i-1)] f(x_i+h) / prod_{j != i}
+    (x_i - x_j + h)**m_j (McCurdy, Ng & Parlett, Math. Comp. 43, 1984),
+    each factor one `_divide`.  The same recurrence on the moduli, by
+    |x_i - x_j| - h, sums the moduli of the products in each residue; l
+    times that sum, times eps, estimates the rounding error of the result.
     """
-    # the nodes with repeats kept contiguous, so equal entries in the
-    # table are always filled from the coefficients of a single node
-    z: list[complex] = []
-    taylor: list[Sequence[complex]] = []
-    for (v, m), c in zip(entries, coeffs):
-        z.extend([v] * m)
-        taylor.extend([c] * m)
-    n = len(z)
-
-    col = [c[0] for c in taylor]
-    mag = [abs(c) for c in col]
-    for k in range(1, n):
-        new_col = [0j] * (n - k)
-        new_mag = [0.0] * (n - k)
-        for i in range(n - k):
-            dz = z[i + k] - z[i]
-            if dz == 0:
-                new_col[i] = taylor[i][k]
-                new_mag[i] = abs(new_col[i])
-            else:
-                new_col[i] = (col[i + 1] - col[i]) / dz
-                new_mag[i] = (mag[i + 1] + mag[i]) / abs(dz)
-        col, mag = new_col, new_mag
-    return col[0], mag[0] * n
+    total, scale = 0j, 0.0
+    for i, ((x, m), c) in enumerate(zip(entries, coeffs)):
+        a = c[:m]
+        mag = [abs(t) for t in a]
+        for y, mj in [*entries[:i], *entries[i + 1:]]:
+            for _ in range(mj):
+                a = _divide(a, x - y, 1)
+                mag = _divide(mag, abs(x - y), -1)
+        total += a[-1]
+        scale += mag[-1]
+    return total, scale * sum(m for _, m in entries)
 
 
 def f_general(roots: RootMultiset, S: int) -> LimitValue:
-    """Limit value for any root multiplicities (the confluent evaluator).
-
-    Evaluates the confluent divided difference of G(x) over the root
-    multiset (`confluent_divided_difference_cond`), from closed-form
-    Taylor coefficients of G at each entry (`_g_jet`); agrees with
-    :func:`f_distinct` for all-distinct inputs and extends continuously
-    to repeated roots.  As there, err_estimate scales the table's
-    magnitude scale by S + l, for the rounding of x**(S+l-1).
+    """Limit value for any root multiplicities (the confluent evaluator):
+    the sum of residues (`confluent_divided_difference_cond`) of G's Taylor
+    coefficients at each entry (`_g_jet`).  err_estimate scales their
+    modulus scale by S + l, for the rounding of x**(S+l-1), plus kappa =
+    2*m*sum_j (1 + 2r|l_j|)/(1 - r|l_j|), m the largest multiplicity and
+    r = max |l_j|: 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) /
+    |1 - x*l_j| relative, raised to powers up to m in G's coefficients.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -405,7 +394,11 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     coeffs = [_g_jet(v, m - 1, lams, power) for v, m in roots.entries]
     value, cond = confluent_divided_difference_cond(roots.entries, coeffs)
     value, real_ok = _certify(value, roots.is_conjugate_closed())
-    return LimitValue(value, _EPS * ((power + 1) * cond + abs(value)), real_ok)
+    r = max(map(abs, lams))
+    kappa = 2 * max(m for _, m in roots.entries) * sum(
+        (1 + 2 * r * abs(lam)) / (1 - r * abs(lam)) for lam in lams)
+    return LimitValue(value, _EPS * ((power + 1 + kappa) * cond + abs(value)),
+                      real_ok)
 
 
 def series_oracle(
@@ -726,15 +719,21 @@ def _diagonals(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list]:
 
 def _mass(rho: float, a: int, b: int) -> tuple[float, float]:
     """The sum of rho**|e| over e = a .. b and its largest term, in closed
-    form; both are inf where a power overflows."""
+    form; both are inf where a power overflows.  An arm of c powers is
+    rho**first * expm1(c*log(rho)) / (rho - 1), which does not cancel near 1."""
     lo, hi = _span(a, b)
+    log_rho = math.log(rho) if rho else -math.inf
+
+    def arm(first: int, c: int) -> float:
+        return rho**first * math.expm1(c * log_rho) / (rho - 1)
+
     try:
         peak = max(rho**lo, rho**hi)
         if rho == 1:
             return float(b - a + 1), peak
-        if a < 0 < b:  # two arms from rho**0, which they share
-            return (1 + rho - rho ** (1 - a) - rho ** (b + 1)) / (1 - rho), peak
-        return (rho**lo - rho ** (hi + 1)) / (1 - rho), peak
+        if a < 0 < b:  # rho**0 .. rho**-a, then rho**1 .. rho**b
+            return arm(0, 1 - a) + arm(1, b), peak
+        return arm(lo, hi - lo + 1), peak
     except OverflowError:
         return math.inf, math.inf
 

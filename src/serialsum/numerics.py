@@ -4,10 +4,10 @@ A jet carries the truncated Taylor expansion of a function at a point:
 ``c0 + c1*(x - center) + ... + cm*(x - center)**m``.  Arithmetic on jets
 propagates the coefficients exactly (up to rounding), which gives
 high-order derivatives of small rational expressions without step-size
-tuning.  The library's evaluator, `lambda_sums.f_general`, does not use
-them: it builds G's Taylor coefficients in closed form (`_g_jet`) and
-hands them to its own divided-difference table as plain sequences.  Jet
-arithmetic stays as the tests' reference for those coefficients.
+tuning.  The library does not use them: `lambda_sums.f_general` takes G's
+Taylor coefficients and their sum of residues from one recurrence,
+`lambda_sums._divide`.  `Jet` stays only as the tests' reference and
+because the benchmark's tracing hooks wrap its operators.
 """
 
 from __future__ import annotations

@@ -464,6 +464,10 @@ class TestFGeneral:
             assert got.is_real_certified
 
 
+Z = 0.35976219755658084 + 0.9297684371025245j
+W = -0.07408632390563503 + 0.2387039428291079j
+
+
 def closed_form_reference(entries, S):
     """F at high precision: the distinct-root closed form with the copies
     of a repeated root spread 1e-60 apart, at 60 digits per root and 60
@@ -529,6 +533,17 @@ class TestErrEstimate:
         # the error grows with the multiplicity, at S = 0 too
         roots = RootMultiset(((0.95, m),))
         self.assert_bounded(f_general(roots, 0), roots.entries, 0)
+
+    @pytest.mark.parametrize("entries, S", [
+        (((-0.9921463370434976, 3),), 3),
+        (((Z, 2), (Z.conjugate(), 1), (-0.36518144784231454, 1),
+          (W, 1), (W.conjugate(), 1)), 0),
+    ])
+    def test_repeated_roots_near_the_circle(self, entries, S):
+        # 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) / |1 - x*l_j|
+        # relative, raised to powers up to the multiplicity
+        roots = RootMultiset(entries)
+        self.assert_bounded(f_general(roots, S), roots.entries, S)
 
     @pytest.mark.parametrize("entries", [
         ((-0.95, 1), (0.7, 1), (0.2, 1)),
@@ -978,6 +993,27 @@ class TestFiniteSum:
                     assert repr(got) == repr(_trace_sum(spec)), spec
         assert cuts == {"rising", "falling", "V"} and dropped > 100
         assert moduli == {"0", "tiny", "<1", "=1", ">1"}
+
+    @pytest.mark.parametrize("rho, a, b", [
+        (1 - 1.1e-16, -3, 3),  # 7, where rho**lo - rho**(hi + 1) cancels to 8
+        (1 - 6.1e-14, 10**9, 10**9),
+        (1 - 1e-15, -5000, 200),
+        (1 - 3e-12, -(10**6), -17),
+        (1 - 1e-9, 0, 10**8),
+        (0.999, 5, 40),
+    ])
+    def test_mass_near_one_matches_mpmath(self, rho, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            r = mpmath.mpf(rho)
+
+            def arm(lo, c):  # r**lo + ... + r**(lo + c - 1)
+                return r**lo * (1 - r**c) / (1 - r)
+
+            lo, hi = _span(a, b)
+            exact = arm(0, 1 - a) + arm(1, b) if a < 0 < b else arm(lo, hi - lo + 1)
+            mass, _ = _mass(rho, a, b)
+            assert abs(mass - exact) <= 4 * sys.float_info.epsilon * exact
 
     @pytest.mark.parametrize("lam, lo, count, ell", [
         (0.9, 0, 5000, 2),  # below the floor past k = 3,360, stalls in subnormals

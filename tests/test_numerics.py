@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ def jet_of_cube(center, order):
 
 
 def confluent_divided_difference(nodes, f_jets):
-    """The Hermite table of `lambda_sums` on the coefficients of each jet."""
+    """The residue sum of `lambda_sums` on the coefficients of each jet."""
     value, _ = confluent_divided_difference_cond(nodes, [j.coeffs for j in f_jets])
     return value
 
@@ -113,6 +114,17 @@ class TestConfluentDividedDifference:
         nodes = [(0.0, 1), (1.0, 1), (2.0, 1)]
         jets = [jet_of_cube(v, 0) for v, _ in nodes]
         assert confluent_divided_difference(nodes, jets) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("a, b", [(0.3, -0.7), (0.5 + 0.2j, 0.5 - 0.2j), (2.0, 1.9)])
+    @pytest.mark.parametrize("power", [3, 4, 5])
+    def test_triple_beside_double_node_is_exact_within_the_scale(self, a, b, power):
+        # over {a, a, a, b, b}, x^3 has no fourth difference, x^4 has its
+        # leading coefficient and x^5 the sum of the nodes
+        exact = {3: 0, 4: 1, 5: 3 * a + 2 * b}[power]
+        nodes = [(a, 3), (b, 2)]
+        coeffs = [(Jet.identity(v, m - 1) ** power).coeffs for v, m in nodes]
+        value, scale = confluent_divided_difference_cond(nodes, coeffs)
+        assert abs(value - exact) <= sys.float_info.epsilon * scale
 
     def test_single_node_high_multiplicity(self):
         # f(x) = x^3, multiplicity 3 at x=0.5 -> f''(0.5)/2! = 1.5
