@@ -10,7 +10,10 @@ terms rho_j = sum_i A_i * lambda_i**|j|.  The rho_j come from the
 Yule-Walker equations and the AR recursion.  The A_i come from the closed
 form of `lambda_sums`: the spectral density of the process is the series
 oracle's symbol, so gamma_j is proportional to F(lambda; j), and A_i is
-the closed form's term for lambda_i at S = 0 divided by their sum.
+the residue at lambda_i of `lambda_sums`' G at S = 0 (the closed form's
+term for lambda_i) divided by their sum: `f_general`'s code (`_g_jet`,
+`_residue`) over the roots as given, with no `RootMultiset`, so a model
+of any order has them.
 
 Simulation has one engine, `_stream`: it draws each seed's noise from
 that seed's generator chunk by chunk, and runs a group of seeds through
@@ -36,7 +39,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .lambda_sums import _distinct_terms
+from .lambda_sums import _g_jet, _residue
 
 
 class NotStationaryError(ValueError):
@@ -174,8 +177,8 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     """Theoretical serial correlations and their geometric-mixture form.
 
     Returns (AcfModel with roots and coefficients A_i, [rho_0..rho_{j_max}]).
-    The A_i are the closed form's terms at S = 0 over their sum, None when
-    two roots are equal; for nearly equal roots they are large and cancel.
+    The A_i are the residues of the module docstring, None when two
+    roots are equal; for nearly equal roots they are large and cancel.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
@@ -184,8 +187,11 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
         raise NotStationaryError("serial correlations require a stationary model")
     rho = _rho_recursion(alphas, j_max)
     coeffs = None
-    if len(set(cr.roots)) == len(cr.roots):
-        terms = _distinct_terms(cr.roots, 0)
+    lams = cr.roots
+    if len(set(lams)) == len(lams):
+        terms = [_residue(x, _g_jet(x, 0, lams, len(lams) - 1),
+                          lams[:i] + lams[i + 1:])[0]
+                 for i, x in enumerate(lams)]
         total = sum(terms)
         coeffs = tuple(t / total for t in terms)
     return AcfModel(cr.roots, coeffs), rho

@@ -179,12 +179,7 @@ def _cmd_eval(args) -> int:
     started = time.perf_counter()
     roots = _build_multiset(args)
     S = _resolve_S(args, roots.ell)
-    if roots.is_distinct():
-        res = lambda_sums.f_distinct(roots, S)
-        route = "distinct"
-    else:
-        res = lambda_sums.f_general(roots, S)
-        route = "confluent"
+    res = lambda_sums.f_general(roots, S)
     inputs = {
         "lambdas": list(roots.lambdas),
         "S": S,
@@ -192,7 +187,7 @@ def _cmd_eval(args) -> int:
     result = {
         "value": res.value,
         "is_real_certified": res.is_real_certified,
-        "route": route,
+        "route": "distinct" if roots.is_distinct() else "confluent",
     }
     _emit(args, inputs, result, res.err_estimate, started)
     return 0

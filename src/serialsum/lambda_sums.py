@@ -5,24 +5,24 @@ The central object is
     F(lambda_1..lambda_l; S) = lim (1/n) * sum over i_1..i_l in [1, n] of
         prod_m lambda_m ** |i_m - i_{m+1} + s_m|        (indices cyclic)
 
-with S = |s_1 + ... + s_l|.  For pairwise-distinct roots the limit has the
-closed form
-
-    sum_i lambda_i**(S+l-1) * prod_{j != i}
-        (1 - lambda_j**2) / ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j))
-
-(`f_distinct`).  Repeated roots are handled by `f_general`, which evaluates
-the confluent divided difference of
+with S = |s_1 + ... + s_l|.  It is the confluent divided difference of
 
     G(x) = x**(S+l-1) * prod_j (1 - lambda_j**2) / (1 - x*lambda_j)
 
-over the root multiset as a sum of residues, one per distinct root
-(`confluent_divided_difference_cond`; McCurdy, Ng & Parlett, Math. Comp.
-43, 1984), each a term of the closed form where the roots are distinct.
-One first-order recurrence, `_divide` (a Taylor series over a linear
-factor), builds G's coefficients at each root to order m - 1 and divides
-them by the other roots' factors.  `numerics.Jet` is not used: it stays
-as the tests' reference and because the benchmark's tracing hooks read it.
+over the root multiset, which `f_general` takes as a sum of residues,
+one per distinct root (`confluent_divided_difference_cond`; McCurdy, Ng &
+Parlett, Math. Comp. 43, 1984).  At a simple root the residue is the
+closed form's term
+
+    lambda_i**(S+l-1) * prod_{j != i}
+        (1 - lambda_j**2) / ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j)),
+
+so `f_distinct` is `f_general` on pairwise-distinct roots.  Two
+first-order recurrences, each a Taylor series times a linear factor,
+give G's coefficients at each root to order m - 1 (`_g_jet`) and divide
+them by the other roots' factors (`_residue`).  `numerics.Jet` is not
+used: it stays as the tests' reference and because the benchmark's
+tracing hooks read it.
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -269,49 +269,30 @@ def _certify(value: complex, roots_conjugate_closed: bool) -> tuple[complex, boo
     return value, real_ok
 
 
-def _distinct_terms(lams: Sequence[complex], S: int) -> list[complex]:
-    """The closed form's term for each of the pairwise-distinct roots,
-    lambda_i**(S+l-1) * prod_{j != i} (1 - lambda_j**2) /
-    ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j))."""
-    ell = len(lams)
-    terms = []
-    for i, li in enumerate(lams):
-        term = _ipow(li, S + ell - 1)
-        for j, lj in enumerate(lams):
-            if j != i:
-                term *= (1 - lj * lj) / ((li - lj) * (1 - li * lj))
-        terms.append(term)
-    return terms
-
-
 #: S is capped here: from S = 2**64, lambda**S * S**5 is 0 in float64 for every
 #: |lambda| <= 1 - 2**-53, and neither S nor C(S + 5, k) then exceeds a float.
 _S_CAP = 1 << 64
 
 
 def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
-    """Closed-form limit for pairwise-distinct roots.
+    """Closed-form limit for pairwise-distinct roots: `f_general`, whose
+    residue at a simple root is the closed form's term for it, and whose
+    err_estimate covers the rounding of each 1 - lambda_i*lambda_j.
 
     Raises CollisionError when any multiplicity exceeds 1; route such
-    inputs to :func:`f_general`.  The power lambda_i**(S+l-1) carries a
-    rounding error that grows with S, so err_estimate scales the sum of
-    the term moduli by S + l.
+    inputs to :func:`f_general`.
     """
-    if S < 0:
-        raise ValueError("S must be >= 0")
     if not roots.is_distinct():
         raise CollisionError("repeated roots: use f_general")
-    S = min(S, _S_CAP)
-    terms = _distinct_terms([v for v, _ in roots.entries], S)
-    value, real_ok = _certify(sum(terms, 0j), roots.is_conjugate_closed())
-    err = _EPS * ((S + len(terms)) * sum(map(abs, terms)) + abs(value))
-    return LimitValue(value, err, real_ok)
+    return f_general(roots, S)
 
 
 def _ipow(z: complex, n: int) -> complex:
     """z**n by repeated squaring, for any n >= 0.  Python's complex ** int
-    squares only up to n = 100; above that it goes through the polar form,
-    whose error grows like n."""
+    squares the same way, in C, but only up to n = 100; above that it goes
+    through the polar form, whose error grows like n."""
+    if n <= 100:
+        return z ** n
     out = 1 + 0j
     while n:
         if n & 1:
@@ -321,30 +302,43 @@ def _ipow(z: complex, n: int) -> complex:
     return out
 
 
-def _divide(a: Sequence, u: complex, v: complex) -> list:
-    """Taylor coefficients of a(h) / (u + v*h), as many as ``a`` has, by
-    the recurrence b[k] = (a[k] - v*b[k-1]) / u."""
-    out = []
-    prev = 0
-    for ak in a:
-        prev = (ak - v * prev) / u
-        out.append(prev)
-    return out
-
-
 def _g_jet(
     x0: complex, order: int, lams: Sequence[complex], power: int
 ) -> list[complex]:
     """Taylor coefficients 0..order of G(x) = x**power * prod_j
-    (1-l_j^2)/(1-x*l_j) at x0: prod_j (1 - l_j**2) * C(power, k) *
-    x0**(power-k) (0**0 = 1), divided by (1 - x0*l) - l*h for each root l
-    (`_divide`), h = x - x0."""
-    scale = math.prod(1 - lam * lam for lam in lams)
-    coeffs = [scale * math.comb(power, k) * _ipow(x0, power - k) if k <= power
-              else 0j for k in range(order + 1)]
-    for lam in lams:
-        coeffs = _divide(coeffs, 1 - x0 * lam, -lam)
+    (1-l_j^2)/(1-x*l_j) at x0, in h = x - x0.  Those of x**power are
+    C(power, k) * x0**(power-k) (0**0 = 1), and each factor (1 - l**2) /
+    ((1 - x0*l) - l*h) in turn maps a[k] to b[k] = ((1 - l**2)*a[k] +
+    l*b[k-1]) / (1 - x0*l).  The coefficients are taken order by order,
+    ``prev`` holding each factor's b[k-1]."""
+    prev = [0] * len(lams)
+    coeffs = []
+    for k in range(order + 1):
+        b = math.comb(power, k) * _ipow(x0, power - k) if k <= power else 0j
+        for j, lam in enumerate(lams):
+            b = prev[j] = ((1 - lam * lam) * b + lam * prev[j]) / (1 - x0 * lam)
+        coeffs.append(b)
     return coeffs
+
+
+def _residue(
+    x: complex, a: Sequence[complex], others: Sequence[complex]
+) -> tuple[complex, float]:
+    """[h**(m-1)] a(h) / prod_y (x - y + h) from the m Taylor coefficients
+    ``a`` at x, y over ``others``, where a node of multiplicity m_y appears
+    m_y times; and the same over the moduli, |a[k]| by |x - y| - h, which
+    sums the moduli of its products.  Order by order, each factor maps a[k] to
+    b[k] = (a[k] - b[k-1]) / (x - y), and the moduli to (|a[k]| + b[k-1])
+    / |x - y|, ``prev`` and ``prev_mag`` holding its b[k-1]."""
+    prev = [0] * len(others)
+    prev_mag = [0] * len(others)
+    for t in a:
+        u = abs(t)
+        for j, y in enumerate(others):
+            d = x - y
+            t = prev[j] = (t - prev[j]) / d
+            u = prev_mag[j] = (u + prev_mag[j]) / abs(d)
+    return t, u
 
 
 def confluent_divided_difference_cond(
@@ -360,25 +354,22 @@ def confluent_divided_difference_cond(
     node of multiplicity m gives f^(m-1)(x) / (m-1)!.  The value is the
     sum of residues sum_i [h**(m_i-1)] f(x_i+h) / prod_{j != i}
     (x_i - x_j + h)**m_j (McCurdy, Ng & Parlett, Math. Comp. 43, 1984),
-    each factor one `_divide`.  The same recurrence on the moduli, by
-    |x_i - x_j| - h, sums the moduli of the products in each residue; l
-    times that sum, times eps, estimates the rounding error of the result.
+    one `_residue` each.  Its recurrence on the moduli sums the moduli of
+    the products in each residue; l times that sum, times eps, estimates
+    the rounding error of the result.
     """
-    total, scale = 0j, 0.0
-    for i, ((x, m), c) in enumerate(zip(entries, coeffs)):
-        a = c[:m]
-        mag = [abs(t) for t in a]
-        for y, mj in [*entries[:i], *entries[i + 1:]]:
-            for _ in range(mj):
-                a = _divide(a, x - y, 1)
-                mag = _divide(mag, abs(x - y), -1)
-        total += a[-1]
-        scale += mag[-1]
-    return total, scale * sum(m for _, m in entries)
+    nodes = [x for x, m in entries for _ in range(m)]
+    total, scale, start = 0j, 0.0, 0
+    for (x, m), c in zip(entries, coeffs):
+        value, mag = _residue(x, c[:m], nodes[:start] + nodes[start + m:])
+        total += value
+        scale += mag
+        start += m
+    return total, scale * len(nodes)
 
 
 def f_general(roots: RootMultiset, S: int) -> LimitValue:
-    """Limit value for any root multiplicities (the confluent evaluator):
+    """Limit value for any root multiplicities, distinct roots included:
     the sum of residues (`confluent_divided_difference_cond`) of G's Taylor
     coefficients at each entry (`_g_jet`).  err_estimate scales their
     modulus scale by S + l, for the rounding of x**(S+l-1), plus kappa =

@@ -5,9 +5,10 @@ A jet carries the truncated Taylor expansion of a function at a point:
 propagates the coefficients exactly (up to rounding), which gives
 high-order derivatives of small rational expressions without step-size
 tuning.  The library does not use them: `lambda_sums.f_general` takes G's
-Taylor coefficients and their sum of residues from one recurrence,
-`lambda_sums._divide`.  `Jet` stays only as the tests' reference and
-because the benchmark's tracing hooks wrap its operators.
+Taylor coefficients and their sum of residues from two first-order
+recurrences, `lambda_sums._g_jet` and `lambda_sums._residue`.  `Jet` stays
+only as the tests' reference and because the benchmark's tracing hooks
+wrap its operators.
 """
 
 from __future__ import annotations

@@ -205,6 +205,19 @@ class TestAcf:
                 ref = min(want, key=lambda p: abs(p[0] - lam))[1]
                 assert abs(a - ref) <= 1e-12, (alphas, lam, a, ref)
 
+    @pytest.mark.parametrize("k", range(7, 11))
+    def test_weights_beyond_six_roots(self, k):
+        # the weights take each root as given, with no cap on their number
+        rng = np.random.default_rng(k)
+        lams = draw_roots(rng, k, 0.9)
+        alphas = (-np.poly(lams)[1:].real).tolist()
+        model, _ = acf(alphas, 3)
+        want = mixture_weights_reference(alphas)
+        assert len(model.coeffs) == k
+        for lam, a in zip(model.roots, model.coeffs):
+            ref = min(want, key=lambda p: abs(p[0] - lam))[1]
+            assert abs(a - ref) <= 1e-12, (alphas, lam, a, ref)
+
     def test_non_stationary_rejected(self):
         with pytest.raises(NotStationaryError):
             acf([1.2], 3)

@@ -545,6 +545,22 @@ class TestErrEstimate:
         roots = RootMultiset(entries)
         self.assert_bounded(f_general(roots, S), roots.entries, S)
 
+    @pytest.mark.parametrize("lams, S", [
+        ((-0.7214951429234114 + 0.6922483076081796j,
+          -0.7214951429234114 - 0.6922483076081796j,
+          -0.7908180311779377 + 0.4781531477111359j,
+          -0.7908180311779377 - 0.4781531477111359j), 1),
+        ((0.14427070453273028, -0.9773951685258249 + 0.20434221471468766j,
+          -0.9773951685258249 - 0.20434221471468766j, 0.052418458218955744,
+          0.00682647636385747), 0),
+    ])
+    def test_distinct_roots_near_the_circle(self, lams, S):
+        # 1 - l_i*l_j errs by eps*(1 + 2|l_i*l_j|) / |1 - l_i*l_j| relative,
+        # which a bound from the term moduli alone under-claims
+        roots = ms(*lams)
+        for f in (f_distinct, f_general):
+            self.assert_bounded(f(roots, S), roots.entries, S)
+
     @pytest.mark.parametrize("entries", [
         ((-0.95, 1), (0.7, 1), (0.2, 1)),
         ((0.9, 2), (-0.5, 1)),
