@@ -5,24 +5,21 @@ The central object is
     F(lambda_1..lambda_l; S) = lim (1/n) * sum over i_1..i_l in [1, n] of
         prod_m lambda_m ** |i_m - i_{m+1} + s_m|        (indices cyclic)
 
-with S = |s_1 + ... + s_l|.  It is the confluent divided difference of
+with S = |s_1 + ... + s_l|.  It is the divided difference of
 
     G(x) = x**(S+l-1) * prod_j (1 - lambda_j**2) / (1 - x*lambda_j)
 
-over the root multiset, which `f_general` takes as a sum of residues,
-one per distinct root (`confluent_divided_difference_cond`; McCurdy, Ng &
-Parlett, Math. Comp. 43, 1984).  At a simple root the residue is the
-closed form's term
+over the roots as given, which `f_general` takes as a sum of residues,
+one per cluster of near-coincident roots (`confluent_divided_difference_cond`;
+McCurdy, Ng & Parlett, Math. Comp. 43, 1984).  At a lone root the residue
+is the closed form's term
 
     lambda_i**(S+l-1) * prod_{j != i}
         (1 - lambda_j**2) / ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j)),
 
-so `f_distinct` is `f_general` on pairwise-distinct roots.  Two
-first-order recurrences, each a Taylor series times a linear factor,
-give G's coefficients at each root to order m - 1 (`_g_jet`) and divide
-them by the other roots' factors (`_residue`).  `numerics.Jet` is not
-used: it stays as the tests' reference and because the benchmark's
-tracing hooks read it.
+so `f_distinct` is `f_general` without repeats.  Two first-order
+recurrences over a cluster's own nodes give G's divided differences
+(`_g_jet`) and divide them by the other roots' factors (`_residue`).
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -50,13 +47,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 
-#: Relative clustering threshold: roots closer than this are treated as one
-#: repeated root.  Direct evaluation loses ~|log10(delta)| digits to
-#: cancellation, so below 1e-6 the confluent path is strictly better.
+#: Relative clustering threshold: `f_general` takes roots this close as one
+#: cluster, over whose own nodes it runs, so no residue divides by their
+#: gap, which would cost ~|log10(delta)| digits.  It changes no value.
 CLUSTER_DELTA = 1e-6
 
 #: Tolerance for certifying a result as real.
@@ -73,7 +71,7 @@ _TINY = sys.float_info.min
 
 
 class CollisionError(ValueError):
-    """Roots too close for the distinct-root formula; use f_general."""
+    """Repeated roots, which f_distinct refuses; use f_general."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -100,10 +98,6 @@ def _charge(what: str, work: int, budget: int) -> None:
         )
 
 
-def _sep_scale(values: Sequence[complex]) -> float:
-    return 1.0 + max(abs(v) for v in values)
-
-
 def _check_roots(values: Sequence[complex], ell: int) -> None:
     """Raise ValueError unless every value is finite and strictly inside
     the unit disk and the total root count ``ell`` is in [2, 6]."""
@@ -116,21 +110,18 @@ def _check_roots(values: Sequence[complex], ell: int) -> None:
         raise ValueError(f"total root count must be in [2, 6], got {ell}")
 
 
-def _conjugate_closed(entries: Sequence[tuple[complex, int]]) -> bool:
-    """Whether each (root, multiplicity) entry v with |v.imag| >
-    tol*(1 + |v|), tol = `_CONJUGATE_TOL`, pairs off with an entry of the
-    same multiplicity within tol*(1 + |v|) of its conjugate, each entry in
-    one pair at most.  A flat list of roots, each of multiplicity 1, is
-    taken as given: a root repeated m times needs its conjugate m times,
-    and nothing is merged."""
-    rest = list(entries)
+def _conjugate_closed(values: Sequence[complex]) -> bool:
+    """Whether each root v with |v.imag| > tol*(1 + |v|), tol =
+    `_CONJUGATE_TOL`, pairs off with a root within tol*(1 + |v|) of its
+    conjugate, none used twice: a repeat needs its conjugate as often."""
+    rest = list(values)
     while rest:
-        v, m = rest.pop()
+        v = rest.pop()
         near = _CONJUGATE_TOL * (1 + abs(v))
         if abs(v.imag) <= near:
             continue
-        for i, (w, mw) in enumerate(rest):
-            if abs(w - v.conjugate()) <= near and mw == m:
+        for i, w in enumerate(rest):
+            if abs(w - v.conjugate()) <= near:
                 del rest[i]
                 break
         else:
@@ -139,12 +130,8 @@ def _conjugate_closed(entries: Sequence[tuple[complex, int]]) -> bool:
 
 
 class RootMultiset(namedtuple("RootMultiset", "entries")):
-    """Roots with multiplicities, all strictly inside the unit disk.
-
-    ``entries`` holds (root, multiplicity) pairs.  Distinct entries must be
-    separated by more than ``CLUSTER_DELTA`` (relative); build via
-    :meth:`from_lambdas` to merge near-coincident values automatically.
-    """
+    """Roots strictly inside the unit disk, as given: ``entries`` holds
+    (root, multiplicity) pairs, a multiplicity counting exact repeats."""
 
     __slots__ = ()
 
@@ -152,41 +139,15 @@ class RootMultiset(namedtuple("RootMultiset", "entries")):
         entries = tuple((complex(v), int(m)) for v, m in entries)
         if any(m < 1 for _, m in entries):
             raise ValueError("multiplicities must be >= 1")
-        values = [v for v, _ in entries]
-        _check_roots(values, sum(m for _, m in entries))
-        tol = CLUSTER_DELTA * _sep_scale(values)
-        for a, b in itertools.combinations(values, 2):
-            if abs(a - b) <= tol:
-                raise ValueError(
-                    f"entries {a} and {b} closer than the clustering threshold; "
-                    "merge them before construction"
-                )
+        _check_roots([v for v, _ in entries], sum(m for _, m in entries))
         return super().__new__(cls, entries)
 
     @classmethod
     def from_lambdas(cls, lambdas: Sequence[complex]) -> "RootMultiset":
-        """Cluster roots, in any order: a root within the clustering threshold
-        of a member joins its cluster, and so do two clusters whose means come
-        that close; a cluster becomes the mean of its members in input order."""
+        """Count equal roots, each entry in the order of its first copy."""
         vals = [complex(v) for v in lambdas]
-        _check_roots((), len(vals))  # the count, before any pair is compared
-        tol = CLUSTER_DELTA * _sep_scale(vals)
-        near = [(i, j) for j, b in enumerate(vals) for i in range(j)
-                if abs(vals[i] - b) <= tol]
-        clusters = [[v] for v in vals]
-        first = list(range(len(vals)))  # the first index of each root's cluster
-        while near:
-            for i, j in near:
-                lo, hi = sorted((first[i], first[j]))
-                first = [lo if f == hi else f for f in first]
-            groups: dict[int, list[complex]] = {}
-            for f, v in zip(first, vals):
-                groups.setdefault(f, []).append(v)
-            means = {f: sum(c) / len(c) for f, c in groups.items()}
-            near = [(i, j) for i, j in itertools.combinations(means, 2)
-                    if abs(means[i] - means[j]) <= tol]
-            clusters = list(groups.values())
-        return cls(tuple((sum(c) / len(c), len(c)) for c in clusters))
+        _check_roots(vals, len(vals))
+        return cls._make((tuple(Counter(vals).items()),))  # checked already
 
     @property
     def ell(self) -> int:
@@ -195,15 +156,13 @@ class RootMultiset(namedtuple("RootMultiset", "entries")):
     @property
     def lambdas(self) -> tuple[complex, ...]:
         """Flat root list, repeats expanded."""
-        return tuple(
-            v for v, m in self.entries for _ in range(m)
-        )
+        return tuple(v for v, m in self.entries for _ in range(m))
 
     def is_distinct(self) -> bool:
         return all(m == 1 for _, m in self.entries)
 
     def is_conjugate_closed(self) -> bool:
-        return _conjugate_closed(self.entries)
+        return _conjugate_closed(self.lambdas)
 
 
 class ShiftSpec(namedtuple("ShiftSpec", "shifts")):
@@ -275,22 +234,16 @@ _S_CAP = 1 << 64
 
 
 def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
-    """Closed-form limit for pairwise-distinct roots: `f_general`, whose
-    residue at a simple root is the closed form's term for it, and whose
-    err_estimate covers the rounding of each 1 - lambda_i*lambda_j.
-
-    Raises CollisionError when any multiplicity exceeds 1; route such
-    inputs to :func:`f_general`.
-    """
+    """`f_general` on roots with no exact repeat, whose residue at each is
+    the closed form's term; CollisionError otherwise: use `f_general`."""
     if not roots.is_distinct():
         raise CollisionError("repeated roots: use f_general")
     return f_general(roots, S)
 
 
 def _ipow(z: complex, n: int) -> complex:
-    """z**n by repeated squaring, for any n >= 0.  Python's complex ** int
-    squares the same way, in C, but only up to n = 100; above that it goes
-    through the polar form, whose error grows like n."""
+    """z**n by repeated squaring, for any n >= 0, as complex ** int does in
+    C up to n = 100; above, it takes the polar form, whose error grows."""
     if n <= 100:
         return z ** n
     out = 1 + 0j
@@ -302,37 +255,65 @@ def _ipow(z: complex, n: int) -> complex:
     return out
 
 
-def _g_jet(
-    x0: complex, order: int, lams: Sequence[complex], power: int
-) -> list[complex]:
-    """Taylor coefficients 0..order of G(x) = x**power * prod_j
-    (1-l_j^2)/(1-x*l_j) at x0, in h = x - x0.  Those of x**power are
-    C(power, k) * x0**(power-k) (0**0 = 1), and each factor (1 - l**2) /
-    ((1 - x0*l) - l*h) in turn maps a[k] to b[k] = ((1 - l**2)*a[k] +
-    l*b[k-1]) / (1 - x0*l).  The coefficients are taken order by order,
-    ``prev`` holding each factor's b[k-1]."""
-    prev = [0] * len(lams)
-    coeffs = []
-    for k in range(order + 1):
-        b = math.comb(power, k) * _ipow(x0, power - k) if k <= power else 0j
+def _power_column(xs: Sequence[complex], power: int, shift: int = 0) -> list:
+    """2**shift * J**power e_1, J lower bidiagonal with the nodes ``xs`` on
+    its diagonal and ones below: x**power's divided differences over
+    xs[:k+1].  Up to power 8*m*m (m nodes), about the cost of log2(power)
+    squares, it applies J, (J v)[k] = x_k*v[k] + v[k-1]; else, or with a
+    shift, it squares J, held as its lower triangle's rows times 2**e."""
+    col = [1 + 0j] + [0j] * (len(xs) - 1)
+    if not shift and power <= 8 * len(xs) ** 2:
+        for _ in range(power):
+            col = [x * c + d for x, c, d in zip(xs, col, [0j] + col)]
+        return col
+    J = [[0] * (i - 1) + [1, x] if i else [x] for i, x in enumerate(xs)]
+    e = 0
+    while power:
+        if power & 1:
+            col, shift = [sum(map(operator.mul, r, col)) for r in J], shift + e
+        power >>= 1
+        if power:
+            cols = [[r[j] for r in J[j:]] for j in range(len(J))]
+            J = [[sum(map(operator.mul, r[j:], cols[j])) for j in range(len(r))]
+                 for r in J]
+            top = math.frexp(max(_TINY, *map(abs, itertools.chain(*J))))[1]
+            J, e = [[v * 2.0 ** -top for v in r] for r in J], 2 * e + top
+    return [complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
+            for c in col]
+
+
+def _g_jet(x0: complex | tuple, order: int, lams: Sequence[complex],
+           power: int, shift: int = 0) -> list[complex]:
+    """Divided differences of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j)
+    over x_0..x_k, k <= order: G(J) e_1, J as in `_power_column` (Opitz
+    1964), on a tuple of nodes or on ``x0`` order + 1 times, where they are
+    G's Taylor coefficients, x**power's C(power, k)*x0**(power-k) (0**0 = 1)
+    unless 2**shift times too large.  Each factor (1 - l**2) / (1 - l*J)
+    maps a[k] to b[k] = ((1 - l**2)*a[k] + l*b[k-1]) / (1 - x_k*l)."""
+    spread = isinstance(x0, tuple)
+    xs = x0 if spread else (x0,) * (order + 1)
+    col = _power_column(xs, power, shift) if spread or shift else None
+    prev, coeffs = [0] * len(lams), []
+    for k, x in enumerate(xs):
+        b = col[k] if col else (math.comb(power, k) * _ipow(x, power - k)
+                                if k <= power else 0j)
         for j, lam in enumerate(lams):
-            b = prev[j] = ((1 - lam * lam) * b + lam * prev[j]) / (1 - x0 * lam)
+            b = prev[j] = ((1 - lam * lam) * b + lam * prev[j]) / (1 - x * lam)
         coeffs.append(b)
     return coeffs
 
 
 def _residue(
-    x: complex, a: Sequence[complex], others: Sequence[complex]
+    xs: Sequence[complex], a: Sequence[complex], others: Sequence[complex]
 ) -> tuple[complex, float]:
-    """[h**(m-1)] a(h) / prod_y (x - y + h) from the m Taylor coefficients
-    ``a`` at x, y over ``others``, where a node of multiplicity m_y appears
-    m_y times; and the same over the moduli, |a[k]| by |x - y| - h, which
-    sums the moduli of its products.  Order by order, each factor maps a[k] to
-    b[k] = (a[k] - b[k-1]) / (x - y), and the moduli to (|a[k]| + b[k-1])
-    / |x - y|, ``prev`` and ``prev_mag`` holding its b[k-1]."""
+    """e_m' prod_y (J - y)**-1 a, J as in `_power_column` on ``xs``, y over
+    ``others``: for a[k] f's divided differences over xs[:k+1], that of f /
+    prod_y (x - y) over ``xs``.  Each factor maps a[k] to (a[k] - b[k-1]) /
+    (x_k - y), and the moduli, summing those of the products, to (|a[k]| +
+    b[k-1]) / |x_k - y|; ``prev`` and ``prev_mag`` hold each b[k-1]."""
     prev = [0] * len(others)
     prev_mag = [0] * len(others)
-    for t in a:
+    for t, x in zip(a, xs):
         u = abs(t)
         for j, y in enumerate(others):
             d = x - y
@@ -342,54 +323,75 @@ def _residue(
 
 
 def confluent_divided_difference_cond(
-    entries: Sequence[tuple[complex, int]], coeffs: Sequence[Sequence[complex]]
+    entries: Sequence[tuple[complex | tuple[complex, ...], int]],
+    coeffs: Sequence[Sequence[complex]],
 ) -> tuple[complex, float]:
     """Hermite divided difference f[x1,...,x1, ..., xr,...,xr] and a
     forward-error scale.
 
-    ``entries`` are the (node, multiplicity) pairs of a `RootMultiset`,
-    which has checked them, and ``coeffs[i]`` holds f's Taylor
-    coefficients at entry i, at least as many as its multiplicity.  With
-    all multiplicities 1 this is the ordinary divided difference; a single
-    node of multiplicity m gives f^(m-1)(x) / (m-1)!.  The value is the
-    sum of residues sum_i [h**(m_i-1)] f(x_i+h) / prod_{j != i}
-    (x_i - x_j + h)**m_j (McCurdy, Ng & Parlett, Math. Comp. 43, 1984),
-    one `_residue` each.  Its recurrence on the moduli sums the moduli of
-    the products in each residue; l times that sum, times eps, estimates
-    the rounding error of the result.
+    ``entries`` are (node, multiplicity m) pairs, the node one value or a
+    cluster's tuple of m values, finite and distinct across entries, and
+    ``coeffs[i]`` f's first m divided differences over entry i's nodes (at
+    one node, its Taylor coefficients): f^(m-1)(x) / (m-1)! for one entry.
+    The value sums the entries' residues (`_residue`) of f divided by the
+    other entries' factors x - x_j (McCurdy, Ng & Parlett, Math. Comp. 43,
+    1984); l*eps times their moduli sums estimates its rounding error.
     """
-    nodes = [x for x, m in entries for _ in range(m)]
+    own = [x if isinstance(x, tuple) else (x,) * m for x, m in entries]
+    nodes = [x for xs in own for x in xs]
     total, scale, start = 0j, 0.0, 0
-    for (x, m), c in zip(entries, coeffs):
-        value, mag = _residue(x, c[:m], nodes[:start] + nodes[start + m:])
-        total += value
-        scale += mag
-        start += m
+    for (_, m), xs, c in zip(entries, own, coeffs):
+        t, u = _residue(xs, c[:m], nodes[:start] + nodes[start + m:])
+        total, scale, start = total + t, scale + u, start + m
     return total, scale * len(nodes)
 
 
 def f_general(roots: RootMultiset, S: int) -> LimitValue:
-    """Limit value for any root multiplicities, distinct roots included:
-    the sum of residues (`confluent_divided_difference_cond`) of G's Taylor
-    coefficients at each entry (`_g_jet`).  err_estimate scales their
-    modulus scale by S + l, for the rounding of x**(S+l-1), plus kappa =
-    2*m*sum_j (1 + 2r|l_j|)/(1 - r|l_j|), m the largest multiplicity and
-    r = max |l_j|: 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) /
-    |1 - x*l_j| relative, raised to powers up to m in G's coefficients.
+    """Limit value for any roots, repeated or near-coincident included: the
+    sum of residues (`confluent_divided_difference_cond`) of G's divided
+    differences (`_g_jet`) over each single-linkage cluster of entries
+    within the clustering threshold, so no residue divides by a gap inside
+    a cluster.  err_estimate scales their modulus scale by S + l, for the
+    rounding of x**(S+l-1), plus kappa = 2*m*sum_j (1 + 2r|l_j|)/(1 -
+    r|l_j|), m the largest cluster and r = max |l_j|: 1 - x*l_j and
+    1 - l_j**2 err by eps*(1 + 2|x*l_j|) / |1 - x*l_j| relative, raised to
+    powers up to m.  Where r**(S+l-m) < 2**-600, G is taken 2**shift times
+    too large, so no power underflows; scaling back rounds the value and
+    the bound by half a subnormal unit at most, so the bound adds two.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
     S = min(S, _S_CAP)
     lams = roots.lambdas
     power = S + len(lams) - 1
-    coeffs = [_g_jet(v, m - 1, lams, power) for v, m in roots.entries]
-    value, cond = confluent_divided_difference_cond(roots.entries, coeffs)
-    value, real_ok = _certify(value, roots.is_conjugate_closed())
-    r = max(map(abs, lams))
-    kappa = 2 * max(m for _, m in roots.entries) * sum(
-        (1 + 2 * r * abs(lam)) / (1 - r * abs(lam)) for lam in lams)
-    return LimitValue(value, _EPS * ((power + 1 + kappa) * cond + abs(value)),
-                      real_ok)
+    mods = list(map(abs, lams))
+    r = max(mods)
+    entries, tol = roots.entries, CLUSTER_DELTA * (1 + r)
+    gaps = list(map(abs, itertools.starmap(  # compared in C
+        operator.sub, itertools.combinations([v for v, _ in entries], 2))))
+    if min(gaps, default=tol) <= tol:  # clusters are rare
+        label = list(range(len(entries)))  # each entry's cluster, by index
+        pairs = itertools.combinations(label, 2)
+        for i, j in itertools.compress(pairs, map(tol.__ge__, gaps)):
+            label = [label[i] if f == label[j] else f for f in label]
+        nodes: dict[int, tuple] = {}
+        for f, (v, m) in zip(label, entries):
+            nodes[f] = nodes.get(f, ()) + (v,) * m
+        entries = [(g[0] if len(set(g)) == 1 else g, len(g))
+                   for g in nodes.values()]
+    m = max(m for _, m in entries)
+    shift = max(0, math.ceil((m - 1 - power) * math.log2(r)) - 600) if r else 0
+    coeffs = [_g_jet(v, k - 1, lams, power, shift) for v, k in entries]
+    value, cond = confluent_divided_difference_cond(entries, coeffs)
+    kappa = 2 * m * sum((1 + 2 * r * a) / (1 - r * a) for a in mods)
+    err = _EPS * ((power + 1 + kappa) * cond + abs(value))
+    if shift:
+        value = complex(math.ldexp(value.real, -shift),
+                        math.ldexp(value.imag, -shift))
+        err = math.ldexp(err, -shift)
+    err += 2 * math.ulp(0.0) if value or err else 0.0
+    value, real_ok = _certify(value, _conjugate_closed(lams))
+    return LimitValue(value, err, real_ok)
 
 
 def series_oracle(
@@ -437,7 +439,7 @@ def series_oracle(
         raise ValueError("S must be >= 0")
     ell = len(lams)
     _check_roots(lams, ell)
-    conj_closed = _conjugate_closed([(v, 1) for v in lams])
+    conj_closed = _conjugate_closed(lams)
     r = max(abs(v) for v in lams)
     if r == 0:
         value = 1.0 + 0j if S == 0 else 0j
@@ -929,7 +931,7 @@ def linear_coefficient(
         theta = max(0.0, 1 - (ell - 1) / (K * -math.log(r))) if K > 0 else 0.0
         g = [(1 + a) / (1 - a) for a in (abs(v) ** (1 - theta) for v in lams)]
         err_exp = r ** (theta * max(K, 0)) * math.prod(g) * sum(1 / x for x in g)
-    value, real_ok = _certify(value, _conjugate_closed([(v, 1) for v in lams]))
+    value, real_ok = _certify(value, _conjugate_closed(lams))
     return LimitValue(value, err_exp + err_round, real_ok)
 
 
@@ -980,7 +982,7 @@ def draw_roots(rng: np.random.Generator, ell: int, rmax: float) -> list[complex]
             roots.extend([z, z.conjugate()])
         while len(roots) < ell:
             roots.append(complex(rng.uniform(-rmax, rmax)))
-        scale = _sep_scale(roots)
+        scale = 1 + max(map(abs, roots))
         if all(
             abs(a - b) > 0.05 * scale
             for a, b in itertools.combinations(roots, 2)

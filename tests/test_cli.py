@@ -582,14 +582,14 @@ class TestCleanExits:
         assert payload["error"] == "OverflowError"
 
     @pytest.mark.parametrize("order", [1, -1])
-    def test_near_coincident_roots_merge_in_any_order(self, capsys, order):
+    def test_near_coincident_roots_in_any_order(self, capsys, order):
         # 0.3 and 0.30000132 are 1.32e-6 apart, over the threshold of
         # 1e-6 * 1.30000132, but each is within it of 0.30000125
         lams = ["0.3", "0.30000125", "0.30000132"][::order]
         code, env, err = run_json(
             capsys, "eval", "--lambdas", ",".join(lams), "--S", "0")
         assert code == 0, err
-        assert env["result"]["route"] == "confluent"
+        assert env["result"]["route"] == "distinct"
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             ls = [mpmath.mpf(v) for v in lams]

@@ -214,10 +214,10 @@ def ms(*lams):
 
 
 class TestRootMultiset:
-    def test_clustering_merges_close_roots(self):
+    def test_near_roots_are_kept_as_given(self):
         r = RootMultiset.from_lambdas([0.5, 0.5 + 1e-9, 0.3])
-        assert sorted(m for _, m in r.entries) == [1, 2]
-        assert r.ell == 3
+        assert r.lambdas == (0.5, 0.5 + 1e-9, 0.3)
+        assert r.ell == 3 and r.is_distinct()
 
     def test_rejects_roots_on_or_outside_disk(self):
         with pytest.raises(ValueError):
@@ -231,28 +231,27 @@ class TestRootMultiset:
         with pytest.raises(ValueError):
             ms(*[0.1 * k for k in range(1, 8)])
 
-    def test_rejects_unmerged_near_duplicates(self):
-        with pytest.raises(ValueError):
-            RootMultiset(((0.5, 1), (0.5 + 1e-9, 1)))
+    def test_accepts_near_duplicates_as_given(self):
+        assert RootMultiset(((0.5, 1), (0.5 + 1e-9, 1))).lambdas == (0.5, 0.5 + 1e-9)
 
     @pytest.mark.parametrize("lams", [
         # each is within the threshold of 0.30000125 but not of the other
         [0.3, 0.30000125, 0.30000132],
-        # a conjugate pair merges into its mean 0.5, which is within the
-        # threshold of 0.500001425 though neither member is
+        # a conjugate pair whose mean 0.5 is within the threshold of
+        # 0.500001425 though neither member is
         [0.5 + 0.675e-6j, 0.5 - 0.675e-6j, 0.500001425],
     ])
-    def test_clustering_is_transitive_and_order_free(self, lams):
+    def test_near_coincident_roots_in_any_order(self, lams):
+        ref = closed_form_reference([(v, 1) for v in lams], 0)
         for order in itertools.permutations(lams):
             r = ms(*order)
-            assert [m for _, m in r.entries] == [3]
-            # the mean of the members in input order
-            assert r.entries[0][0] == sum(order) / 3
+            assert r.lambdas == tuple(order)
+            got = f_general(r, 0)
+            assert abs(complex(got.value) - ref) <= got.err_estimate, order
 
-    def test_clusters_keep_the_order_of_their_first_members(self):
-        r = ms(0.1, 0.5, 0.1 + 1e-9, 0.5 + 1e-9, -0.2)
-        assert [m for _, m in r.entries] == [2, 2, 1]
-        assert [round(v.real, 6) for v, _ in r.entries] == [0.1, 0.5, -0.2]
+    def test_equal_roots_keep_the_order_of_their_first_copies(self):
+        r = ms(0.1, 0.5, 0.1, 0.5 + 1e-9, -0.2)
+        assert r.entries == ((0.1, 2), (0.5, 1), (0.5 + 1e-9, 1), (-0.2, 1))
 
     def test_root_count_is_checked_before_clustering(self):
         # 20,000 roots 5e-5 apart: comparing every pair would take minutes
@@ -267,11 +266,9 @@ class TestRootMultiset:
         assert ms(0.5, 0.3).is_conjugate_closed()
 
     def test_conjugate_closure_of_the_roots_as_given(self):
-        # The oracles check the roots as given, without merging.  Near-real
-        # roots and near-coincident copies lie within the 1e-12 tolerance,
-        # or copies lie along the real axis within the merge threshold, so
-        # no merge moves an imaginary part across the tolerance and the
-        # merged multiset must give the same answer.
+        # The oracles and the multiset check the roots as given, with no
+        # merge: near-real roots and near-coincident copies must give the
+        # same answer.
         rng = np.random.default_rng(41)
 
         def tiny():
@@ -305,14 +302,14 @@ class TestRootMultiset:
                     lams.append(lams[rng.integers(len(lams))].conjugate())
             rng.shuffle(lams)
             want = RootMultiset.from_lambdas(lams).is_conjugate_closed()
-            assert _conjugate_closed([(v, 1) for v in lams]) == want, lams
+            assert _conjugate_closed(lams) == want, lams
             closed += want
         assert 500 < closed < 2500
-        # where a merge does move an imaginary part, the answers part: these
-        # two roots 1e-9 apart in real part merge into one real double root
+        # two roots 1e-9 apart in real part, once merged into one real
+        # double root, are not each other's conjugate as given
         lams = [0.5 + 1e-8j, 0.5 + 1e-9 - 1e-8j]
-        assert ms(*lams).is_conjugate_closed()
-        assert not _conjugate_closed([(v, 1) for v in lams])
+        assert not ms(*lams).is_conjugate_closed()
+        assert not _conjugate_closed(lams)
 
     @pytest.mark.parametrize("lams", [
         [0.5], [0.1 * k for k in range(1, 8)], [1.0, 0.3], [0.8 + 0.7j, 0.3],
@@ -560,6 +557,61 @@ class TestErrEstimate:
         roots = ms(*lams)
         for f in (f_distinct, f_general):
             self.assert_bounded(f(roots, S), roots.entries, S)
+
+    @pytest.mark.parametrize("lams, S", [
+        ([0.9, 0.9 + 1.8e-6, 0.9 - 1.8e-6, 0.1], 0),
+        ([0.5, 0.5 + 1.4e-6], 0),
+        ([0.5, 0.5 + 1.4e-6], 7),
+        ([0.3, 0.30000125, 0.30000132], 0),
+        ([0.95 + k * 1e-6 for k in range(6)], 0),
+        ([0.95 + k * 1e-6 for k in range(6)], 3),
+    ])
+    def test_near_coincident_roots(self, lams, S):
+        # roots closer than the clustering threshold, evaluated as given:
+        # no root is replaced by its cluster's mean
+        roots = ms(*lams)
+        for f in (f_distinct, f_general):
+            self.assert_bounded(f(roots, S), roots.entries, S)
+
+    def test_random_clustered_sets(self):
+        # near copies 1e-12 to 1e-5 apart (relative), chains of them, exact
+        # repeats and conjugate pairs, some at powers that underflow
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            ell = int(rng.integers(2, 7))
+            rmax = float(rng.choice([0.3, 0.8, 0.99, 0.999]))
+            lams = draw_roots(rng, int(rng.integers(1, ell)), rmax)
+            while len(lams) < ell:
+                v = lams[int(rng.integers(len(lams)))]
+                step = 10 ** rng.uniform(-12, -5) * cmath.exp(
+                    1j * rng.choice([0, math.pi, rng.uniform(0, 2 * math.pi)]))
+                kind = rng.integers(3)
+                if kind == 0:  # an exact repeat
+                    lams.append(v)
+                elif kind == 1 and v.imag and len(lams) + 2 <= ell:
+                    lams += [v + step, (v + step).conjugate()]
+                else:  # a chain from v
+                    lams += [v + k * step for k in range(1, ell - len(lams) + 1)]
+            roots = ms(*lams)
+            S = int(rng.choice([0, 1, 3, 50, 400]))
+            evaluators = (f_distinct, f_general) if roots.is_distinct() else (f_general,)
+            for f in evaluators:
+                self.assert_bounded(f(roots, S), roots.entries, S)
+
+    @pytest.mark.parametrize("entries, S, want", [
+        (((1e-301, 6),), 0, 1.0),  # G's 5th coefficient is x**0
+        (((1e-100, 1), (2e-100, 1)), 3, 1.5e-299),  # x**4 underflows
+    ])
+    def test_tiny_roots(self, entries, S, want):
+        got = f_general(RootMultiset(entries), S)
+        assert abs(got.value - want) <= got.err_estimate
+
+    def test_subnormal_value_has_a_nonzero_bound(self):
+        roots = RootMultiset(((-0.16058983667950044, 3),))
+        got = f_general(roots, 400)
+        assert 0 < abs(got.value) < sys.float_info.min
+        assert got.err_estimate > 0
+        self.assert_bounded(got, roots.entries, 400)
 
     @pytest.mark.parametrize("entries", [
         ((-0.95, 1), (0.7, 1), (0.2, 1)),

@@ -124,10 +124,9 @@ class TestConstruction:
         assert ARModel((0.5, -0.06), 1.0).k == 2
         assert SeriesSample(np.zeros(7), 0, 0).n == 7
 
-    def test_from_lambdas_clusters(self):
-        roots = RootMultiset.from_lambdas([0.5, -0.3, 0.5 + 1e-9])
-        assert [m for _, m in roots.entries] == [2, 1]
-        assert roots.entries[0][0] == pytest.approx(0.5 + 5e-10, rel=1e-15)
+    def test_from_lambdas_counts_equal_roots(self):
+        roots = RootMultiset.from_lambdas([0.5, -0.3, 0.5 + 1e-9, 0.5])
+        assert roots.entries == ((0.5, 2), (-0.3, 1), (0.5 + 1e-9, 1))
         assert isinstance(roots, RootMultiset)
         assert "from_lambdas" in vars(RootMultiset)
 
@@ -139,7 +138,6 @@ class TestValidation:
         (((1.0, 1), (0.3, 1)), "not strictly inside the unit disk"),
         (((0.5, 1),), r"total root count must be in \[2, 6\], got 1"),
         (((0.5, 4), (0.3, 3)), r"total root count must be in \[2, 6\], got 7"),
-        (((0.5, 1), (0.5 + 1e-9, 1)), "closer than the clustering threshold"),
     ])
     def test_root_multiset(self, entries, message):
         with pytest.raises(ValueError, match=message):
