@@ -11,8 +11,8 @@ import importlib
 _NAMES = {
     "numerics": ("DegenerateJetError", "Jet"),
     "lambda_sums": (
-        "BudgetExceededError", "CollisionError", "ConjectureReport",
-        "FiniteSumSpec", "LimitValue", "RootMultiset", "ShiftSpec",
+        "BudgetExceededError", "ConjectureReport", "FiniteSumSpec",
+        "LimitValue", "RootMultiset", "ShiftSpec",
         "conjecture_probe", "f_distinct", "f_general", "finite_sum",
         "linear_coefficient", "series_oracle",
     ),

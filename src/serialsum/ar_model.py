@@ -189,7 +189,7 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     coeffs = None
     lams = cr.roots
     if len(set(lams)) == len(lams):
-        terms = [_residue((x,), _g_jet(x, 0, lams, len(lams) - 1),
+        terms = [_residue((x,), _g_jet((x,), lams, len(lams) - 1),
                           lams[:i] + lams[i + 1:])[0]
                  for i, x in enumerate(lams)]
         total = sum(terms)

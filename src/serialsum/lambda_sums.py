@@ -17,8 +17,8 @@ is the closed form's term
     lambda_i**(S+l-1) * prod_{j != i}
         (1 - lambda_j**2) / ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j)),
 
-so `f_distinct` is `f_general` without repeats.  Two first-order
-recurrences over a cluster's own nodes give G's divided differences
+and `f_distinct` names `f_general` too.  Two first-order recurrences
+over a cluster's nodes (a repeat's m times) give G's divided differences
 (`_g_jet`) and divide them by the other roots' factors (`_residue`).
 
 Two independent oracles back every closed form: `series_oracle` (the limit
@@ -68,10 +68,6 @@ DEFAULT_BUDGET = 200_000_000
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
-
-
-class CollisionError(ValueError):
-    """Repeated roots, which f_distinct refuses; use f_general."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -234,10 +230,8 @@ _S_CAP = 1 << 64
 
 
 def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
-    """`f_general` on roots with no exact repeat, whose residue at each is
-    the closed form's term; CollisionError otherwise: use `f_general`."""
-    if not roots.is_distinct():
-        raise CollisionError("repeated roots: use f_general")
+    """`f_general`, under the name of the distinct-root closed form, which
+    is its residue at each lone root."""
     return f_general(roots, S)
 
 
@@ -282,16 +276,15 @@ def _power_column(xs: Sequence[complex], power: int, shift: int = 0) -> list:
             for c in col]
 
 
-def _g_jet(x0: complex | tuple, order: int, lams: Sequence[complex],
-           power: int, shift: int = 0) -> list[complex]:
+def _g_jet(xs: Sequence[complex], lams: Sequence[complex], power: int,
+           shift: int = 0) -> list[complex]:
     """Divided differences of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j)
-    over x_0..x_k, k <= order: G(J) e_1, J as in `_power_column` (Opitz
-    1964), on a tuple of nodes or on ``x0`` order + 1 times, where they are
-    G's Taylor coefficients, x**power's C(power, k)*x0**(power-k) (0**0 = 1)
-    unless 2**shift times too large.  Each factor (1 - l**2) / (1 - l*J)
-    maps a[k] to b[k] = ((1 - l**2)*a[k] + l*b[k-1]) / (1 - x_k*l)."""
-    spread = isinstance(x0, tuple)
-    xs = x0 if spread else (x0,) * (order + 1)
+    over xs[:k+1]: G(J) e_1, J as in `_power_column` (Opitz 1964).  Where
+    all nodes are equal they are G's Taylor coefficients, x**power's
+    C(power, k)*x**(power-k) (0**0 = 1) unless 2**shift times too large.
+    Each factor (1 - l**2) / (1 - l*J) maps a[k] to b[k] = ((1 - l**2)*a[k]
+    + l*b[k-1]) / (1 - x_k*l)."""
+    spread = xs.count(xs[0]) < len(xs)
     col = _power_column(xs, power, shift) if spread or shift else None
     prev, coeffs = [0] * len(lams), []
     for k, x in enumerate(xs):
@@ -369,20 +362,19 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     entries, tol = roots.entries, CLUSTER_DELTA * (1 + r)
     gaps = list(map(abs, itertools.starmap(  # compared in C
         operator.sub, itertools.combinations([v for v, _ in entries], 2))))
+    clusters = [((v,) * k, k) for v, k in entries]  # a repeat's node m times
     if min(gaps, default=tol) <= tol:  # clusters are rare
         label = list(range(len(entries)))  # each entry's cluster, by index
         pairs = itertools.combinations(label, 2)
         for i, j in itertools.compress(pairs, map(tol.__ge__, gaps)):
             label = [label[i] if f == label[j] else f for f in label]
-        nodes: dict[int, tuple] = {}
-        for f, (v, m) in zip(label, entries):
-            nodes[f] = nodes.get(f, ()) + (v,) * m
-        entries = [(g[0] if len(set(g)) == 1 else g, len(g))
-                   for g in nodes.values()]
-    m = max(m for _, m in entries)
+        nodes = [sum((xs for f, (xs, _) in zip(label, clusters) if f == c), ())
+                 for c in dict.fromkeys(label)]  # in first-member order
+        clusters = [(xs, len(xs)) for xs in nodes]
+    m = max(k for _, k in clusters)
     shift = max(0, math.ceil((m - 1 - power) * math.log2(r)) - 600) if r else 0
-    coeffs = [_g_jet(v, k - 1, lams, power, shift) for v, k in entries]
-    value, cond = confluent_divided_difference_cond(entries, coeffs)
+    coeffs = [_g_jet(xs, lams, power, shift) for xs, _ in clusters]
+    value, cond = confluent_divided_difference_cond(clusters, coeffs)
     kappa = 2 * m * sum((1 + 2 * r * a) / (1 - r * a) for a in mods)
     err = _EPS * ((power + 1 + kappa) * cond + abs(value))
     if shift:

@@ -766,7 +766,7 @@ class TestContracts:
     def test_public_names(self):
         assert set(serialsum.__all__) == {
             "ARModel", "AcfModel", "BadLagError",
-            "BudgetExceededError", "CharRoots", "CollisionError",
+            "BudgetExceededError", "CharRoots",
             "ConjectureReport", "DegenerateJetError", "DegenerateSampleError",
             "FiniteSumSpec", "Jet", "LimitValue",
             "NotStationaryError", "RootMultiset",

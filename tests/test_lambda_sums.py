@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from serialsum import (
     BudgetExceededError,
-    CollisionError,
     FiniteSumSpec,
     RootMultiset,
     ShiftSpec,
@@ -367,9 +366,11 @@ class TestFDistinct:
         got = f_distinct(ms(0.5, 0.3, 0.2), 2)
         assert got.value == pytest.approx(F3_053002_S2, rel=1e-12)
 
-    def test_rejects_repeated_roots(self):
-        with pytest.raises(CollisionError):
-            f_distinct(ms(0.5, 0.5), 1)
+    @pytest.mark.parametrize("roots", [ms(0.5, 0.5), ms(0.5, 0.5, 0.3),
+                                       RootMultiset(((-0.9, 3), (0.2, 1)))])
+    def test_repeated_roots_are_f_general(self, roots):
+        for S in (0, 1, 7):
+            assert repr(f_distinct(roots, S)) == repr(f_general(roots, S))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(11)
@@ -626,6 +627,21 @@ class TestErrEstimate:
             assert got.value.imag == 0
             self.assert_bounded(got, roots.entries, 300)
 
+    @pytest.mark.parametrize("lams, S", [
+        ([0.999, -0.999, 0.998, -0.998, 0.5, -0.5], 301),
+        ([0.999, -0.999, 0.998, -0.998, 0.5, -0.5], 3001),
+        ([0.99, -0.99, 0.98, -0.98], 999),
+    ])
+    def test_negation_closed_roots_at_odd_S(self, lams, S):
+        # the symbol is even under z -> -z, so F is exactly 0 at odd S: one
+        # residue per cluster keeps the gaps 0.001 and 0.002 out of the
+        # cancellation that one cluster for all roots under-claims by 1e10+
+        got = f_general(ms(*lams), S)
+        assert abs(got.value) <= got.err_estimate, (lams, S, got)
+        if len(lams) == 4:
+            got = series_oracle(lams, S, 1e-12)
+            assert abs(got.value) <= got.err_estimate, (lams, S, got)
+
 
 def g_jet_reference(x0, order, lams, power):
     """The jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0 by Jet
@@ -645,7 +661,7 @@ class TestGJet:
     def test_matches_jet_arithmetic(self, x0, order):
         lams = [x0] * (order + 1) + [0.7, -0.4 + 0.3j, -0.4 + 0.3j, 0.0]
         for power in range(11):
-            got = _g_jet(x0, order, lams, power)
+            got = _g_jet((x0,) * (order + 1), lams, power)
             ref = g_jet_reference(x0, order, lams, power).coeffs
             assert len(got) == order + 1
             for a, b in zip(got, ref):
@@ -1311,6 +1327,23 @@ class TestLinearCoefficient:
         # part's own product gave 1.8e-7 (the real error is 2.4e-14)
         spec = FiniteSumSpec((0.99, 0.98, -0.5), (2, 0, -1), 2750, (-1, 0, -2))
         assert _shell_sum(spec)[1] < 1e-8
+
+    @pytest.mark.parametrize("spec, trace_err, shell_err", [
+        (FiniteSumSpec((0.99, -0.6), (1, -2), 2750, (0, -3)),
+         1.8147e-07, 4.4009e-11),
+        (FiniteSumSpec((0.99, 0.98, -0.5), (2, 0, -1), 2750, (-1, 0, -2)),
+         3.4909e-05, 7.6221e-09),
+        (FiniteSumSpec((cmath.rect(0.97, 2.0), cmath.rect(0.97, -2.0),
+                        cmath.rect(0.97, 0.5), cmath.rect(0.97, -0.5)),
+                       (0, 1, 0, -2), 908, (0, 0, -2, 0)),
+         6.9072e-03, 4.3517e-06),
+    ])
+    def test_rounding_bounds_are_pinned(self, spec, trace_err, shell_err):
+        # both bounds are taken from the moduli alone, so they hold on any
+        # host; the pins see either half of the rounding count, or the
+        # shell's l parts, dropped (each moves a bound by over 10%)
+        assert finite_sum_with_error(spec)[1] == pytest.approx(trace_err, rel=0.05)
+        assert _shell_sum(spec)[1] == pytest.approx(shell_err, rel=0.05)
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
