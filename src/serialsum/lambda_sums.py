@@ -24,10 +24,14 @@ over a cluster's nodes (a repeat's m times) give G's divided differences
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
 ((1 - lambda_m*z) * (1 - lambda_m/z)), by the trapezoidal rule on |z| = 1
-with a proven aliasing bound; the symbol is even in the angle, so it is
-sampled on the half circle, each factor in a positive real form with no
-cancellation, and the rounding bound is a few dozen eps per root, with a
-part growing as 1/(1 - |lambda|) for complex roots only) and `finite_sum`
+with a proven aliasing bound; its node count N doubles from the first
+power of two above 2S until that bound is below tol, passing over
+without computing it the N that the bound's floor r**(N-S) rules out;
+the symbol is even in the angle, so it is sampled on the half circle,
+each factor in a positive real form with no cancellation, from sines and
+weights kept per N up to 2**17 (`_rule`, 7 MB at most); and the rounding
+bound is a few dozen eps per root, with a part growing as
+1/(1 - |lambda|) for complex roots only) and `finite_sum`
 (the exact finite-n sum, as the trace of a product of l Toeplitz
 matrices, taken through the displacement structure of their partial
 products as 1-D convolutions without forming any matrix), plus
@@ -45,6 +49,7 @@ where they use it, so importing this module and `f_general` load none.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -386,6 +391,77 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     return LimitValue(value, err, real_ok)
 
 
+def _aliasing(mods: Sequence[float], S: int):
+    """The aliasing bound of the N-node rule as a function of N > S, for
+    roots with the nonzero moduli ``mods`` (see `series_oracle`)."""
+    # Aliasing (Trefethen & Weideman, SIAM Rev. 56(3), 2014): |c_j| is at
+    # most the j-th coefficient of g, the symbol built from the moduli
+    # |lambda_m|, whose coefficients are positive and even in j, so
+    # |c_j| <= g(rho) * rho**-|j| for 1 < rho < 1/r.  For N > S the terms
+    # p != 0 sum to at most g(rho) * (rho**(S-N) + rho**(-S-N)) /
+    # (1 - rho**-N), taken in logs so that nothing overflows.  At each N,
+    # r*rho = (N-S)/(N-S+k), with k roots of modulus r, minimises the part
+    # k*log(1/(1 - r*rho)) - (N-S)*log(rho) that grows near 1/r; where that
+    # rho is not above 1, log(rho) = log(1/r)/2.  log(rho) is kept strictly
+    # inside (0, log(1/r)), so every a*rho stays below 1 in logs.
+    r = max(mods)
+    log_r = math.log(r)
+    k_r = mods.count(r)
+    log_g0 = sum(math.log1p(-a * a) for a in mods)
+    log_mods = [math.log(a) for a in mods]
+    top = math.nextafter(-log_r, 0)  # the largest float below log(1/r)
+
+    def alias(N: int) -> float:
+        log_rho = -log_r - math.log1p(k_r / (N - S))
+        log_rho = min(log_rho, top) if log_rho > 0 else -log_r / 2
+        log_g = log_g0 - sum([  # log((1 - a*rho)*(1 - a/rho)) per root
+            math.log(math.expm1(a + log_rho) * math.expm1(a - log_rho))
+            for a in log_mods
+        ])
+        return math.exp(
+            log_g + math.log1p(math.exp(-2 * S * log_rho)) - (N - S) * log_rho
+            - math.log(-math.expm1(-N * log_rho))
+        )
+
+    return alias
+
+
+#: Nodes of the half circle sampled at once: memory stays bounded at any N.
+_BLOCK = 1 << 16
+
+#: The largest node count whose tables `_rule` keeps.
+_RULE_MAX = 1 << 17
+
+
+def _half_angles(N: int, k: np.ndarray) -> tuple:
+    """sin and cos of the half angles x = pi*k/N at the nodes k of the
+    N-node rule, and their squares.  The cosine is the sine of the mirrored
+    node's half angle, pi*(N/2 - k)/N = pi/2 - x."""
+    import numpy as np
+
+    h = math.pi / N
+    sin_x = np.sin(h * k)
+    cos_x = np.sin(h * (N / 2 - k))
+    return sin_x, cos_x, sin_x * sin_x, cos_x * cos_x
+
+
+@functools.lru_cache(maxsize=18)
+def _rule(N: int) -> tuple[tuple, np.ndarray]:
+    """The tables of the N-node rule that depend on N alone, read-only: the
+    nodes k = 0..N/2 of the half circle with their `_half_angles`, and the
+    weights 2*cos(2*pi*m/N), m < N, which node k reads at m = S*k mod N.
+    `series_oracle` keeps them for N = 2**j <= `_RULE_MAX` only: at most
+    18 rules of about 28*N bytes, 7 MB if every one is built."""
+    import numpy as np
+
+    k = np.arange(N // 2 + 1)
+    nodes = (k, *_half_angles(N, k))
+    weights = 2 * np.cos(2 * (math.pi / N) * np.arange(N))
+    for t in (*nodes, weights):
+        t.flags.writeable = False
+    return nodes, weights
+
+
 def series_oracle(
     lambdas: Sequence[complex],
     S: int,
@@ -400,7 +476,9 @@ def series_oracle(
     (Gray, Toeplitz and Circulant Matrices: A Review).  The mean of
     z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}.  N starts
     at the first power of two above 2S and doubles until the aliasing bound
-    on the terms p != 0 is below ``tol``.  The work is N*l: needing more
+    on the terms p != 0 (`_aliasing`) is below ``tol``.  That bound exceeds
+    r**(N-S), r = max |lambda|, so the N with (N-S)*log(1/r) <= log(1/tol)
+    are doubled past without computing it.  The work is N*l: needing more
     than budget // l nodes raises BudgetExceededError, and ``tol`` must be
     finite and positive.
 
@@ -415,7 +493,10 @@ def series_oracle(
     complex root without its conjugate keeps a complex factor, with
     1 - rho*exp(i*psi) = (1 - rho) + 2*rho*sin(psi/2)**2 - i*rho*sin(psi).
     A sample is then accurate to a few eps per real root, however near
-    the circle the root lies.
+    the circle the root lies.  What depends on N alone, the half angles'
+    sines and cosines and the weights 2*cos(2*pi*m/N), is built once per
+    power of two N <= 2**17 and kept (`_rule`, at most 7 MB); a larger N
+    builds it block by block in each call.
 
     err_estimate adds a rounding bound to the aliasing bound, so the true
     limit lies within it of the returned value.  Only the aliasing part is
@@ -432,45 +513,39 @@ def series_oracle(
     ell = len(lams)
     _check_roots(lams, ell)
     conj_closed = _conjugate_closed(lams)
-    r = max(abs(v) for v in lams)
-    if r == 0:
+    # the nonzero roots' moduli, in order, and the roots sorted into reals,
+    # conjugate pairs and complex roots without their conjugate
+    rest = [v for v in lams if v]
+    mods = list(map(abs, rest))
+    reals, pairs, lone = [], [], []
+    while rest:
+        v = rest.pop()
+        if v.imag == 0:
+            reals.append(v.real)
+        elif v.conjugate() in rest:
+            rest.remove(v.conjugate())
+            pairs.append(v)
+        else:
+            lone.append(v)
+    if not mods:
         value = 1.0 + 0j if S == 0 else 0j
         return LimitValue(value, 0.0, True, truncation=0)
     _charge(f"the series oracle at S={S}", (S + 1) * ell, budget)  # N > S
 
-    # Aliasing (Trefethen & Weideman, SIAM Rev. 56(3), 2014): |c_j| is at
-    # most the j-th coefficient of g, the symbol built from the moduli
-    # |lambda_m|, whose coefficients are positive and even in j, so
-    # |c_j| <= g(rho) * rho**-|j| for 1 < rho < 1/r.  For N > S the terms
-    # p != 0 sum to at most g(rho) * (rho**(S-N) + rho**(-S-N)) /
-    # (1 - rho**-N), taken in logs so that nothing overflows.  At each N,
-    # r*rho = (N-S)/(N-S+k), with k roots of modulus r, minimises the part
-    # k*log(1/(1 - r*rho)) - (N-S)*log(rho) that grows near 1/r; where that
-    # rho is not above 1, log(rho) = log(1/r)/2.  log(rho) is kept strictly
-    # inside (0, log(1/r)), so every a*rho stays below 1 in logs.
-    log_r = math.log(r)
-    mods = [abs(v) for v in lams if v != 0]
-    k_r = mods.count(r)
-    log_g0 = sum(math.log1p(-a * a) for a in mods)
-    log_mods = [math.log(a) for a in mods]
-    top = math.nextafter(-log_r, 0)  # the largest float below log(1/r)
-
-    def alias(N: int) -> float:
-        log_rho = -log_r - math.log1p(k_r / (N - S))
-        log_rho = min(log_rho, top) if log_rho > 0 else -log_r / 2
-        log_g = log_g0 - sum(  # log((1 - a*rho)*(1 - a/rho)) per root
-            math.log(math.expm1(a + log_rho) * math.expm1(a - log_rho))
-            for a in log_mods
-        )
-        return math.exp(
-            log_g + math.log1p(math.exp(-2 * S * log_rho)) - (N - S) * log_rho
-            - math.log(-math.expm1(-N * log_rho))
-        )
-
-    # Double from the first power of two above 2S until the bound is below
-    # tol, or refuse at the budget's node count.
+    # alias(N) > r**(N-S): each factor of g(rho) is at least 1 for
+    # rho >= 1, the log1p and -log(1 - rho**-N) terms are at least 0, and
+    # log(rho) < log(1/r), in floats too.  So every N with (N-S)*log(1/r)
+    # <= log(1/tol) fails, and is doubled past without the bound; the
+    # margins, 1e-9 relative and absolute, are far above the rounding of
+    # either side, so no N that the bound accepts is passed over.  Then N
+    # doubles until the bound is below tol, or is refused at the budget's
+    # node count.
+    alias = _aliasing(mods, S)
     cap = budget // ell
     N = min(1 << (2 * S).bit_length(), cap)
+    slope, need = -math.log(max(mods)) * (1 + 1e-9), -math.log(tol) - 1e-9
+    while N < cap and (N - S) * slope < need:
+        N = min(2 * N, cap)
     while (bound := alias(N)) >= tol:
         if N == cap:
             raise BudgetExceededError(
@@ -485,50 +560,43 @@ def series_oracle(
     # Each factor's numerator goes into ``quot``, and its denominators
     # B_rho = q + p*sin(.)**2 into one product, or a complex one for a root
     # whose conjugate is not among the roots.
-    reals, pairs, lone = [], [], []
-    rest = [v for v in lams if v != 0]
-    while rest:
-        v = rest.pop()
-        if v.imag == 0:
-            reals.append(v.real)
-        elif v.conjugate() in rest:
-            rest.remove(v.conjugate())
-            pairs.append(v)
-        else:
-            lone.append(v)
     quot = math.prod((1 - a) * (1 + a) for a in reals) * math.prod(
         (abs(1 - v) * abs(1 + v)) ** 2 for v in pairs
     ) * math.prod((1 - v) * (1 + v) for v in lone)
     rhos = [abs(a) for a in reals] + [abs(v) for v in pairs for _ in range(2)]
-    q = np.array([(1 - rho) ** 2 for rho in rhos])[:, None]
-    p = np.array([4 * rho for rho in rhos])[:, None]
+    q, p = np.array([[(1 - rho) ** 2 for rho in rhos],
+                     [4 * rho for rho in rhos]])[:, :, None]
     half_phases = [math.atan2(v.imag, v.real) / 2 for v in pairs]
     turns = [(math.cos(c), math.sin(c)) for c in half_phases]
 
     h = math.pi / N  # half the node spacing
     half = N // 2
+    nodes, weights = (_rule(N) if N <= _RULE_MAX and not N & (N - 1)
+                      else (None, None))
     re, im = [], []
     abs_total = 0.0
-    for lo in range(0, half + 1, 1 << 16):  # in blocks: memory stays bounded
-        hi = min(lo + (1 << 16), half + 1)
-        k = np.arange(lo, hi)
-        # sin and cos of the half angle x = theta_k/2, the cosine as the
-        # sine of the mirrored node's half angle, h*(N/2 - k) = pi/2 - x
-        sin_x = np.sin(h * k)
-        cos_x = np.sin(h * (N / 2 - k))
-        rows = [sin_x if a > 0 else cos_x for a in reals]
-        for cos_c, sin_c in turns:  # sin(x -+ phi/2)
-            rows += [sin_x * cos_c - cos_x * sin_c, sin_x * cos_c + cos_x * sin_c]
-        sines = np.array(rows).reshape(len(rows), len(k))
-        f = quot / np.prod(q + p * (sines * sines), axis=0)
+    for lo in range(0, half + 1, _BLOCK):
+        hi = min(lo + _BLOCK, half + 1)
+        if nodes:
+            k, sin_x, cos_x, sin2, cos2 = (t[lo:hi] for t in nodes)
+        else:
+            k = np.arange(lo, hi)
+            sin_x, cos_x, sin2, cos2 = _half_angles(N, k)
+        rows = [sin2 if a > 0 else cos2 for a in reals]
+        for cos_c, sin_c in turns:  # sin(x -+ phi/2), squared
+            sc, cs = sin_x * cos_c, cos_x * sin_c
+            rows += [(sc - cs) * (sc - cs), (sc + cs) * (sc + cs)]
+        squares = np.array(rows).reshape(len(rows), len(k))
+        f = quot / np.multiply.reduce(q + p * squares, axis=0)
         for v in lone:
             rho, c = abs(v), math.atan2(v.imag, v.real) / 2
             for a in (c + h * k, c - h * k):
                 s = np.sin(a)
                 f = f / ((1 - rho) + 2 * rho * (s * s) - 2j * rho * (s * np.cos(a)))
-        # S*k mod N, without int64 overflow for any N below 2**46
-        j = (lo * S % N + (k - lo) * (S % N)) % N
-        w = 2 * np.cos(2 * h * j)
+        if weights is None:  # S*k mod N, without int64 overflow below N = 2**46
+            w = 2 * np.cos(2 * h * ((lo * S % N + (k - lo) * (S % N)) % N))
+        else:  # S*k mod N, k*(S mod N) below 2**34
+            w = weights[k * (S % N) % N]
         mod = np.abs(f)
         abs_total += 2 * float(mod.sum())
         if lo == 0:
@@ -537,10 +605,10 @@ def series_oracle(
         if hi == half + 1 and N % 2 == 0:
             w[-1] = -1.0 if S % 2 else 1.0
             abs_total -= float(mod[-1])
-        terms = w * f
-        re.append(math.fsum(terms.real.tolist()))
+        terms = w * f  # a memoryview iterates its floats without a list
+        re.append(math.fsum(memoryview(terms.real)))
         if lone:
-            im.append(math.fsum(terms.imag.tolist()))
+            im.append(math.fsum(memoryview(terms.imag)))
     value = complex(math.fsum(re), math.fsum(im)) / N
 
     # Rounding, to first order in eps and relative to each sample, with

@@ -1,4 +1,6 @@
+import cmath
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -129,11 +131,35 @@ class TestCharRoots:
     @pytest.mark.parametrize("which", [0, 1])  # outside the circle, inside it
     def test_perturbed_root_with_huge_coefficients_is_refused(
             self, monkeypatch, alphas, which):
-        found = np.roots([1.0, -alphas[0], -alphas[1]])
-        found[np.argsort(-np.abs(found))[which]] *= 1 + 1e-6
-        monkeypatch.setattr(np, "roots", lambda poly: found.copy())
+        # the roots near 1e308 and 1 are found apart, the larger first
+        roots, calls = np.roots, []
+
+        def perturbed(poly):
+            found = roots(poly) * (1 + 1e-6 * (len(calls) == which))
+            calls.append(poly)
+            return found
+
+        monkeypatch.setattr(np, "roots", perturbed)
         with pytest.raises(RuntimeError, match="residual"):
             char_roots(alphas)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("roots", [
+        (1e300, cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)),
+        (-3e200, 0.5, -0.25),
+        (2e150, 0.9j, -0.9j, 1e-100),
+        (7e60, 5e20, 0.3, -0.2),
+    ])
+    def test_roots_of_widely_scaled_coefficients(self, roots):
+        # one scaling of lambda cannot hold both 1e300 and a unit root:
+        # alpha = (1e300, -1e300, 1e300) needs 1e-600 in the scaled
+        # polynomial; each scale's roots are found on their own
+        alphas = [-float(c.real) for c in np.poly(roots)[1:]]
+        got = char_roots(alphas).roots
+        want = sorted(map(complex, roots), key=lambda z: (-abs(z), -z.real, -z.imag))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * abs(w), (got, want)
 
 
 class TestAcf:

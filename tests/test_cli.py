@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -247,6 +248,17 @@ class TestAr:
         res = [r["re"] for r in env["result"]["roots"]]
         assert res == pytest.approx([1e308, -1.0], rel=1e-12)
         assert env["result"]["stationary"] is False
+
+    def test_roots_of_widely_scaled_coefficients(self, capsys):
+        # np.roots lost the unit-modulus pair next to the root near 1e300
+        code, env, _ = run_json(capsys, "ar", "roots", "--alpha", "1e300,-1e300,1e300")
+        assert code == 0
+        roots = [complex(r["re"], r["im"]) for r in env["result"]["roots"]]
+        assert len(roots) == 3
+        assert roots[0] == pytest.approx(1e300, rel=1e-12)
+        for z, want in zip(roots[1:], (cmath.exp(1j * math.pi / 3),
+                                       cmath.exp(-1j * math.pi / 3))):
+            assert abs(z - want) <= 1e-10
 
     def test_acf_markov(self, capsys):
         code, env, _ = run_json(

@@ -1,9 +1,12 @@
 import ast
 import cmath
 import importlib.util
+import inspect
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -206,6 +209,44 @@ def doubling_node_count(lams, S, tol, budget=DEFAULT_BUDGET):
             return None, bound
         N = min(2 * N, cap)
     return N, bound
+
+
+def plain_node_count(lams, S, tol, budget):
+    """The series oracle's node count by the plain doubling loop over its
+    own aliasing bound, with no N passed over: from the first power of two
+    above 2S, doubled (up to budget // l) until the bound is below tol.
+    Returns (N, bound, rises): N is None where the budget refuses, with the
+    achievable bound, and rises counts the doublings on which the bound
+    rose."""
+    alias = lambda_sums._aliasing([abs(v) for v in lams if v], S)
+    cap = budget // len(lams)
+    N = min(1 << (2 * S).bit_length(), cap)
+    rises, last = 0, math.inf
+    while (bound := alias(N)) >= tol:
+        rises += bound > last
+        if N == cap:
+            return None, bound, rises
+        N, last = min(2 * N, cap), bound
+    return N, bound, rises + (bound > last)
+
+
+def sweep_roots(rng, ell):
+    """ell roots inside the disk of a random radius up to 0.999: reals,
+    conjugate pairs, complex roots without their conjugate and zeros."""
+    rmax = float(rng.choice([0.05, 0.5, 0.8, 0.95, 0.99, 0.999]))
+    lams = []
+    while len(lams) < ell:
+        kind, rad = rng.random(), rng.uniform(0, rmax)
+        if kind < 0.35 and len(lams) + 2 <= ell:
+            z = cmath.rect(rad, rng.uniform(0.01, math.pi - 0.01))
+            lams += [z, z.conjugate()]
+        elif kind < 0.5:
+            lams.append(cmath.rect(rad, rng.uniform(-math.pi, math.pi)))
+        elif kind < 0.6:
+            lams.append(0j)
+        else:
+            lams.append(complex(rng.choice((-1, 1)) * rad))
+    return [lams[i] for i in rng.permutation(ell)]
 
 
 def ms(*lams):
@@ -489,20 +530,21 @@ class TestErrEstimate:
     power x**(S+l-1), which grows with S."""
 
     @staticmethod
-    def assert_bounded(got, entries, S):
+    def assert_bounded(entries, S, *results):
+        # one reference for all the evaluators' results
         ref = closed_form_reference(entries, S)
-        err = float(abs(complex(got.value) - ref))
-        assert err <= got.err_estimate, (entries, S, err, got.err_estimate)
+        for got in results:
+            err = float(abs(complex(got.value) - ref))
+            assert err <= got.err_estimate, (entries, S, err, got.err_estimate)
 
     @pytest.mark.parametrize("lams, S", [
         ([-0.8, 0.3], 50), ([-0.8, 0.3], 300), ([-0.9, 0.5, -0.2], 300),
     ])
     def test_large_S(self, lams, S):
         roots = ms(*lams)
-        for f in (f_distinct, f_general):
-            got = f(roots, S)
-            assert got.value.imag == 0
-            self.assert_bounded(got, roots.entries, S)
+        results = [f(roots, S) for f in (f_distinct, f_general)]
+        assert all(got.value.imag == 0 for got in results)
+        self.assert_bounded(roots.entries, S, *results)
 
     def test_random_distinct_sets(self):
         # real roots and conjugate pairs, up to radius 0.99
@@ -511,8 +553,8 @@ class TestErrEstimate:
             roots = draw_multiset(rng, int(rng.integers(2, 7)),
                                   float(rng.choice([0.5, 0.8, 0.95, 0.99])))
             S = int(rng.choice([0, 5, 50, 150, 400]))
-            for f in (f_distinct, f_general):
-                self.assert_bounded(f(roots, S), roots.entries, S)
+            self.assert_bounded(roots.entries, S, f_distinct(roots, S),
+                                f_general(roots, S))
 
     def test_random_repeated_sets(self):
         rng = np.random.default_rng(2)
@@ -524,13 +566,13 @@ class TestErrEstimate:
                            for _ in range(ell - len(base))]
             roots = RootMultiset.from_lambdas(lams)
             S = int(rng.choice([0, 5, 50, 150, 400]))
-            self.assert_bounded(f_general(roots, S), roots.entries, S)
+            self.assert_bounded(roots.entries, S, f_general(roots, S))
 
     @pytest.mark.parametrize("m", [3, 5, 6])
     def test_exact_repeats_near_circle(self, m):
         # the error grows with the multiplicity, at S = 0 too
         roots = RootMultiset(((0.95, m),))
-        self.assert_bounded(f_general(roots, 0), roots.entries, 0)
+        self.assert_bounded(roots.entries, 0, f_general(roots, 0))
 
     @pytest.mark.parametrize("entries, S", [
         (((-0.9921463370434976, 3),), 3),
@@ -541,7 +583,7 @@ class TestErrEstimate:
         # 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) / |1 - x*l_j|
         # relative, raised to powers up to the multiplicity
         roots = RootMultiset(entries)
-        self.assert_bounded(f_general(roots, S), roots.entries, S)
+        self.assert_bounded(roots.entries, S, f_general(roots, S))
 
     @pytest.mark.parametrize("lams, S", [
         ((-0.7214951429234114 + 0.6922483076081796j,
@@ -556,8 +598,8 @@ class TestErrEstimate:
         # 1 - l_i*l_j errs by eps*(1 + 2|l_i*l_j|) / |1 - l_i*l_j| relative,
         # which a bound from the term moduli alone under-claims
         roots = ms(*lams)
-        for f in (f_distinct, f_general):
-            self.assert_bounded(f(roots, S), roots.entries, S)
+        self.assert_bounded(roots.entries, S, f_distinct(roots, S),
+                            f_general(roots, S))
 
     @pytest.mark.parametrize("lams, S", [
         ([0.9, 0.9 + 1.8e-6, 0.9 - 1.8e-6, 0.1], 0),
@@ -571,8 +613,8 @@ class TestErrEstimate:
         # roots closer than the clustering threshold, evaluated as given:
         # no root is replaced by its cluster's mean
         roots = ms(*lams)
-        for f in (f_distinct, f_general):
-            self.assert_bounded(f(roots, S), roots.entries, S)
+        self.assert_bounded(roots.entries, S, f_distinct(roots, S),
+                            f_general(roots, S))
 
     def test_random_clustered_sets(self):
         # near copies 1e-12 to 1e-5 apart (relative), chains of them, exact
@@ -596,8 +638,7 @@ class TestErrEstimate:
             roots = ms(*lams)
             S = int(rng.choice([0, 1, 3, 50, 400]))
             evaluators = (f_distinct, f_general) if roots.is_distinct() else (f_general,)
-            for f in evaluators:
-                self.assert_bounded(f(roots, S), roots.entries, S)
+            self.assert_bounded(roots.entries, S, *(f(roots, S) for f in evaluators))
 
     @pytest.mark.parametrize("entries, S, want", [
         (((1e-301, 6),), 0, 1.0),  # G's 5th coefficient is x**0
@@ -612,7 +653,7 @@ class TestErrEstimate:
         got = f_general(roots, 400)
         assert 0 < abs(got.value) < sys.float_info.min
         assert got.err_estimate > 0
-        self.assert_bounded(got, roots.entries, 400)
+        self.assert_bounded(roots.entries, 400, got)
 
     @pytest.mark.parametrize("entries", [
         ((-0.95, 1), (0.7, 1), (0.2, 1)),
@@ -622,10 +663,9 @@ class TestErrEstimate:
     def test_real_roots_at_large_S(self, entries):
         roots = RootMultiset(entries)
         evaluators = (f_distinct, f_general) if roots.is_distinct() else (f_general,)
-        for f in evaluators:
-            got = f(roots, 300)
-            assert got.value.imag == 0
-            self.assert_bounded(got, roots.entries, 300)
+        results = [f(roots, 300) for f in evaluators]
+        assert all(got.value.imag == 0 for got in results)
+        self.assert_bounded(roots.entries, 300, *results)
 
     @pytest.mark.parametrize("lams, S", [
         ([0.999, -0.999, 0.998, -0.998, 0.5, -0.5], 301),
@@ -898,6 +938,103 @@ class TestSeriesOracle:
             series_oracle([0.5, 0.3], 10**9, 1e-10)
         assert time.perf_counter() - started < 0.5
         assert exc.value.achievable_bound == float("inf")
+
+    def test_node_count_is_the_plain_doubling_loops(self):
+        # the N with (N - S)*log(1/r) <= log(1/tol) are passed over without
+        # the bound; over lone and zero roots, S up to 40,000 (N = 2**17 in
+        # two blocks), tol up to 100, where the bound rises along the
+        # doublings, and tight budgets, N and every refusal are unchanged
+        rng = np.random.default_rng(26)
+        rises = 0
+        for i in range(2000):
+            ell = int(rng.integers(2, 7))
+            lams = sweep_roots(rng, ell)
+            if not any(lams):
+                continue
+            S = int(rng.choice([0, 1, 2, 3, 5, 7, 20, 100, 1000])
+                    if i % 20 != 1 else rng.integers(0, 40_001))
+            tol = float(10 ** rng.uniform(-13, 2) if i % 4 else 10 ** rng.uniform(0, 2))
+            budget = (DEFAULT_BUDGET if i % 5 else int(10 ** rng.uniform(1, 5)))
+            case = (lams, S, tol, budget)
+            if (S + 1) * ell > budget:
+                continue
+            want, bound, rose = plain_node_count(lams, S, tol, budget)
+            rises += rose
+            if want is None:
+                with pytest.raises(BudgetExceededError) as exc:
+                    series_oracle(lams, S, tol, budget=budget)
+                assert exc.value.achievable_bound == bound, case
+            else:
+                got = series_oracle(lams, S, tol, budget=budget)
+                assert got.truncation == want, case
+        assert rises > 0  # the sweep reaches where the bound is not monotone
+
+    @pytest.mark.parametrize("lams, S, tol, budget, want", [
+        ([0.5, 0.3], 1, 1e-12, DEFAULT_BUDGET,
+         (0.9411764705882354+0j, 1.4690890463909073e-14, 64)),
+        ([0.9, -0.8, 0.3 + 0.4j, 0.3 - 0.4j], 3, 1e-10, DEFAULT_BUDGET,
+         (0.2195121544537077+0j, 1.7049918199556515e-14, 512)),
+        ([0.95, -0.95, 0.95j, -0.95j, 0.5132871905747327 + 0.7993974355675016j,
+          0.5132871905747327 - 0.7993974355675016j], 5, 1e-13, DEFAULT_BUDGET,
+         (0.14152601151365823+0j, 3.026106681645714e-13, 2048)),
+        # complex roots without their conjugates, and zero roots
+        ([0.6 + 0.7j, 0.3 - 0.5j, 0j, 0j], 3, 1e-10, DEFAULT_BUDGET,
+         (-1.1198908296943226+1.1916812227074232j, 5.673749820338784e-13, 512)),
+        # three blocks, at an N above every kept rule
+        ([0.5, 0.3], 70000, 1e-10, DEFAULT_BUDGET,
+         (-5.359156281454277e-17+0j, 1.4419837872778503e-14, 262144)),
+        # two blocks, from a kept rule
+        ([0.5, -0.3 + 0.2j, -0.3 - 0.2j], 40000, 1e-10, DEFAULT_BUDGET,
+         (-2.7381187052942513e-17+0j, 2.8151760775360088e-14, 131072)),
+        ([0.5, 0.3], 0, 100.0, DEFAULT_BUDGET,
+         (5.571428571428571+0j, 38.369804022678316, 1)),
+        ([0.999, -0.998], 2, 1e-8, DEFAULT_BUDGET,
+         (0.0014972503763140965+0j, 1.6348806018391122e-17, 65536)),
+        ([0.5, 0.0], 3, 1e-10, DEFAULT_BUDGET,
+         (0.12499999999999999+0j, 7.207336551186202e-15, 64)),
+        ([0.5] * 5, 0, 1e-8, DEFAULT_BUDGET,
+         (23.716049382716143+0j, 8.142609423857221e-12, 64)),
+        ([0.2648238403383415 + 0.953922603563021j,
+          0.2648238403383415 - 0.953922603563021j, -0.999], 4, 1e-6, DEFAULT_BUDGET,
+         (0.6112888073377734+0j, 1.0589706673201645e-12, 65536)),
+        # N at the budget's cap, no power of two: no kept rule
+        ([0.9] * 4, 0, 1e-12, 1984,
+         (2147.0099139816316+0j, 3.9223341642204045e-11, 496)),
+        ([0.7 + 0.1j, 0.2], 9, 1e-12, 222,
+         (0.02190156799999978+0.06479257600000059j, 2.5229251872794266e-13, 111)),
+    ])
+    def test_outputs_are_pinned(self, lams, S, tol, budget, want):
+        # bit for bit what the oracle returned before it kept any rule or
+        # passed over any N
+        got = series_oracle(lams, S, tol, budget=budget)
+        assert repr((got.value, got.err_estimate, got.truncation)) == repr(want)
+
+    def test_kept_rules_are_bounded(self):
+        # one rule per power of two N <= 2**17, keyed by N alone; a larger
+        # N, or one at the budget's cap, keeps none
+        lams = [0.5, 0.3]
+        lambda_sums._rule.cache_clear()
+        alias = lambda_sums._aliasing(lams, 0)
+        tol = 1.5 * alias(2)
+        assert alias(1) >= tol
+        Ns = [series_oracle(lams, 0, 100.0).truncation,
+              series_oracle(lams, 0, tol).truncation]
+        Ns += [series_oracle(lams, 1 << j, 100.0).truncation for j in range(16)]
+        assert Ns == [1 << j for j in range(18)]
+        info = lambda_sums._rule.cache_info()
+        assert info.currsize == info.maxsize == 18
+        assert list(inspect.signature(lambda_sums._rule).parameters) == ["N"]
+        assert series_oracle(lams, 1 << 16, 100.0).truncation == 1 << 18
+        assert series_oracle([0.9] * 4, 0, 1e-12, budget=1984).truncation == 496
+        assert lambda_sums._rule.cache_info() == info
+        script = ("import sys\n"
+                  "from serialsum.lambda_sums import RootMultiset, f_general\n"
+                  "f_general(RootMultiset.from_lambdas([0.5, 0.3]), 1)\n"
+                  "print('numpy' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(lambda_sums.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, check=True).stdout
+        assert out.split() == ["False"]
 
 
 class TestFiniteSum:
