@@ -513,8 +513,9 @@ def series_oracle(
     ell = len(lams)
     _check_roots(lams, ell)
     conj_closed = _conjugate_closed(lams)
-    # the nonzero roots' moduli, in order, and the roots sorted into reals,
-    # conjugate pairs and complex roots without their conjugate
+    # the nonzero roots' moduli in input order, which the bound's sums keep,
+    # and the roots sorted into reals, conjugate pairs and complex roots
+    # without their conjugate
     rest = [v for v in lams if v]
     mods = list(map(abs, rest))
     reals, pairs, lone = [], [], []
