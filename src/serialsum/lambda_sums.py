@@ -172,7 +172,7 @@ class ShiftSpec(namedtuple("ShiftSpec", "shifts")):
     __slots__ = ()
 
     def __new__(cls, shifts: tuple[int, ...]):
-        return super().__new__(cls, tuple(int(s) for s in shifts))
+        return super().__new__(cls, _integers("shifts", shifts))
 
     @property
     def S(self) -> int:
@@ -201,25 +201,44 @@ class FiniteSumSpec(namedtuple("FiniteSumSpec", "lambdas shifts n upper_adjust")
 
     def __new__(cls, lambdas: tuple[complex, ...], shifts: tuple[int, ...],
                 n: int, upper_adjust: tuple[int, ...] = ()):
-        lambdas = tuple(complex(v) for v in lambdas)
-        shifts = tuple(int(s) for s in shifts)
-        upper_adjust = tuple(int(d) for d in upper_adjust or (0,) * len(lambdas))
+        lambdas = tuple(map(complex, lambdas))
         ell = len(lambdas)
+        shifts = _integers("shifts", shifts)
+        n = _integer("n", n)
+        upper_adjust = _integers("upper_adjust", upper_adjust) or (0,) * ell
         if ell < 2:
             raise ValueError("need at least two lambdas")
         if not all(map(cmath.isfinite, lambdas)):
             raise ValueError("lambdas must be finite")
-        if any(abs(s) >= 1 << 62 for s in shifts):  # int64 exponents
+        if max(map(abs, shifts), default=0) >= 1 << 62:  # int64 exponents
             raise ValueError("shifts must be below 2**62 in magnitude")
         if len(shifts) != ell or len(upper_adjust) != ell:
             raise ValueError("shifts and upper_adjust must match lambdas in length")
         if n < 1:
             raise ValueError("n must be >= 1")
-        if any(d > 0 for d in upper_adjust):
+        if max(upper_adjust) > 0:
             raise ValueError("upper adjustments must be <= 0")
-        if any(n + d < 1 for d in upper_adjust):
+        if n + min(upper_adjust) < 1:
             raise ValueError("adjusted upper limits must stay >= 1")
         return super().__new__(cls, lambdas, shifts, n, upper_adjust)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, by `operator.index`, so that numpy integers
+    pass; a float or any other non-integer is a TypeError naming the
+    argument, not a value truncated by ``int``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    """`_integer` over a sequence."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise TypeError(f"{name} must be integers, got {values!r}") from None
 
 
 def _certify(value: complex, roots_conjugate_closed: bool) -> tuple[complex, bool]:
@@ -701,8 +720,11 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     import numpy as np
 
     base = lam.real if lam.imag == 0 else lam
-    p = np.full(count, base)
-    p[0] = np.power(base, lo)
+    p = np.empty(count, type(base))
+    p.fill(base)
+    # lam**0 is 1 for every lam, and a scalar np.power costs as much as the
+    # products over a table of a few hundred powers
+    p[0] = first = np.power(base, lo) if lo else 1
     # For |lam| < 1, once a power is below half the floor every later one is
     # too: rounding, a few eps a product, cannot double a power within 10**15
     # steps.  Past the floor the products only underflow, and for |lam| > 0.5
@@ -713,19 +735,23 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     # small finite sum, and there a stall (only from a start among the
     # subnormals) costs at most 1,024 slow multiplies.
     stop = count
-    if count > 1024 and 0 < abs(base) < 1 and p[0] != 0:
-        steps = math.log(floor / 4 / abs(p[0])) / math.log(abs(base))
+    if count > 1024 and 0 < abs(base) < 1 and first != 0:
+        steps = math.log(floor / 4 / abs(first)) / math.log(abs(base))
         stop = min(count, max(1, math.ceil(steps * (1 + 1e-9)) + 2))
-    np.cumprod(p[:stop], out=p[:stop])
-    if stop < count:
+    if stop == count:
+        np.multiply.accumulate(p, out=p)
+    else:
+        head = p[:stop]
+        np.multiply.accumulate(head, out=head)
         if abs(p[stop - 1]) < floor / 2:
             p[stop:] = 0
         else:  # the estimate fell short: the whole product
-            np.cumprod(p[stop - 1 :], out=p[stop - 1 :])
+            tail = p[stop - 1 :]
+            np.multiply.accumulate(tail, out=tail)
     # The moduli of a geometric sequence are least at one end, and rounding
     # cannot halve one within 10**15 steps, so ends at least twice the
     # floor leave nothing to set to zero.
-    if not min(abs(p[0]), abs(p[-1])) >= 2 * floor:
+    if not min(abs(first), abs(p[-1])) >= 2 * floor:
         p[np.abs(p) < floor] = 0
     return p
 
@@ -733,10 +759,10 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
 def _ends(spec: FiniteSumSpec, grow: int = 0) -> list[tuple[int, int]]:
     """Per factor A_m, the least and the greatest d + s_m over its diagonals
     d = 1 - n_{m+1} .. n_m - 1 (cyclic), at n = spec.n + grow."""
-    ell = len(spec.lambdas)
-    ns = [spec.n + grow + d for d in spec.upper_adjust]
-    return [(s + 1 - ns[(m + 1) % ell], s + ns[m] - 1)
-            for m, s in enumerate(spec.shifts)]
+    top = spec.n + grow
+    ns = [top + d for d in spec.upper_adjust]
+    return [(s + 1 - q, s + r - 1)
+            for s, r, q in zip(spec.shifts, ns, ns[1:] + ns[:1])]
 
 
 def _span(a: int, b: int) -> tuple[int, int]:
@@ -748,12 +774,12 @@ def _span(a: int, b: int) -> tuple[int, int]:
 def _cut(table: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
     """lam**|e| for e = a .. b, from table[k] = lam**(lo + k), which must
     cover `_span`."""
-    import numpy as np
-
     if a >= 0:  # the rising arm
         return table[a - lo : b - lo + 1]
     if b <= 0:  # the falling arm, reversed so that it is contiguous
         return table[-b - lo : -a - lo + 1][::-1].copy()
+    import numpy as np
+
     # the V crosses zero, so lo = 0: lam**-a .. lam**1, then lam**0 .. lam**b
     return np.concatenate((table[-a:0:-1], table[: b + 1]))
 
@@ -776,18 +802,15 @@ def _mass(rho: float, a: int, b: int) -> tuple[float, float]:
     form; both are inf where a power overflows.  An arm of c powers is
     rho**first * expm1(c*log(rho)) / (rho - 1), which does not cancel near 1."""
     lo, hi = _span(a, b)
-    log_rho = math.log(rho) if rho else -math.inf
-
-    def arm(first: int, c: int) -> float:
-        return rho**first * math.expm1(c * log_rho) / (rho - 1)
-
     try:
         peak = max(rho**lo, rho**hi)
         if rho == 1:
             return float(b - a + 1), peak
+        log_rho = math.log(rho) if rho else -math.inf
         if a < 0 < b:  # rho**0 .. rho**-a, then rho**1 .. rho**b
-            return arm(0, 1 - a) + arm(1, b), peak
-        return arm(lo, hi - lo + 1), peak
+            return (math.expm1((1 - a) * log_rho) / (rho - 1)
+                    + rho * math.expm1(b * log_rho) / (rho - 1)), peak
+        return rho**lo * math.expm1((hi - lo + 1) * log_rho) / (rho - 1), peak
     except OverflowError:
         return math.inf, math.inf
 
@@ -814,15 +837,18 @@ def _rounding_bound(spec: FiniteSumSpec, ends: list, parts: int, length: int,
     their peaks.
     """
     ell = len(spec.lambdas)
-    masses, peaks = zip(*(_mass(abs(lam), a, b)
-                          for lam, (a, b) in zip(spec.lambdas, ends)))
+    masses, peaks, kmax, over = [], [], 0, 1
+    for lam, (a, b) in zip(spec.lambdas, ends):
+        mass, peak = _mass(abs(lam), a, b)
+        masses.append(mass)
+        peaks.append(peak)
+        kmax = max(kmax, -a, b)  # `_span`'s greatest |e|
+        over *= max(1.0, peak)
     abs_sum = parts * min(
         peaks[m] * math.prod(masses[:m] + masses[m + 1:]) for m in range(ell)
     )
-    kmax = max(_span(a, b)[1] for a, b in ends)
     rounds = ell * (4 * kmax + 4) + (ell - 1) * length
-    dropped = _floor(ell) * points * math.prod(max(1.0, p) for p in peaks)
-    return rounds * _EPS * abs_sum + dropped
+    return rounds * _EPS * abs_sum + _floor(ell) * points * over
 
 
 def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
@@ -913,20 +939,18 @@ def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     ns = [spec.n + d for d in spec.upper_adjust]
     ends, diags = _diagonals(spec, 1)
 
-    def factor(j: int, rows: int, cols: int) -> np.ndarray:
-        # A_j cut to its first rows and cols, as diags[j][d + cols - 1] = t(d)
-        top = ns[(j + 1) % ell] + 1
-        return diags[j][top - cols : top + rows - 1]
-
+    # Part m keeps the old range, n_j long, of each j < m and the new one,
+    # n_j + 1, of each j > m.  Of A_j's diagonals, diags[j][d + cols - 1] =
+    # t(d), an old column range drops the first and an old row range the
+    # last.
     value = 0j
     for m in range(ell):
-        lens = [n + (j > m) for j, n in enumerate(ns)]
-        prev = (m - 1) % ell
-        x = diags[prev][: lens[prev]]  # A_{m-1}[:, n_m]
+        x = diags[m - 1][: ns[m - 1] + (m == 0)]  # A_{m-1}[:, n_m]
         for j in range(m + ell - 2, m, -1):
             j %= ell
-            x = np.convolve(factor(j, lens[j], lens[(j + 1) % ell]), x, "valid")
-        row = diags[m][diags[m].size - lens[(m + 1) % ell] :]  # A_m[n_m, ::-1]
+            d = diags[j]
+            x = np.convolve(d[(j + 1) % ell < m : d.size - (j < m)], x, "valid")
+        row = diags[m][ns[m] + (m == ell - 1) :]  # A_m[n_m, ::-1]
         value += complex(row @ x[::-1])
 
     shell = math.prod(n + 1 for n in ns) - math.prod(ns)
@@ -971,26 +995,28 @@ def linear_coefficient(
     Raises BudgetExceededError when the shell needs more than
     DEFAULT_BUDGET work units (`_shell_work`).
     """
-    lams = tuple(complex(v) for v in lambdas)
+    lams = tuple(map(complex, lambdas))
+    n_base = _integer("n_base", n_base)
     ell = len(lams)
     _check_roots(lams, ell)
-    r = max(abs(v) for v in lams)
+    mods = [abs(v) for v in lams]
+    r = max(mods)
     if r > 0 and r**n_base >= 1e-12:
         raise ValueError(
             f"n_base={n_base} too small for max|lambda|={r:g}: "
             "need max|lambda|**n_base < 1e-12"
         )
-    spec = FiniteSumSpec(lams, tuple(shifts), n_base, tuple(upper_adjust))
+    spec = FiniteSumSpec(lams, shifts, n_base, upper_adjust)
     _charge("finite sum", _shell_work(ell, n_base), DEFAULT_BUDGET)
     value, err_round = _shell_sum(spec)
 
     err_exp = 0.0
     if r > 0:
-        ns = [n_base + d for d in spec.upper_adjust]
-        K = 2 * (min(ns) + 1) - sum(
-            abs(s + ns[j] - ns[(j + 1) % ell]) for j, s in enumerate(spec.shifts))
+        d = spec.upper_adjust  # c_j = s_j + d_j - d_{j+1}
+        K = 2 * (n_base + min(d) + 1) - sum(
+            abs(s + a - b) for s, a, b in zip(spec.shifts, d, d[1:] + d[:1]))
         theta = max(0.0, 1 - (ell - 1) / (K * -math.log(r))) if K > 0 else 0.0
-        g = [(1 + a) / (1 - a) for a in (abs(v) ** (1 - theta) for v in lams)]
+        g = [(1 + a) / (1 - a) for a in (m ** (1 - theta) for m in mods)]
         err_exp = r ** (theta * max(K, 0)) * math.prod(g) * sum(1 / x for x in g)
     value, real_ok = _certify(value, _conjugate_closed(lams))
     return LimitValue(value, err_exp + err_round, real_ok)

@@ -1283,6 +1283,22 @@ class TestFiniteSum:
             FiniteSumSpec((0.5, 0.3), (10**20, 0), 2)
         with pytest.raises(ValueError, match="finite"):
             FiniteSumSpec((math.nan, 0.3), (0, 0), 2)
+        # a non-integer shift, n or adjustment is refused by name, not
+        # truncated (a shift of 0.5 summed as 0) or left to fail in numpy
+        for make, name in [
+            (lambda: FiniteSumSpec((0.5, 0.3), (0.5, 0), 3), "shifts"),
+            (lambda: FiniteSumSpec((0.5, 0.3), (0, 0), 3, (-0.5, 0)), "upper_adjust"),
+            (lambda: FiniteSumSpec((0.5, 0.3), (0, 0), 3.0), "n"),
+            (lambda: ShiftSpec((1.9,)), "shifts"),
+            (lambda: linear_coefficient([0.5, 0.3], [0, 0], 200.0), "n_base"),
+            (lambda: linear_coefficient([0.5, 0.3], [0, 0.5], 200), "shifts"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{name} must be"):
+                make()
+        # numpy integers are integers
+        spec = FiniteSumSpec((0.5, 0.3), np.array([1, -1]), np.int64(3), np.array([0, -1]))
+        assert spec == FiniteSumSpec((0.5, 0.3), (1, -1), 3, (0, -1))
+        assert type(spec.n) is int and {type(v) for v in spec.shifts} == {int}
 
     @pytest.mark.parametrize("lams, shifts", [
         ((2.0, 0.5), (2000, 0)),
@@ -1481,6 +1497,52 @@ class TestLinearCoefficient:
         # shell's l parts, dropped (each moves a bound by over 10%)
         assert finite_sum_with_error(spec)[1] == pytest.approx(trace_err, rel=0.05)
         assert _shell_sum(spec)[1] == pytest.approx(shell_err, rel=0.05)
+
+    @pytest.mark.parametrize("lams, shifts, n, adjust, linear, finite", [
+        ((0.5, 0.3), (0, 0), 40, (0, 0),
+         (1.352941176470588+0j, 3.0432799152394537e-13),
+         (53.70242214532871+0j, 1.78143214465568e-11)),
+        ((cmath.rect(0.8, 1.1), cmath.rect(0.8, -1.1)), (1, -2), 130, (0, -3),  # a pair
+         (2.0159827618914554+5.551115123125783e-17j, 4.776179455042005e-12),
+         (251.55832128395912-6.178079470272422j, 9.243406040577387e-10)),
+        ((0.98, -0.6), (2, -1), 1500, (-2, 0),  # tables of 1,501 powers
+         (0.23929471032745608+0j, 2.3996804543543768e-11),
+         (358.18920988014645+0j, 5.38848965447869e-08)),
+        ((0.6 + 0.5j, -0.4, 0.2), (1, 0, -2), 160, (0, 0, 0),  # a lone complex root
+         (0.3468785100305633+0.38973490693801455j, 5.311084905201824e-12),
+         (55.06436786834581+61.683320390530405j, 1.4075851595407585e-09)),
+        ((0.0, 0.7, -0.5), (-1, 2, 1), 80, (0, -1, 0),  # a zero root
+         (0.1981481481481481+0j, 2.2901680876220704e-12),
+         (15.610631001371747+0j, 3.0162539133016253e-10)),
+        ((0.1, -0.2, 0.05), (30, -25, 3), 20, (0, 0, 0),  # spans off zero
+         (-5.894235299971032e-17+0j, 4.842105263157896),
+         (1.1557324117590255e-18+0j, 1.1169233179667548e-26)),
+        ((cmath.rect(0.7, 2.0), cmath.rect(0.7, -2.0), cmath.rect(0.6, 0.5),
+          cmath.rect(0.6, -0.5)), (0, 1, 0, -2), 80, (0, 0, -2, 0),
+         (0.6483291116426254-3.400058012914542e-16j, 1.2650996352158452e-10),
+         (51.116876161921205-0.26681695590951904j, 1.74971622375931e-08)),
+        ((0.5, -0.375, 0.25, 0.125), (-1, 0, 0, 2), 40, (-3, -1, -1, -1),
+         (0.45324046756274416+0j, 3.3191019139851973e-12),
+         (15.981987365121647+0j, 2.0957302560020702e-10)),
+        ((0.5, -0.4, cmath.rect(0.45, 1.0), cmath.rect(0.45, -1.0), 0.0),
+         (1, -1, 2, 0, -3), 40, (0, -1, 0, -2, 0),
+         (0.5930282604303586-9.71445146547012e-17j, 1.9874270270716076e-11),
+         (20.949485300846742-0.3993215756311049j, 1.3223009464236244e-09)),
+        ((0.3 + 0.3j, 0.3 + 0.3j, -0.5, 0.2, 0.45), (0, 0, 1, 0, 0), 41, (0, 0, 0, -1, 0),
+         (0.42164463507627553+0.6860153696445433j, 2.7621048664174312e-11),
+         (16.294474654815282+26.625646386894818j, 1.9908165557575382e-09)),
+    ])
+    def test_kernels_are_pinned(self, lams, shifts, n, adjust, linear, finite):
+        # reference outputs of the shell and the trace, recorded on one host
+        # (numpy 2.4.6, OpenBLAS, AVX-512); the value is held to a few eps,
+        # as np.convolve's dot order may differ between BLAS builds, and the
+        # bound, from the moduli alone, to 1e-12
+        got = linear_coefficient(lams, shifts, n, adjust)
+        value, err = finite_sum_with_error(FiniteSumSpec(lams, shifts, n, adjust))
+        for (v, e), (want_v, want_e) in [((got.value, got.err_estimate), linear),
+                                         ((value, err), finite)]:
+            assert v == pytest.approx(want_v, rel=1e-13, abs=1e-15)
+            assert e == pytest.approx(want_e, rel=1e-12)
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(data=st.data())

@@ -102,7 +102,7 @@ class TestConstruction:
         assert ConjectureReport(ell=5, tol=1e-8).trials == ()
         assert RootMultiset(entries=[(0.5, 1), (0.3, 1)]).entries \
             == ((0.5 + 0j, 1), (0.3 + 0j, 1))
-        assert ShiftSpec(shifts=[2.0, -5]).shifts == (2, -5)
+        assert ShiftSpec(shifts=[np.int64(2), -5]).shifts == (2, -5)
         assert ARModel(alphas=[1, 0.5], sigma=2).alphas == (1.0, 0.5)
         assert CharRoots(roots=(0.5,), stationary=True).roots == (0.5,)
         assert AcfModel(roots=(0.5,), coeffs=(1.0,)).coeffs == (1.0,)
