@@ -738,11 +738,9 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     if count > 1024 and 0 < abs(base) < 1 and first != 0:
         steps = math.log(floor / 4 / abs(first)) / math.log(abs(base))
         stop = min(count, max(1, math.ceil(steps * (1 + 1e-9)) + 2))
-    if stop == count:
-        np.multiply.accumulate(p, out=p)
-    else:
-        head = p[:stop]
-        np.multiply.accumulate(head, out=head)
+    head = p[:stop]
+    np.multiply.accumulate(head, out=head)
+    if stop < count:
         if abs(p[stop - 1]) < floor / 2:
             p[stop:] = 0
         else:  # the estimate fell short: the whole product
