@@ -19,7 +19,7 @@ _NAMES = {
     "ar_model": (
         "AcfModel", "ARModel", "BadLagError", "CharRoots",
         "DegenerateSampleError", "NotStationaryError", "SeriesSample", "acf",
-        "char_roots", "empirical_acf", "simulate", "sum_stats",
+        "char_roots", "empirical_acf", "simulate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}

@@ -1,6 +1,5 @@
 """AR(k) toolkit: characteristic roots, theoretical and empirical serial
-correlations, seeded simulation, and the sum statistics used by the moment
-calculations.
+correlations, and seeded simulation.
 
 The process is X_i = alpha_1*X_{i-1} + ... + alpha_k*X_{i-k} + eps_i with
 iid Gaussian noise.  It is asymptotically stationary iff every root of
@@ -20,8 +19,10 @@ that seed's generator chunk by chunk, and runs a group of seeds through
 the blocked filter together, so it holds about `_IN_FLIGHT` samples at
 once, however long the series and however many the seeds.  `simulate`
 fills its array from it, `_simulate_csv` (`ar simulate`) writes each
-chunk to the CSV file, and `_sample_acfs` (`ar check`) adds each chunk to
-its seeds' lag sums.
+chunk to the CSV file, and `_sample_acfs` (`ar check`) passes its chunks
+to `_lag_sums`.  `_lag_sums` is the one routine that forms the lag sums
+Q_j = sum_t X_t * X_{t+j}: `empirical_acf` gives it a whole series as
+one chunk.
 
 Note: `empirical_acf` uses the known-zero-mean estimator (no sample-mean
 subtraction) because the process mean is exactly zero.  Generic ACF tools
@@ -247,13 +248,9 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     return AcfModel(cr.roots, coeffs), rho
 
 
-def default_burn_in(alphas: Sequence[float]) -> int:
-    """Smallest burn-in with max|lambda|**burn_in < 1e-12."""
-    return _burn_in(char_roots(alphas))
-
-
 def _burn_in(cr: CharRoots) -> int:
-    """`default_burn_in` from the model's roots, found once by the caller."""
+    """Smallest burn-in with max|lambda|**burn_in < 1e-12, at least k,
+    from the model's roots, found once by the caller."""
     if not cr.stationary:
         raise NotStationaryError("burn-in requires a stationary model")
     k = len(cr.roots)
@@ -394,62 +391,52 @@ def simulate(
     return SeriesSample(values, seed=seed, burn_in=burn_in)
 
 
-def sum_stats(sample: SeriesSample, j: int) -> tuple[float, float]:
-    """(sum of X_i, sum of X_i * X_{i+j} for i = 1..n-j)."""
-    if j < 0 or j >= sample.n:
-        raise BadLagError(f"lag {j} out of range for n={sample.n}")
+def _lag_sums(chunks, rows: int, j_max: int) -> np.ndarray:
+    """The lag sums Q_0..Q_{j_max}, Q_j = sum_t X_t * X_{t+j}, of `rows`
+    series given chunk by chunk, as the rows of one array.
+
+    chunks yields (at, t0, x) as `_stream` does: row i of x holds values
+    t0, t0+1, ... of series at[i], each series' chunks in order from
+    t0 = 0.  Each chunk is joined to the last j_max values of the chunks
+    before it and adds the products whose later value lies in it, one
+    `np.einsum` per lag.  Raises DegenerateSampleError where Q_0 is 0.
+    """
     import numpy as np
 
-    x = sample.values
-    sum_x = float(x.sum())
-    if j == 0:
-        sum_xx = float(np.dot(x, x))
-    else:
-        sum_xx = float(np.dot(x[:-j], x[j:]))
-    return sum_x, sum_xx
+    sums = np.zeros((rows, j_max + 1))
+    for at, t0, x in chunks:
+        if t0 == 0:
+            tail = x[:, :0]
+        y = np.concatenate([tail, x], axis=1)
+        for j in range(min(j_max + 1, y.shape[1])):
+            lo = max(tail.shape[1], j)
+            sums[at, j] += np.einsum("ij,ij->i", y[:, lo:],
+                                     y[:, lo - j : y.shape[1] - j])
+        tail = y[:, max(0, y.shape[1] - j_max) :]
+    if not sums[:, 0].all():
+        raise DegenerateSampleError("all-zero sample")
+    return sums
 
 
 def empirical_acf(sample: SeriesSample, j_max: int) -> list[float]:
-    """Zero-mean sample autocorrelations r_0..r_{j_max}."""
+    """Zero-mean sample autocorrelations r_0..r_{j_max}: the lag sums of
+    the whole series (`_lag_sums`, one chunk) over Q_0."""
     if j_max < 0 or j_max >= sample.n:
         raise BadLagError(f"j_max {j_max} out of range for n={sample.n}")
-    import numpy as np
-
-    x = sample.values
-    # the lag-j sums of `sum_stats`, one dot product each, lag 0 the denominator
-    sums = [float(np.dot(x[: x.size - j], x[j:])) for j in range(j_max + 1)]
-    denom = sums[0]
-    if denom == 0:
-        raise DegenerateSampleError("all-zero sample")
-    return [s / denom for s in sums]
+    sums = _lag_sums([(slice(0, 1), 0, sample.values[None])], 1, j_max)[0]
+    return (sums / sums[0]).tolist()
 
 
 def _sample_acfs(model: ARModel, n: int, burn_in: int, seeds: Sequence[int],
                  j_max: int) -> np.ndarray:
     """`empirical_acf(simulate(model, n, burn_in, seed), j_max)` for each
-    seed, as the rows of one array, with no series held whole.
-
-    Each chunk of `_stream` adds to its seeds' lag sums, joined to the
-    last j_max values of the chunks before.  The caller checks what
+    seed, as the rows of one array, with no series held whole: the lag
+    sums of `_stream`'s chunks over Q_0.  The caller checks what
     `simulate` checks.
     """
     if j_max < 0 or j_max >= n:
         raise BadLagError(f"j_max {j_max} out of range for n={n}")
-    import numpy as np
-
-    sums = np.zeros((len(seeds), j_max + 1))
-    for rows, t0, x in _stream(model, n, burn_in, seeds):
-        if t0 == 0:
-            tail = x[:, :0]
-        y = np.concatenate([tail, x], axis=1)
-        for j in range(min(j_max + 1, y.shape[1])):
-            # the products whose later value lies in this chunk
-            lo = max(tail.shape[1], j)
-            sums[rows, j] += np.einsum("ij,ij->i", y[:, lo:],
-                                       y[:, lo - j : y.shape[1] - j])
-        tail = y[:, max(0, y.shape[1] - j_max) :]
-    if not sums[:, 0].all():
-        raise DegenerateSampleError("all-zero sample")
+    sums = _lag_sums(_stream(model, n, burn_in, seeds), len(seeds), j_max)
     return sums / sums[:, :1]
 
 
@@ -457,24 +444,20 @@ def _sample_acfs(model: ARModel, n: int, burn_in: int, seeds: Sequence[int],
 _CSV_ROWS = 1 << 12
 
 
-def write_csv(sample: SeriesSample, path) -> None:
-    """One value per line under a single `x` header.
-
-    Each value is written with repr, so it reads back exactly, and each
-    line ends in CRLF, as `csv.writer` writes it.
-    """
-    _write_rows(path, [sample.values])
-
-
 def _simulate_csv(model: ARModel, n: int, burn_in: int, seed: int, path) -> None:
-    """`write_csv(simulate(model, n, burn_in, seed), path)`, each chunk of
-    `_stream` written as it is made.  The caller checks what `simulate`
-    checks."""
+    """`simulate(model, n, burn_in, seed)` as a CSV file (`_write_rows`),
+    each chunk of `_stream` written as it is made.  The caller checks what
+    `simulate` checks."""
     _write_rows(path, (x[0] for _, _, x in _stream(model, n, burn_in, [seed])))
 
 
 def _write_rows(path, chunks) -> None:
-    """The file of `write_csv`, from the series in consecutive pieces."""
+    """One value per line under a single `x` header, from the series in
+    consecutive pieces.
+
+    Each value is written with repr, so it reads back exactly, and each
+    line ends in CRLF, as `csv.writer` writes it.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("x\r\n")
         for chunk in chunks:

@@ -16,15 +16,14 @@ from serialsum import (
     char_roots,
     empirical_acf,
     simulate,
-    sum_stats,
 )
 from serialsum import ar_model
 from serialsum.ar_model import (
     _BLOCK,
+    _burn_in,
     _sample_acfs,
     _stream,
-    default_burn_in,
-    write_csv,
+    _write_rows,
 )
 from _gen import draw_roots
 from _references import finite_sum_direct
@@ -276,7 +275,7 @@ class TestSimulate:
             simulate(ARModel((0.6,), 1.0), 10, burn_in=-5, seed=0)
 
     def test_default_burn_in_forgets_start(self):
-        b = default_burn_in([0.6])
+        b = _burn_in(char_roots([0.6]))
         assert 0.6**b < 1e-12
         assert 0.6 ** (b - 1) >= 1e-12
 
@@ -390,6 +389,15 @@ class TestStream:
         assert got.shape == (len(seeds), j_max + 1)
         assert np.max(np.abs(got - np.array(want))) <= 1e-14
 
+    @pytest.mark.parametrize("n", [5, 50, 300, 1000, 3000])
+    def test_one_chunk_is_empirical_acf_bit_for_bit(self, n):
+        # a series that fits one chunk goes through the same lag sums as
+        # the whole array, so the two agree in every bit
+        model, j_max = ARModel(AR2_ALPHAS, 1.0), min(3, n - 1)
+        for seed in range(5):
+            got = _sample_acfs(model, n, 57, [seed], j_max)[0]
+            assert got.tolist() == empirical_acf(simulate(model, n, 57, seed), j_max)
+
     def test_sample_acfs_refuse_as_empirical_acf_does(self):
         with pytest.raises(BadLagError):
             _sample_acfs(ARModel((0.6,), 1.0), 10, 0, [1, 2], 10)
@@ -397,36 +405,40 @@ class TestStream:
             _sample_acfs(ARModel((0.6,), 0.0), 10, 0, [1, 2], 3)
 
 
-class TestSumStats:
-    def test_hand_enumeration(self):
-        s = SeriesSample(np.array([1.0, 2.0, 3.0]), seed=0, burn_in=0)
-        assert sum_stats(s, 1) == (6.0, 8.0)
-        assert sum_stats(s, 0) == (6.0, 14.0)
-
-    def test_boundary_lag(self):
-        s = SeriesSample(np.array([1.0, 2.0, 3.0]), seed=0, burn_in=0)
-        assert sum_stats(s, 2)[1] == 3.0  # single term X_1 * X_n
-
-    def test_bad_lag(self):
-        s = SeriesSample(np.array([1.0, 2.0]), seed=0, burn_in=0)
-        with pytest.raises(BadLagError):
-            sum_stats(s, 2)
-
-
 class TestEmpiricalAcf:
     def test_r0_is_one(self):
         s = SeriesSample(np.array([0.5, -1.0, 2.0, 0.3]), seed=0, burn_in=0)
         assert empirical_acf(s, 2)[0] == 1.0
 
-    def test_equals_lag_sums_bit_for_bit(self):
-        # every lag, the last included, against sum_stats lag by lag
+    def test_hand_enumeration(self):
+        # Q_0 = 14, Q_1 = 8 and, at the boundary lag, the single term
+        # Q_2 = X_1 * X_n = 3
+        s = SeriesSample(np.array([1.0, 2.0, 3.0]), seed=0, burn_in=0)
+        assert empirical_acf(s, 2) == [1.0, 8 / 14, 3 / 14]
+
+    def test_bad_lag(self):
+        s = SeriesSample(np.array([1.0, 2.0]), seed=0, burn_in=0)
+        with pytest.raises(BadLagError):
+            empirical_acf(s, 2)
+        with pytest.raises(BadLagError):
+            empirical_acf(s, -1)
+
+    def test_lag_sums_within_rounding_bound(self):
+        # every lag, the last included, against correctly rounded sums:
+        # a sum of m products errs by at most about m*eps*sum|x_t*x_{t+j}|,
+        # and r_j by that over Q_0 and one rounding more
         rng = np.random.default_rng(8)
+        eps = np.finfo(float).eps
         for n in (1, 2, 7, 1000):
-            s = SeriesSample(rng.standard_normal(n) * 1e3, seed=0, burn_in=0)
-            denom = sum_stats(s, 0)[1]
-            assert empirical_acf(s, n - 1) == [
-                sum_stats(s, j)[1] / denom for j in range(n)
-            ]
+            x = rng.standard_normal(n) * 1e3
+            got = empirical_acf(SeriesSample(x, seed=0, burn_in=0), n - 1)
+            xs = x.tolist()
+            q0 = math.fsum(v * v for v in xs)
+            for j in range(n):
+                products = [a * b for a, b in zip(xs, xs[j:])]
+                want = math.fsum(products) / q0
+                scale = math.fsum(map(abs, products)) / q0
+                assert abs(got[j] - want) <= 2 * n * eps * scale, (n, j)
 
     def test_ar1_monte_carlo(self):
         sample = simulate(ARModel((0.6,), 1.0), 200_000, seed=3)
@@ -455,7 +467,7 @@ class TestCsvExport:
         # more rows than one write holds, so the block joins are covered
         sample = simulate(ARModel((0.5, -0.06), 2.0), 70_000, seed=4)
         path = tmp_path / "series.csv"
-        write_csv(sample, path)
+        _write_rows(path, [sample.values])
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -467,7 +479,7 @@ class TestCsvExport:
     def test_round_trip(self, tmp_path):
         sample = simulate(ARModel((0.6,), 1.0), 50, seed=8)
         path = tmp_path / "series.csv"
-        write_csv(sample, path)
+        _write_rows(path, [sample.values])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x"
         values = np.array([float(v) for v in lines[1:]])
