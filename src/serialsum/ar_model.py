@@ -10,9 +10,9 @@ Yule-Walker equations and the AR recursion.  The A_i come from the closed
 form of `lambda_sums`: the spectral density of the process is the series
 oracle's symbol, so gamma_j is proportional to F(lambda; j), and A_i is
 the residue at lambda_i of `lambda_sums`' G at S = 0 (the closed form's
-term for lambda_i) divided by their sum: `f_general`'s code (`_g_jet`,
-`_residue`) over the roots as given, with no `RootMultiset`, so a model
-of any order has them.
+term for lambda_i) divided by their sum: `f_general`'s one residue
+routine (`confluent_divided_difference_cond`) over the roots as given,
+with no `RootMultiset`, so a model of any order has them.
 
 Simulation has one engine, `_stream`: it draws each seed's noise from
 that seed's generator chunk by chunk, and runs a group of seeds through
@@ -40,7 +40,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .lambda_sums import _g_jet, _residue
+from .lambda_sums import _power_column, confluent_divided_difference_cond
 
 
 class NotStationaryError(ValueError):
@@ -240,9 +240,9 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     coeffs = None
     lams = cr.roots
     if len(set(lams)) == len(lams):
-        terms = [_residue((x,), _g_jet((x,), lams, len(lams) - 1),
-                          lams[:i] + lams[i + 1:])[0]
-                 for i, x in enumerate(lams)]
+        terms, _ = confluent_divided_difference_cond(
+            [(x,) for x in lams], [_power_column((x,), len(lams) - 1) for x in lams],
+            lams)
         total = sum(terms)
         coeffs = tuple(t / total for t in terms)
     return AcfModel(cr.roots, coeffs), rho

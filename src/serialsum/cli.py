@@ -108,13 +108,16 @@ def _budget(args) -> int:
     from . import lambda_sums
 
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SERIALSUM_BUDGET")
-    if not env:
-        return lambda_sums.DEFAULT_BUDGET
-    budget = float(env)
-    if not math.isfinite(budget):  # a usage error, as a malformed one is
-        raise ValueError(f"SERIALSUM_BUDGET must be finite, got {env!r}")
+        name, budget = "--budget", args.budget
+    else:
+        env = os.environ.get("SERIALSUM_BUDGET")
+        if not env:
+            return lambda_sums.DEFAULT_BUDGET
+        name, budget = "SERIALSUM_BUDGET", float(env)
+        if not math.isfinite(budget):  # a usage error, as a malformed one is
+            raise ValueError(f"SERIALSUM_BUDGET must be finite, got {env!r}")
+    if budget < 0:  # a usage error too, not a budget that no work fits
+        raise ValueError(f"{name} must be >= 0, got {budget:g}")
     return int(budget)
 
 
@@ -256,6 +259,7 @@ def _cmd_conjecture(args) -> int:
                 "status": t.status,
                 "discrepancy": t.discrepancy,
                 "oracle_err": t.oracle_err,
+                "detail": t.detail,
             }
             for t in report.trials
         ],
@@ -271,7 +275,9 @@ def _cmd_conjecture(args) -> int:
         for i, t in enumerate(report.trials):
             lams = ", ".join(_format_complex(v) for v in t.lambdas)
             disc = f"{t.discrepancy:.3e}" if t.discrepancy is not None else "-"
-            print(f"  [{i:3d}] {t.status:4s}  S={t.S}  disc={disc}  roots=({lams})")
+            why = f"  ({t.detail})" if t.status == "skip" else ""
+            print(f"  [{i:3d}] {t.status:4s}  S={t.S}  disc={disc}  "
+                  f"roots=({lams}){why}")
         print(
             f"  summary: {report.passed} passed, {report.failed} failed, "
             f"{report.skipped} skipped"

@@ -17,9 +17,10 @@ is the closed form's term
     lambda_i**(S+l-1) * prod_{j != i}
         (1 - lambda_j**2) / ((lambda_i - lambda_j) * (1 - lambda_i*lambda_j)),
 
-and `f_distinct` names `f_general` too.  Two first-order recurrences
-over a cluster's nodes (a repeat's m times) give G's divided differences
-(`_g_jet`) and divide them by the other roots' factors (`_residue`).
+and `f_distinct` names `f_general` too.  One pass of first-order
+recurrences over a cluster's nodes (a repeat's m times) applies the root
+factors to x**(S+l-1)'s divided differences (`_power_column`) and divides
+by the other clusters' nodes.
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -276,9 +277,14 @@ def _ipow(z: complex, n: int) -> complex:
 def _power_column(xs: Sequence[complex], power: int, shift: int = 0) -> list:
     """2**shift * J**power e_1, J lower bidiagonal with the nodes ``xs`` on
     its diagonal and ones below: x**power's divided differences over
-    xs[:k+1].  Up to power 8*m*m (m nodes), about the cost of log2(power)
-    squares, it applies J, (J v)[k] = x_k*v[k] + v[k-1]; else, or with a
-    shift, it squares J, held as its lower triangle's rows times 2**e."""
+    xs[:k+1].  Where all nodes are equal and there is no shift they are its
+    Taylor coefficients C(power, k)*x**(power-k) (0**0 = 1).  Else, up to
+    power 8*m*m (m nodes), about the cost of log2(power) squares, it
+    applies J, (J v)[k] = x_k*v[k] + v[k-1]; above, or with a shift, it
+    squares J, held as its lower triangle's rows times 2**e."""
+    if not shift and xs.count(xs[0]) == len(xs):
+        return [math.comb(power, k) * _ipow(x, power - k) if k <= power else 0j
+                for k, x in enumerate(xs)]
     col = [1 + 0j] + [0j] * (len(xs) - 1)
     if not shift and power <= 8 * len(xs) ** 2:
         for _ in range(power):
@@ -300,81 +306,58 @@ def _power_column(xs: Sequence[complex], power: int, shift: int = 0) -> list:
             for c in col]
 
 
-def _g_jet(xs: Sequence[complex], lams: Sequence[complex], power: int,
-           shift: int = 0) -> list[complex]:
-    """Divided differences of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j)
-    over xs[:k+1]: G(J) e_1, J as in `_power_column` (Opitz 1964).  Where
-    all nodes are equal they are G's Taylor coefficients, x**power's
-    C(power, k)*x**(power-k) (0**0 = 1) unless 2**shift times too large.
-    Each factor (1 - l**2) / (1 - l*J) maps a[k] to b[k] = ((1 - l**2)*a[k]
-    + l*b[k-1]) / (1 - x_k*l)."""
-    spread = xs.count(xs[0]) < len(xs)
-    col = _power_column(xs, power, shift) if spread or shift else None
-    prev, coeffs = [0] * len(lams), []
-    for k, x in enumerate(xs):
-        b = col[k] if col else (math.comb(power, k) * _ipow(x, power - k)
-                                if k <= power else 0j)
-        for j, lam in enumerate(lams):
-            b = prev[j] = ((1 - lam * lam) * b + lam * prev[j]) / (1 - x * lam)
-        coeffs.append(b)
-    return coeffs
-
-
-def _residue(
-    xs: Sequence[complex], a: Sequence[complex], others: Sequence[complex]
-) -> tuple[complex, float]:
-    """e_m' prod_y (J - y)**-1 a, J as in `_power_column` on ``xs``, y over
-    ``others``: for a[k] f's divided differences over xs[:k+1], that of f /
-    prod_y (x - y) over ``xs``.  Each factor maps a[k] to (a[k] - b[k-1]) /
-    (x_k - y), and the moduli, summing those of the products, to (|a[k]| +
-    b[k-1]) / |x_k - y|; ``prev`` and ``prev_mag`` hold each b[k-1]."""
-    prev = [0] * len(others)
-    prev_mag = [0] * len(others)
-    for t, x in zip(a, xs):
-        u = abs(t)
-        for j, y in enumerate(others):
-            d = x - y
-            t = prev[j] = (t - prev[j]) / d
-            u = prev_mag[j] = (u + prev_mag[j]) / abs(d)
-    return t, u
-
-
 def confluent_divided_difference_cond(
-    entries: Sequence[tuple[complex | tuple[complex, ...], int]],
+    clusters: Sequence[tuple[complex, ...]],
     coeffs: Sequence[Sequence[complex]],
-) -> tuple[complex, float]:
-    """Hermite divided difference f[x1,...,x1, ..., xr,...,xr] and a
-    forward-error scale.
+    lams: Sequence[complex],
+) -> tuple[list[complex], float]:
+    """Each cluster's residue of f * prod_j (1 - l_j**2) / (1 - x*l_j) over
+    the nodes, and a forward-error scale.
 
-    ``entries`` are (node, multiplicity m) pairs, the node one value or a
-    cluster's tuple of m values, finite and distinct across entries, and
-    ``coeffs[i]`` f's first m divided differences over entry i's nodes (at
-    one node, its Taylor coefficients): f^(m-1)(x) / (m-1)! for one entry.
-    The value sums the entries' residues (`_residue`) of f divided by the
-    other entries' factors x - x_j (McCurdy, Ng & Parlett, Math. Comp. 43,
-    1984); l*eps times their moduli sums estimates its rounding error.
+    ``clusters`` are tuples of nodes, finite and distinct across clusters,
+    a repeat's node m times; ``coeffs[i]`` holds f's divided differences
+    over cluster i's nodes, xs[:k+1] for each k (at one node, its Taylor
+    coefficients).  Over each node x_k, one pass first applies each root's
+    factor (Opitz 1964), b[k] = ((1 - l**2)*a[k] + l*b[k-1]) / (1 - x_k*l),
+    then divides by each outside node y, b[k] = (a[k] - b[k-1]) / (x_k - y),
+    and its moduli, summing those of the products, by |x_k - y|.  The
+    residues sum to that product's Hermite divided difference over all nodes
+    (McCurdy, Ng & Parlett, Math. Comp. 43, 1984), f's own with no ``lams``;
+    l*eps times the moduli sums, l the node count, estimates its rounding
+    error.
     """
-    own = [x if isinstance(x, tuple) else (x,) * m for x, m in entries]
-    nodes = [x for xs in own for x in xs]
-    total, scale, start = 0j, 0.0, 0
-    for (_, m), xs, c in zip(entries, own, coeffs):
-        t, u = _residue(xs, c[:m], nodes[:start] + nodes[start + m:])
-        total, scale, start = total + t, scale + u, start + m
-    return total, scale * len(nodes)
+    nodes = [x for xs in clusters for x in xs]
+    residues, scale, start = [], 0.0, 0
+    for xs, a in zip(clusters, coeffs):
+        others = nodes[:start] + nodes[start + len(xs):]
+        g = [0] * len(lams)  # each root factor's b[k-1]
+        prev, prev_mag = [0] * len(others), [0] * len(others)
+        for x, t in zip(xs, a):
+            for j, lam in enumerate(lams):
+                t = g[j] = ((1 - lam * lam) * t + lam * g[j]) / (1 - x * lam)
+            u = abs(t)
+            for j, y in enumerate(others):
+                d = x - y
+                t = prev[j] = (t - prev[j]) / d
+                u = prev_mag[j] = (u + prev_mag[j]) / abs(d)
+        residues.append(t)
+        scale, start = scale + u, start + len(xs)
+    return residues, scale * len(nodes)
 
 
 def f_general(roots: RootMultiset, S: int) -> LimitValue:
     """Limit value for any roots, repeated or near-coincident included: the
-    sum of residues (`confluent_divided_difference_cond`) of G's divided
-    differences (`_g_jet`) over each single-linkage cluster of entries
-    within the clustering threshold, so no residue divides by a gap inside
-    a cluster.  err_estimate scales their modulus scale by S + l, for the
-    rounding of x**(S+l-1), plus kappa = 2*m*sum_j (1 + 2r|l_j|)/(1 -
-    r|l_j|), m the largest cluster and r = max |l_j|: 1 - x*l_j and
-    1 - l_j**2 err by eps*(1 + 2|x*l_j|) / |1 - x*l_j| relative, raised to
-    powers up to m.  Where r**(S+l-m) < 2**-600, G is taken 2**shift times
-    too large, so no power underflows; scaling back rounds the value and
-    the bound by half a subnormal unit at most, so the bound adds two.
+    sum of G's residues (`confluent_divided_difference_cond`, on x**p's
+    divided differences from `_power_column`) over each single-linkage
+    cluster of entries within the clustering threshold, so no residue
+    divides by a gap inside a cluster.  err_estimate scales their modulus
+    scale by S + l, for the rounding of x**(S+l-1), plus kappa =
+    2*m*sum_j (1 + 2r|l_j|)/(1 - r|l_j|), m the largest cluster and
+    r = max |l_j|: 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) /
+    |1 - x*l_j| relative, raised to powers up to m.  Where r**(S+l-m) <
+    2**-600, G is taken 2**shift times too large, so no power underflows;
+    scaling back rounds the value and the bound by half a subnormal unit
+    at most, so the bound adds two.
     """
     if S < 0:
         raise ValueError("S must be >= 0")
@@ -386,19 +369,19 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     entries, tol = roots.entries, CLUSTER_DELTA * (1 + r)
     gaps = list(map(abs, itertools.starmap(  # compared in C
         operator.sub, itertools.combinations([v for v, _ in entries], 2))))
-    clusters = [((v,) * k, k) for v, k in entries]  # a repeat's node m times
+    clusters = [(v,) * k for v, k in entries]  # a repeat's node m times
     if min(gaps, default=tol) <= tol:  # clusters are rare
         label = list(range(len(entries)))  # each entry's cluster, by index
         pairs = itertools.combinations(label, 2)
         for i, j in itertools.compress(pairs, map(tol.__ge__, gaps)):
             label = [label[i] if f == label[j] else f for f in label]
-        nodes = [sum((xs for f, (xs, _) in zip(label, clusters) if f == c), ())
-                 for c in dict.fromkeys(label)]  # in first-member order
-        clusters = [(xs, len(xs)) for xs in nodes]
-    m = max(k for _, k in clusters)
+        clusters = [sum((xs for f, xs in zip(label, clusters) if f == c), ())
+                    for c in dict.fromkeys(label)]  # in first-member order
+    m = max(map(len, clusters))
     shift = max(0, math.ceil((m - 1 - power) * math.log2(r)) - 600) if r else 0
-    coeffs = [_g_jet(xs, lams, power, shift) for xs, _ in clusters]
-    value, cond = confluent_divided_difference_cond(clusters, coeffs)
+    residues, cond = confluent_divided_difference_cond(
+        clusters, [_power_column(xs, power, shift) for xs in clusters], lams)
+    value = functools.reduce(operator.add, residues, 0j)  # in cluster order
     kappa = 2 * m * sum((1 + 2 * r * a) / (1 - r * a) for a in mods)
     err = _EPS * ((power + 1 + kappa) * cond + abs(value))
     if shift:

@@ -4,9 +4,10 @@ A jet carries the truncated Taylor expansion of a function at a point:
 ``c0 + c1*(x - center) + ... + cm*(x - center)**m``.  Arithmetic on jets
 propagates the coefficients exactly (up to rounding), which gives
 high-order derivatives of small rational expressions without step-size
-tuning.  The library does not use them (`lambda_sums._g_jet` and
-`_residue` are first-order recurrences): `Jet` stays only as the tests'
-reference and because the benchmark's tracing hooks wrap its operators.
+tuning.  The library does not use them (`lambda_sums`'
+`confluent_divided_difference_cond` runs first-order recurrences): `Jet`
+stays only as the tests' reference and because the benchmark's tracing
+hooks wrap its operators.
 """
 
 from __future__ import annotations

@@ -243,6 +243,20 @@ class TestAcf:
             ref = min(want, key=lambda p: abs(p[0] - lam))[1]
             assert abs(a - ref) <= 1e-12, (alphas, lam, a, ref)
 
+    def test_weights_are_pinned(self):
+        # reference weights of the residue pass for one AR(3) model with a
+        # conjugate pair, matched by root, as np.roots orders its roots
+        want = [(0.9461655037747716, 0.8629077371436814 - 1.4853405122611115e-18j),
+                (-0.32308275188738567 + 0.32710402754140644j,
+                 0.06854613142815932 + 0.01858948110638981j),
+                (-0.32308275188738567 - 0.32710402754140644j,
+                 0.06854613142815932 - 0.018589481106389808j)]
+        model, _ = acf([0.3, 0.4, 0.2], 3)
+        assert len(model.coeffs) == 3
+        for lam, a in zip(model.roots, model.coeffs):
+            ref = min(want, key=lambda p: abs(p[0] - lam))[1]
+            assert a == pytest.approx(ref, rel=1e-12), (lam, a, ref)
+
     def test_non_stationary_rejected(self):
         with pytest.raises(NotStationaryError):
             acf([1.2], 3)

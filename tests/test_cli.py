@@ -203,6 +203,23 @@ class TestOracle:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("source", ["option", "env"])
+    def test_negative_budget_is_a_usage_error(self, capsys, monkeypatch, source):
+        def budget(value):
+            if source == "option":
+                return ["--budget", value]
+            monkeypatch.setenv("SERIALSUM_BUDGET", value)
+            return []
+
+        argv = ["oracle", "series", "--lambdas", "0.5,0.3", "--S", "0", "--json"]
+        code, out, err = run(capsys, *argv, *budget("-5"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "must be >= 0" in err
+        # a budget of 0 is valid: the work is over it, not the command
+        code, out, _ = run(capsys, *argv, *budget("0"))
+        assert code == 1
+        assert json.loads(out)["error"] == "BudgetExceeded"
+
 
 class TestConjecture:
     def test_small_probe_passes(self, capsys):
@@ -231,6 +248,20 @@ class TestConjecture:
             assert env["result"]["skipped"] == 1
         else:
             assert code == 1
+
+    def test_skip_says_why(self, capsys):
+        # the oracle's rounding floor is above tol: the trial names that
+        # err_estimate, in the JSON trial and on the text row
+        argv = ["conjecture", "--ell", "5", "--trials", "1", "--seed", "7",
+                "--tol", "1e-16"]
+        code, env, _ = run_json(capsys, *argv)
+        (trial,) = env["result"]["trials"]
+        assert code == 0 and trial["status"] == "skip"
+        assert list(trial)[-2:] == ["oracle_err", "detail"]
+        assert trial["detail"] == (
+            f"oracle err_estimate {trial['oracle_err']:g} is not below 1e-16")
+        code, out, _ = run(capsys, *argv)
+        assert f"({trial['detail']})" in out.splitlines()[1]
 
 
 class TestAr:

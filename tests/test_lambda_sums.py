@@ -36,13 +36,14 @@ from serialsum.lambda_sums import (
     _conjugate_closed,
     _diagonals,
     _ends,
-    _g_jet,
     _mass,
+    _power_column,
     _powers,
     _shell_sum,
     _shell_work,
     _span,
     _trace_sum,
+    confluent_divided_difference_cond,
     finite_sum_with_error,
 )
 from serialsum import lambda_sums
@@ -502,6 +503,31 @@ class TestFGeneral:
             assert abs(got.value.imag) <= 1e-10 * (1 + abs(got.value))
             assert got.is_real_certified
 
+    @pytest.mark.parametrize("lams, S, want", [
+        ([0.5, 0.3 + 0.2j, 0.3 - 0.2j], 3,  # lone roots, a conjugate pair
+         (0.5653860185947982+0j, 6.696648635887431e-15)),
+        ([0.5, 0.5], 1,  # equal nodes: Taylor coefficients
+         (1.3333333333333333+0j, 1.1546319456101628e-14)),
+        ([0.3, 0.30000125, 0.30000132], 0,  # a spread cluster: steps of J
+         (1.6520996184398904+0j, 2.9355293841435155e-14)),
+        ([0.9, 0.9000001], 5000,  # squares of J, with a shift
+         (8.174562193619761e-226+0j, 1.8560722465309256e-237)),
+        ([0.9] * 3, 4000,  # equal nodes, with a shift
+         (7.520157600581372e-177+0j, 2.129781675709013e-188)),
+        ([0.999, -0.999, 0.998, -0.998, 0.5, -0.5], 301,  # F = 0 exactly
+         (5.421010862427522e-20+0j, 1.8569777763644634e-14)),
+        ([0.0, 0.5, -0.4], 4,  # a zero root
+         (0.03141666666666667+0j, 3.5228301757210073e-16)),
+        ([0.7, -0.2], 2 ** 70,  # S above its cap
+         (0j, 0.0)),
+    ])
+    def test_outputs_are_pinned(self, lams, S, want):
+        # reference outputs of the residue pass, one input in each of
+        # `_power_column`'s regimes; the value to a few eps, the bound to 1e-12
+        got = f_general(ms(*lams), S)
+        assert got.value == pytest.approx(want[0], rel=1e-14, abs=0)
+        assert got.err_estimate == pytest.approx(want[1], rel=1e-12, abs=0)
+
 
 Z = 0.35976219755658084 + 0.9297684371025245j
 W = -0.07408632390563503 + 0.2387039428291079j
@@ -685,7 +711,8 @@ class TestErrEstimate:
 
 def g_jet_reference(x0, order, lams, power):
     """The jet of G(x) = x**power * prod_j (1-l_j^2)/(1-x*l_j) at x0 by Jet
-    arithmetic; the reference for the closed-form coefficients of `_g_jet`."""
+    arithmetic; the reference for G's Taylor coefficients, each a lone
+    cluster's residue in `confluent_divided_difference_cond`."""
     x = Jet.identity(x0, order)
     g = x**power
     for lam in lams:
@@ -701,11 +728,12 @@ class TestGJet:
     def test_matches_jet_arithmetic(self, x0, order):
         lams = [x0] * (order + 1) + [0.7, -0.4 + 0.3j, -0.4 + 0.3j, 0.0]
         for power in range(11):
-            got = _g_jet((x0,) * (order + 1), lams, power)
             ref = g_jet_reference(x0, order, lams, power).coeffs
-            assert len(got) == order + 1
-            for a, b in zip(got, ref):
-                assert abs(a - b) <= 1e-13 * abs(b), (power, got, ref)
+            for k, b in enumerate(ref):
+                xs = (x0,) * (k + 1)  # G's k-th coefficient, no outside node
+                (a,), _ = confluent_divided_difference_cond(
+                    [xs], [_power_column(xs, power)], lams)
+                assert abs(a - b) <= 1e-13 * abs(b), (power, k, a, b)
 
     def test_f_general_does_no_jet_arithmetic(self):
         # f_general takes its Taylor coefficients in closed form, so

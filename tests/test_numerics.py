@@ -19,9 +19,11 @@ def jet_of_cube(center, order):
 
 
 def confluent_divided_difference(nodes, f_jets):
-    """The residue sum of `lambda_sums` on the coefficients of each jet."""
-    value, _ = confluent_divided_difference_cond(nodes, [j.coeffs for j in f_jets])
-    return value
+    """The residue sum of `lambda_sums` on the coefficients of each jet, at
+    (node, multiplicity) pairs, with no root factors."""
+    residues, _ = confluent_divided_difference_cond(
+        [(x,) * m for x, m in nodes], [j.coeffs for j in f_jets], ())
+    return sum(residues)
 
 
 class TestJetArithmetic:
@@ -121,9 +123,10 @@ class TestConfluentDividedDifference:
         # over {a, a, a, b, b}, x^3 has no fourth difference, x^4 has its
         # leading coefficient and x^5 the sum of the nodes
         exact = {3: 0, 4: 1, 5: 3 * a + 2 * b}[power]
-        nodes = [(a, 3), (b, 2)]
-        coeffs = [(Jet.identity(v, m - 1) ** power).coeffs for v, m in nodes]
-        value, scale = confluent_divided_difference_cond(nodes, coeffs)
+        nodes = [(a,) * 3, (b,) * 2]
+        coeffs = [(Jet.identity(xs[0], len(xs) - 1) ** power).coeffs for xs in nodes]
+        residues, scale = confluent_divided_difference_cond(nodes, coeffs, ())
+        value = sum(residues)
         assert abs(value - exact) <= sys.float_info.epsilon * scale
 
     def test_single_node_high_multiplicity(self):
