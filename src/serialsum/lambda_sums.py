@@ -27,10 +27,11 @@ as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
 ((1 - lambda_m*z) * (1 - lambda_m/z)), by the trapezoidal rule on |z| = 1
 with a proven aliasing bound; its node count N doubles from the first
 power of two above 2S until that bound is below tol, passing over
-without computing it the N that the bound's floor r**(N-S) rules out;
+without computing it the N that a floor of the bound rules out;
 the symbol is even in the angle, so it is sampled on the half circle,
-each factor in a positive real form with no cancellation, from sines and
-weights kept per N up to 2**17 (`_rule`, 7 MB at most); and the rounding
+each factor in a positive real form with no cancellation, from sines
+kept per N up to 2**17 (`_rule`) and weights kept per N up to 2**12 and
+S mod N (`_weights`), 9.4 MB at most in all; and the rounding
 bound is a few dozen eps per root, with a part growing as
 1/(1 - |lambda|) for complex roots only) and `finite_sum`
 (the exact finite-n sum, as the trace of a product of l Toeplitz
@@ -104,9 +105,9 @@ def _check_roots(values: Sequence[complex], ell: int) -> None:
     """Raise ValueError unless every value is finite and strictly inside
     the unit disk and the total root count ``ell`` is in [2, 6]."""
     for v in values:
-        if not cmath.isfinite(v):
-            raise ValueError(f"non-finite root {v!r}")
-        if abs(v) >= 1:
+        if not abs(v) < 1:  # NaN too
+            if not cmath.isfinite(v):
+                raise ValueError(f"non-finite root {v!r}")
             raise ValueError(f"root {v} not strictly inside the unit disk")
     if not 2 <= ell <= 6:
         raise ValueError(f"total root count must be in [2, 6], got {ell}")
@@ -359,6 +360,7 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     scaling back rounds the value and the bound by half a subnormal unit
     at most, so the bound adds two.
     """
+    S = _integer("S", S)
     if S < 0:
         raise ValueError("S must be >= 0")
     S = min(S, _S_CAP)
@@ -447,13 +449,18 @@ def _half_angles(N: int, k: np.ndarray) -> tuple:
     return sin_x, cos_x, sin_x * sin_x, cos_x * cos_x
 
 
+#: The largest node count whose weights `_weights` keeps for each S mod N.
+_WEIGHTS_MAX = 1 << 12
+
+
 @functools.lru_cache(maxsize=18)
 def _rule(N: int) -> tuple[tuple, np.ndarray]:
     """The tables of the N-node rule that depend on N alone, read-only: the
     nodes k = 0..N/2 of the half circle with their `_half_angles`, and the
-    weights 2*cos(2*pi*m/N), m < N, which node k reads at m = S*k mod N.
-    `series_oracle` keeps them for N = 2**j <= `_RULE_MAX` only: at most
-    18 rules of about 28*N bytes, 7 MB if every one is built."""
+    weights 2*cos(2*pi*m/N), m < N, which node k reads at m = S*k mod N
+    (`_weights`).  `series_oracle` keeps them for N = 2**j <= `_RULE_MAX`
+    only: at most 18 rules of about 28*N bytes, 7.3 MB if every one is
+    built."""
     import numpy as np
 
     k = np.arange(N // 2 + 1)
@@ -462,6 +469,24 @@ def _rule(N: int) -> tuple[tuple, np.ndarray]:
     for t in (*nodes, weights):
         t.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=128)
+def _weights(N: int, s: int) -> np.ndarray:
+    """The weights of the half circle's nodes k = 0..N/2 for the rule
+    `_rule(N)` keeps, at S = s mod N, read-only: 2*cos(2*pi*m/N) at
+    m = k*s mod N, but 1 at k = 0 and (-1)**s at k = N/2 for even N.
+    `series_oracle` keeps them for N = 2**j <= `_WEIGHTS_MAX` only, and
+    calls ``_weights.__wrapped__`` above: at most 128 vectors of up to
+    2,049 floats, 2.1 MB, which with `_rule`'s tables bounds what the
+    oracle keeps at 9.4 MB."""
+    (k, *_), weights = _rule(N)
+    w = weights[k * s % N]  # k*s below 2**34
+    w[0] = 1.0
+    if N % 2 == 0:
+        w[-1] = -1.0 if s % 2 else 1.0
+    w.flags.writeable = False
+    return w
 
 
 def series_oracle(
@@ -478,11 +503,13 @@ def series_oracle(
     (Gray, Toeplitz and Circulant Matrices: A Review).  The mean of
     z**-S * f(z) over the N-th roots of unity is sum_p c_{S+pN}.  N starts
     at the first power of two above 2S and doubles until the aliasing bound
-    on the terms p != 0 (`_aliasing`) is below ``tol``.  That bound exceeds
-    r**(N-S), r = max |lambda|, so the N with (N-S)*log(1/r) <= log(1/tol)
-    are doubled past without computing it.  The work is N*l: needing more
-    than budget // l nodes raises BudgetExceededError, and ``tol`` must be
-    finite and positive.
+    on the terms p != 0 (`_aliasing`) is below ``tol``.  That bound is at
+    least r**(N-S) * (1 + k/(N-S))**(N-S) * (1 + (N-S)/k)**k, r = max
+    |lambda| and k the number of roots of modulus r, so the N where that
+    floor is not below tol are doubled past without computing it.  The work
+    is N*l: needing more than budget // l nodes raises BudgetExceededError.
+    S and ``budget`` are integers, numpy's too, and a float is a TypeError
+    that names it; ``tol`` must be finite and positive.
 
     f is even in the angle theta, so the rule samples the half circle
     theta_k = 2*pi*k/N, k = 0..N//2, with weights 1, 2*cos(S*theta_k) and,
@@ -497,8 +524,12 @@ def series_oracle(
     A sample is then accurate to a few eps per real root, however near
     the circle the root lies.  What depends on N alone, the half angles'
     sines and cosines and the weights 2*cos(2*pi*m/N), is built once per
-    power of two N <= 2**17 and kept (`_rule`, at most 7 MB); a larger N
-    builds it block by block in each call.
+    power of two N <= 2**17 and kept (`_rule`, at most 7.3 MB), and the
+    nodes' weights with their end values, which depend on N and S mod N
+    alone, are kept for the last 128 such pairs with N <= 2**12 (`_weights`,
+    at most 2.1 MB; up to 2**17 each call reads them from `_rule`'s
+    table): 9.4 MB at most in all.  A larger N, or one that is not a power
+    of two, builds both block by block in each call.
 
     err_estimate adds a rounding bound to the aliasing bound, so the true
     limit lies within it of the returned value.  Only the aliasing part is
@@ -510,11 +541,12 @@ def series_oracle(
     lams = [complex(v) for v in lambdas]
     if not 0 < tol < math.inf:  # NaN too
         raise ValueError("tol must be finite and > 0")
+    S = _integer("S", S)
     if S < 0:
         raise ValueError("S must be >= 0")
+    budget = _integer("budget", budget)
     ell = len(lams)
     _check_roots(lams, ell)
-    conj_closed = _conjugate_closed(lams)
     # the nonzero roots' moduli in input order, which the bound's sums keep,
     # and the roots sorted into reals, conjugate pairs and complex roots
     # without their conjugate
@@ -530,24 +562,40 @@ def series_oracle(
             pairs.append(v)
         else:
             lone.append(v)
+    # real roots alone are conjugate-closed
+    conj_closed = not (pairs or lone) or _conjugate_closed(lams)
     if not mods:
         value = 1.0 + 0j if S == 0 else 0j
         return LimitValue(value, 0.0, True, truncation=0)
-    _charge(f"the series oracle at S={S}", (S + 1) * ell, budget)  # N > S
+    if (S + 1) * ell > budget:  # N > S
+        _charge(f"the series oracle at S={S}", (S + 1) * ell, budget)
 
     # alias(N) > r**(N-S): each factor of g(rho) is at least 1 for
     # rho >= 1, the log1p and -log(1 - rho**-N) terms are at least 0, and
-    # log(rho) < log(1/r), in floats too.  So every N with (N-S)*log(1/r)
-    # <= log(1/tol) fails, and is doubled past without the bound; the
-    # margins, 1e-9 relative and absolute, are far above the rounding of
-    # either side, so no N that the bound accepts is passed over.  Then N
-    # doubles until the bound is below tol, or is refused at the budget's
-    # node count.
+    # log(rho) < log(1/r), in floats too.  The k roots of modulus r give
+    # more: at any rho, log(alias(N)) >= -(N-S)*log(rho) - k*log(1 - r*rho),
+    # which is least at the rho `_aliasing` takes, -(N-S)*log(1/r) +
+    # gain(N-S).  So every N with (N-S)*log(1/r) - gain <= log(1/tol) fails
+    # and is doubled past without the bound, those with gain = 0 first.
+    # The margins, 1e-9 relative and 1e-6 absolute, are far above the
+    # rounding of either side (a few dozen eps of (N-S)*log(1/r) and of the
+    # gain, and 4e-9 per root in log1p(-a*a) near a = 1), so no N that the
+    # bound accepts is passed over.  Then N doubles until the bound is below
+    # tol, or is refused at the budget's node count.
     alias = _aliasing(mods, S)
     cap = budget // ell
     N = min(1 << (2 * S).bit_length(), cap)
-    slope, need = -math.log(max(mods)) * (1 + 1e-9), -math.log(tol) - 1e-9
+    r = max(mods)
+    k_r = mods.count(r)
+    slope, need = -math.log(r) * (1 + 1e-9), -math.log(tol) - 1e-6
+
+    def gain(g: int) -> float:  # g = N - S
+        return (1 - 1e-9) * (g * math.log1p(k_r / g) + k_r * math.log1p(g / k_r))
+
     while N < cap and (N - S) * slope < need:
+        N *= 2
+    N = min(N, cap)
+    while N < cap and (N - S) * slope - gain(N - S) < need:
         N = min(2 * N, cap)
     while (bound := alias(N)) >= tol:
         if N == cap:
@@ -567,46 +615,58 @@ def series_oracle(
         (abs(1 - v) * abs(1 + v)) ** 2 for v in pairs
     ) * math.prod((1 - v) * (1 + v) for v in lone)
     rhos = [abs(a) for a in reals] + [abs(v) for v in pairs for _ in range(2)]
-    q, p = np.array([[(1 - rho) ** 2 for rho in rhos],
-                     [4 * rho for rho in rhos]])[:, :, None]
+    qp = np.array([(1 - rho) ** 2 for rho in rhos]
+                  + [4 * rho for rho in rhos]).reshape(2, len(rhos), 1)
+    q, p = qp[0], qp[1]
     half_phases = [math.atan2(v.imag, v.real) / 2 for v in pairs]
     turns = [(math.cos(c), math.sin(c)) for c in half_phases]
 
     h = math.pi / N  # half the node spacing
     half = N // 2
-    nodes, weights = (_rule(N) if N <= _RULE_MAX and not N & (N - 1)
-                      else (None, None))
+    kept = N <= _RULE_MAX and not N & (N - 1)
+    if kept:
+        nodes = _rule(N)[0]
+        weights = (_weights if N <= _WEIGHTS_MAX else _weights.__wrapped__)(
+            N, S % N)
     re, im = [], []
     abs_total = 0.0
     for lo in range(0, half + 1, _BLOCK):
         hi = min(lo + _BLOCK, half + 1)
-        if nodes:
-            k, sin_x, cos_x, sin2, cos2 = (t[lo:hi] for t in nodes)
-        else:
+        if not kept:
             k = np.arange(lo, hi)
             sin_x, cos_x, sin2, cos2 = _half_angles(N, k)
+            # S*k mod N, without int64 overflow below N = 2**46
+            w = 2 * np.cos(2 * h * ((lo * S % N + (k - lo) * (S % N)) % N))
+            if lo == 0:
+                w[0] = 1.0
+            if hi == half + 1 and N % 2 == 0:
+                w[-1] = -1.0 if S % 2 else 1.0
+        elif hi - lo == len(weights):  # one block: the tables whole
+            (k, sin_x, cos_x, sin2, cos2), w = nodes, weights
+        else:
+            k, sin_x, cos_x, sin2, cos2, w = (t[lo:hi] for t in (*nodes, weights))
         rows = [sin2 if a > 0 else cos2 for a in reals]
         for cos_c, sin_c in turns:  # sin(x -+ phi/2), squared
             sc, cs = sin_x * cos_c, cos_x * sin_c
-            rows += [(sc - cs) * (sc - cs), (sc + cs) * (sc + cs)]
-        squares = np.array(rows).reshape(len(rows), len(k))
-        f = quot / np.multiply.reduce(q + p * squares, axis=0)
+            d = sc - cs
+            d *= d
+            sc += cs
+            sc *= sc
+            rows += [d, sc]
+        den = np.array(rows).reshape(len(rows), len(k))
+        den *= p
+        den += q
+        f = quot / np.multiply.reduce(den, axis=0)
         for v in lone:
             rho, c = abs(v), math.atan2(v.imag, v.real) / 2
             for a in (c + h * k, c - h * k):
                 s = np.sin(a)
                 f = f / ((1 - rho) + 2 * rho * (s * s) - 2j * rho * (s * np.cos(a)))
-        if weights is None:  # S*k mod N, without int64 overflow below N = 2**46
-            w = 2 * np.cos(2 * h * ((lo * S % N + (k - lo) * (S % N)) % N))
-        else:  # S*k mod N, k*(S mod N) below 2**34
-            w = weights[k * (S % N) % N]
-        mod = np.abs(f)
+        mod = np.abs(f) if lone else f  # else every sample is >= +0
         abs_total += 2 * float(mod.sum())
         if lo == 0:
-            w[0] = 1.0
             abs_total -= float(mod[0])
         if hi == half + 1 and N % 2 == 0:
-            w[-1] = -1.0 if S % 2 else 1.0
             abs_total -= float(mod[-1])
         terms = w * f  # a memoryview iterates its floats without a list
         re.append(math.fsum(memoryview(terms.real)))
@@ -658,6 +718,7 @@ def finite_sum_with_error(
     exceeds ``budget``, and OverflowError when the sum or its bound is not
     finite in float64 (a root outside the unit disk, raised to a power).
     """
+    budget = _integer("budget", budget)
     import numpy as np
 
     _charge("finite sum", _finite_sum_work(len(spec.lambdas), spec.n), budget)

@@ -528,6 +528,18 @@ class TestFGeneral:
         assert got.value == pytest.approx(want[0], rel=1e-14, abs=0)
         assert got.err_estimate == pytest.approx(want[1], rel=1e-12, abs=0)
 
+    def test_numpy_integer_S_gives_python_numbers(self):
+        # S goes through operator.index, so the exponent is an int and the
+        # record holds a complex, a float and a bool, as for an int S
+        roots = ms(0.5, -0.3, 0.2)
+        got = f_general(roots, np.int64(2))
+        assert repr(got) == repr(f_general(roots, 2))
+        assert [type(v) for v in got[:3]] == [complex, float, bool]
+
+    def test_float_S_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="^S must be an integer, got 2.0$"):
+            f_general(ms(0.5, 0.3), 2.0)
+
 
 Z = 0.35976219755658084 + 0.9297684371025245j
 W = -0.07408632390563503 + 0.2387039428291079j
@@ -1037,11 +1049,34 @@ class TestSeriesOracle:
         got = series_oracle(lams, S, tol, budget=budget)
         assert repr((got.value, got.err_estimate, got.truncation)) == repr(want)
 
+    def test_numpy_integer_S(self):
+        want = series_oracle([0.5, 0.3], 2, 1e-10)
+        assert repr(series_oracle([0.5, 0.3], np.int64(2), 1e-10)) == repr(want)
+
+    def test_float_S_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="^S must be an integer, got 2.0$"):
+            series_oracle([0.5, 0.3], 2.0, 1e-10)
+
+    def test_float_budget_is_refused_by_name(self):
+        # both oracles take the budget as an integer, numpy's too; a float
+        # one is refused by name before any work
+        with pytest.raises(TypeError, match="^budget must be an integer"):
+            series_oracle([0.9] * 4, 0, 1e-12, budget=1984.0)
+        got = series_oracle([0.9] * 4, 0, 1e-12, budget=np.int64(1984))
+        assert got.truncation == 496
+        spec = FiniteSumSpec((0.5, 0.3), (0, 0), 3)
+        with pytest.raises(TypeError, match="^budget must be an integer"):
+            finite_sum_with_error(spec, 1e9)
+        assert finite_sum_with_error(spec, np.int64(10**9)) == finite_sum_with_error(spec)
+
     def test_kept_rules_are_bounded(self):
-        # one rule per power of two N <= 2**17, keyed by N alone; a larger
-        # N, or one at the budget's cap, keeps none
+        # one rule per power of two N <= 2**17, keyed by N alone, and one
+        # end-fixed weight vector per power of two N <= 2**12 and S mod N,
+        # keyed by those alone; a larger N keeps no weights, one above
+        # 2**17 no rule, and one at the budget's cap neither
         lams = [0.5, 0.3]
         lambda_sums._rule.cache_clear()
+        lambda_sums._weights.cache_clear()
         alias = lambda_sums._aliasing(lams, 0)
         tol = 1.5 * alias(2)
         assert alias(1) >= tol
@@ -1052,9 +1087,28 @@ class TestSeriesOracle:
         info = lambda_sums._rule.cache_info()
         assert info.currsize == info.maxsize == 18
         assert list(inspect.signature(lambda_sums._rule).parameters) == ["N"]
+        weights = lambda_sums._weights
+        assert lambda_sums._WEIGHTS_MAX == 1 << 12
+        assert weights.cache_info().currsize == 13  # N = 2**0 .. 2**12
+        assert list(inspect.signature(weights).parameters) == ["N", "s"]
+        winfo = weights.cache_info()
         assert series_oracle(lams, 1 << 16, 100.0).truncation == 1 << 18
         assert series_oracle([0.9] * 4, 0, 1e-12, budget=1984).truncation == 496
         assert lambda_sums._rule.cache_info() == info
+        assert series_oracle(lams, 1 << 11, 100.0).truncation == 1 << 13
+        assert weights.cache_info() == winfo
+        # other roots and tol at the same N and S read the same entry
+        assert series_oracle([-0.4, 0.2j, -0.2j], 1 << 10, 1e-3).truncation == 1 << 12
+        assert weights.cache_info()[:2] == (winfo.hits + 1, winfo.misses)
+        # at most 128 vectors of N/2 + 1 <= 2,049 floats, 2.1 MB, read-only
+        for S in range(1 << 10, (1 << 10) + 200):
+            assert series_oracle(lams, S, 100.0).truncation == 1 << 12
+        assert weights.cache_info().currsize == weights.cache_info().maxsize == 128
+        w = weights(1 << 12, (1 << 10) + 199)
+        assert w.size == (1 << 11) + 1 and 128 * w.nbytes <= 2.1e6
+        assert (w[0], w[-1]) == (1.0, -1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            w[1] = 0.0
         script = ("import sys\n"
                   "from serialsum.lambda_sums import RootMultiset, f_general\n"
                   "f_general(RootMultiset.from_lambdas([0.5, 0.3]), 1)\n"
