@@ -397,7 +397,8 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
 
 def _aliasing(mods: Sequence[float], S: int):
     """The aliasing bound of the N-node rule as a function of N > S, for
-    roots with the nonzero moduli ``mods`` (see `series_oracle`)."""
+    roots with the nonzero moduli ``mods`` (see `series_oracle`), and a
+    floor under its log that is cheaper to evaluate."""
     # Aliasing (Trefethen & Weideman, SIAM Rev. 56(3), 2014): |c_j| is at
     # most the j-th coefficient of g, the symbol built from the moduli
     # |lambda_m|, whose coefficients are positive and even in j, so
@@ -427,7 +428,21 @@ def _aliasing(mods: Sequence[float], S: int):
             - math.log(-math.expm1(-N * log_rho))
         )
 
-    return alias
+    # The floor: for rho > 1 each root's factor of g(rho) is at least 1, the
+    # k roots of modulus r give at least 1/(1 - r*rho) each, and the log1p
+    # and -log(1 - rho**-N) terms are at least 0.  So at any rho,
+    # log(alias(N)) >= -(N-S)*log(rho) - k*log(1 - r*rho), which is least at
+    # r*rho = (N-S)/(N-S+k): (N-S)*log(r) + (N-S)*log1p(k/(N-S)) +
+    # k*log1p((N-S)/k).  The margins, 1e-9 relative and 1e-6 absolute, are
+    # far above the rounding of either side (a few dozen eps of each term,
+    # and 4e-9 per root in log1p(-a*a) near a = 1), so the floor is below
+    # log(alias(N)) in floats too.
+    def floor(N: int) -> float:
+        g = N - S
+        return (g * log_r * (1 + 1e-9) - 1e-6 + (1 - 1e-9) * (
+            g * math.log1p(k_r / g) + k_r * math.log1p(g / k_r)))
+
+    return alias, floor
 
 
 #: Nodes of the half circle sampled at once: memory stays bounded at any N.
@@ -506,8 +521,9 @@ def series_oracle(
     on the terms p != 0 (`_aliasing`) is below ``tol``.  That bound is at
     least r**(N-S) * (1 + k/(N-S))**(N-S) * (1 + (N-S)/k)**k, r = max
     |lambda| and k the number of roots of modulus r, so the N where that
-    floor is not below tol are doubled past without computing it.  The work
-    is N*l: needing more than budget // l nodes raises BudgetExceededError.
+    floor is not below tol are doubled past without computing the bound.
+    The work is N*l: needing more than budget // l nodes raises
+    BudgetExceededError.
     S and ``budget`` are integers, numpy's too, and a float is a TypeError
     that names it; ``tol`` must be finite and positive.
 
@@ -567,35 +583,16 @@ def series_oracle(
     if not mods:
         value = 1.0 + 0j if S == 0 else 0j
         return LimitValue(value, 0.0, True, truncation=0)
-    if (S + 1) * ell > budget:  # N > S
-        _charge(f"the series oracle at S={S}", (S + 1) * ell, budget)
+    _charge(f"the series oracle at S={S}", (S + 1) * ell, budget)  # N > S
 
-    # alias(N) > r**(N-S): each factor of g(rho) is at least 1 for
-    # rho >= 1, the log1p and -log(1 - rho**-N) terms are at least 0, and
-    # log(rho) < log(1/r), in floats too.  The k roots of modulus r give
-    # more: at any rho, log(alias(N)) >= -(N-S)*log(rho) - k*log(1 - r*rho),
-    # which is least at the rho `_aliasing` takes, -(N-S)*log(1/r) +
-    # gain(N-S).  So every N with (N-S)*log(1/r) - gain <= log(1/tol) fails
-    # and is doubled past without the bound, those with gain = 0 first.
-    # The margins, 1e-9 relative and 1e-6 absolute, are far above the
-    # rounding of either side (a few dozen eps of (N-S)*log(1/r) and of the
-    # gain, and 4e-9 per root in log1p(-a*a) near a = 1), so no N that the
-    # bound accepts is passed over.  Then N doubles until the bound is below
-    # tol, or is refused at the budget's node count.
-    alias = _aliasing(mods, S)
+    # Every N where the floor under log(alias(N)) is not below log(tol)
+    # fails, and is doubled past without the bound.  Then N doubles until
+    # the bound is below tol, or is refused at the budget's node count.
+    alias, floor = _aliasing(mods, S)
     cap = budget // ell
     N = min(1 << (2 * S).bit_length(), cap)
-    r = max(mods)
-    k_r = mods.count(r)
-    slope, need = -math.log(r) * (1 + 1e-9), -math.log(tol) - 1e-6
-
-    def gain(g: int) -> float:  # g = N - S
-        return (1 - 1e-9) * (g * math.log1p(k_r / g) + k_r * math.log1p(g / k_r))
-
-    while N < cap and (N - S) * slope < need:
-        N *= 2
-    N = min(N, cap)
-    while N < cap and (N - S) * slope - gain(N - S) < need:
+    log_tol = math.log(tol)
+    while N < cap and floor(N) >= log_tol:
         N = min(2 * N, cap)
     while (bound := alias(N)) >= tol:
         if N == cap:

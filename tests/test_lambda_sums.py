@@ -219,7 +219,7 @@ def plain_node_count(lams, S, tol, budget):
     Returns (N, bound, rises): N is None where the budget refuses, with the
     achievable bound, and rises counts the doublings on which the bound
     rose."""
-    alias = lambda_sums._aliasing([abs(v) for v in lams if v], S)
+    alias, _ = lambda_sums._aliasing([abs(v) for v in lams if v], S)
     cap = budget // len(lams)
     N = min(1 << (2 * S).bit_length(), cap)
     rises, last = 0, math.inf
@@ -1069,6 +1069,22 @@ class TestSeriesOracle:
             finite_sum_with_error(spec, 1e9)
         assert finite_sum_with_error(spec, np.int64(10**9)) == finite_sum_with_error(spec)
 
+    def test_floor_is_below_the_bound(self):
+        # the floor that passes over N without the bound is below the log of
+        # the bound, by its margins, at every N > S where the bound is a
+        # normal float, near the circle and with repeated top moduli too
+        rng = np.random.default_rng(30)
+        for _ in range(3000):
+            r = float(rng.choice([0.05, 0.5, 0.9, 0.99, 0.999]))
+            mods = [r] * int(rng.integers(1, 4))
+            mods += [float(rng.uniform(1e-3, r)) for _ in range(rng.integers(0, 4))]
+            S = int(rng.choice([0, 1, 5, 100, 10_000]))
+            alias, floor = lambda_sums._aliasing(mods, S)
+            for N in (S + 1, 2 * S + 1, 1 << (2 * S).bit_length(), 4 * S + 64):
+                bound = alias(N)
+                if sys.float_info.min < bound < math.inf:
+                    assert floor(N) < math.log(bound) - 1e-7, (mods, S, N)
+
     def test_kept_rules_are_bounded(self):
         # one rule per power of two N <= 2**17, keyed by N alone, and one
         # end-fixed weight vector per power of two N <= 2**12 and S mod N,
@@ -1077,7 +1093,7 @@ class TestSeriesOracle:
         lams = [0.5, 0.3]
         lambda_sums._rule.cache_clear()
         lambda_sums._weights.cache_clear()
-        alias = lambda_sums._aliasing(lams, 0)
+        alias, _ = lambda_sums._aliasing(lams, 0)
         tol = 1.5 * alias(2)
         assert alias(1) >= tol
         Ns = [series_oracle(lams, 0, 100.0).truncation,
