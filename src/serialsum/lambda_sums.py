@@ -29,10 +29,9 @@ with a proven aliasing bound; its node count N doubles from the first
 power of two above 2S until that bound is below tol, passing over
 without computing it the N that a floor of the bound rules out;
 the symbol is even in the angle, so it is sampled on the half circle,
-each factor in a positive real form with no cancellation, from sines
-kept per N up to 2**17 (`_rule`) and weights kept per N up to 2**12 and
-S mod N (`_weights`), 9.4 MB at most in all; and the rounding
-bound is a few dozen eps per root, with a part growing as
+each factor in a positive real form with no cancellation, from nodes
+kept per N up to 2**12 and S mod N (`_kept_nodes`), 6.3 MB at most;
+and the rounding bound is a few dozen eps per root, with a part growing as
 1/(1 - |lambda|) for complex roots only) and `finite_sum`
 (the exact finite-n sum, as the trace of a product of l Toeplitz
 matrices, taken through the displacement structure of their partial
@@ -114,22 +113,34 @@ def _check_roots(values: Sequence[complex], ell: int) -> None:
 
 
 def _conjugate_closed(values: Sequence[complex]) -> bool:
-    """Whether each root v with |v.imag| > tol*(1 + |v|), tol =
-    `_CONJUGATE_TOL`, pairs off with a root within tol*(1 + |v|) of its
-    conjugate, none used twice: a repeat needs its conjugate as often."""
-    rest = list(values)
-    while rest:
-        v = rest.pop()
-        near = _CONJUGATE_TOL * (1 + abs(v))
-        if abs(v.imag) <= near:
-            continue
-        for i, w in enumerate(rest):
-            if abs(w - v.conjugate()) <= near:
-                del rest[i]
-                break
-        else:
-            return False
-    return True
+    """Whether the non-real roots pair off, none used twice, so that each
+    root v with |v.imag| > tol*(1 + |v|), tol = `_CONJUGATE_TOL`, has a
+    partner within tol*(1 + |v|) of its conjugate: a repeat needs its
+    conjugate as often.  See `_pair_off`."""
+    return _pair_off([v for v in values if v.imag])
+
+
+def _pair_off(rest: list) -> bool:
+    """`_conjugate_closed` on the non-real roots ``rest``, by a search that
+    backtracks over the pairings, at most 76 among the six roots that
+    `_check_roots` admits: it finds one wherever one exists, in a chain of
+    roots closer than tol too.  A pair takes the tolerance of its later
+    root, whose modulus is within 2*tol of the other's.  ``rest`` is left
+    as it was."""
+    if not rest:
+        return True
+    v = rest.pop()
+    c, near = v.conjugate(), _CONJUGATE_TOL * (1 + abs(v))
+    if abs(v.imag) <= near and _pair_off(rest):
+        return True  # v is real within tol, and left without a partner
+    for i, w in enumerate(rest):
+        if abs(w - c) <= near:
+            del rest[i]
+            if _pair_off(rest):
+                return True
+            rest.insert(i, w)
+    rest.append(v)
+    return False
 
 
 class RootMultiset(namedtuple("RootMultiset", "entries")):
@@ -448,60 +459,41 @@ def _aliasing(mods: Sequence[float], S: int):
 #: Nodes of the half circle sampled at once: memory stays bounded at any N.
 _BLOCK = 1 << 16
 
-#: The largest node count whose tables `_rule` keeps.
-_RULE_MAX = 1 << 17
+#: The largest node count whose nodes `_kept_nodes` keeps: its half circle
+#: is one block.
+_KEEP_MAX = 1 << 12
 
 
-def _half_angles(N: int, k: np.ndarray) -> tuple:
-    """sin and cos of the half angles x = pi*k/N at the nodes k of the
-    N-node rule, and their squares.  The cosine is the sine of the mirrored
-    node's half angle, pi*(N/2 - k)/N = pi/2 - x."""
+def _nodes(N: int, S: int, lo: int, hi: int) -> tuple:
+    """The nodes k = lo..hi-1 of the N-node rule's half circle at S: k,
+    sin and cos of the half angles x = pi*k/N, their squares, and the
+    weights 2*cos(2*pi*(k*S mod N)/N), but 1 at k = 0 and (-1)**S at
+    k = N/2 for even N.  The cosine is the sine of the mirrored node's half
+    angle, pi*(N/2 - k)/N = pi/2 - x."""
     import numpy as np
 
     h = math.pi / N
+    k = np.arange(lo, hi)
     sin_x = np.sin(h * k)
     cos_x = np.sin(h * (N / 2 - k))
-    return sin_x, cos_x, sin_x * sin_x, cos_x * cos_x
+    # S*k mod N, without int64 overflow below N = 2**46
+    w = 2 * np.cos(2 * h * ((lo * S % N + (k - lo) * (S % N)) % N))
+    if lo == 0:
+        w[0] = 1.0
+    if hi == N // 2 + 1 and N % 2 == 0:
+        w[-1] = -1.0 if S % 2 else 1.0
+    return k, sin_x, cos_x, sin_x * sin_x, cos_x * cos_x, w
 
 
-#: The largest node count whose weights `_weights` keeps for each S mod N.
-_WEIGHTS_MAX = 1 << 12
-
-
-@functools.lru_cache(maxsize=18)
-def _rule(N: int) -> tuple[tuple, np.ndarray]:
-    """The tables of the N-node rule that depend on N alone, read-only: the
-    nodes k = 0..N/2 of the half circle with their `_half_angles`, and the
-    weights 2*cos(2*pi*m/N), m < N, which node k reads at m = S*k mod N
-    (`_weights`).  `series_oracle` keeps them for N = 2**j <= `_RULE_MAX`
-    only: at most 18 rules of about 28*N bytes, 7.3 MB if every one is
-    built."""
-    import numpy as np
-
-    k = np.arange(N // 2 + 1)
-    nodes = (k, *_half_angles(N, k))
-    weights = 2 * np.cos(2 * (math.pi / N) * np.arange(N))
-    for t in (*nodes, weights):
+@functools.lru_cache(maxsize=64)
+def _kept_nodes(N: int, s: int) -> tuple:
+    """`_nodes` over the whole half circle at S = s mod N, read-only.
+    `series_oracle` keeps them for N = 2**j <= `_KEEP_MAX` only: at most
+    64 entries of six arrays of up to 2,049 numbers, 6.3 MB."""
+    nodes = _nodes(N, s, 0, N // 2 + 1)
+    for t in nodes:
         t.flags.writeable = False
-    return nodes, weights
-
-
-@functools.lru_cache(maxsize=128)
-def _weights(N: int, s: int) -> np.ndarray:
-    """The weights of the half circle's nodes k = 0..N/2 for the rule
-    `_rule(N)` keeps, at S = s mod N, read-only: 2*cos(2*pi*m/N) at
-    m = k*s mod N, but 1 at k = 0 and (-1)**s at k = N/2 for even N.
-    `series_oracle` keeps them for N = 2**j <= `_WEIGHTS_MAX` only, and
-    calls ``_weights.__wrapped__`` above: at most 128 vectors of up to
-    2,049 floats, 2.1 MB, which with `_rule`'s tables bounds what the
-    oracle keeps at 9.4 MB."""
-    (k, *_), weights = _rule(N)
-    w = weights[k * s % N]  # k*s below 2**34
-    w[0] = 1.0
-    if N % 2 == 0:
-        w[-1] = -1.0 if s % 2 else 1.0
-    w.flags.writeable = False
-    return w
+    return nodes
 
 
 def series_oracle(
@@ -538,14 +530,11 @@ def series_oracle(
     complex root without its conjugate keeps a complex factor, with
     1 - rho*exp(i*psi) = (1 - rho) + 2*rho*sin(psi/2)**2 - i*rho*sin(psi).
     A sample is then accurate to a few eps per real root, however near
-    the circle the root lies.  What depends on N alone, the half angles'
-    sines and cosines and the weights 2*cos(2*pi*m/N), is built once per
-    power of two N <= 2**17 and kept (`_rule`, at most 7.3 MB), and the
-    nodes' weights with their end values, which depend on N and S mod N
-    alone, are kept for the last 128 such pairs with N <= 2**12 (`_weights`,
-    at most 2.1 MB; up to 2**17 each call reads them from `_rule`'s
-    table): 9.4 MB at most in all.  A larger N, or one that is not a power
-    of two, builds both block by block in each call.
+    the circle the root lies.  The nodes' half-angle sines and cosines
+    and weights (`_nodes`) depend on N and S mod N alone, and are kept for
+    the last 64 such pairs with N a power of two up to 2**12, the node
+    counts that recur (`_kept_nodes`, 6.3 MB at most).  Any other N builds
+    them block by block in each call.
 
     err_estimate adds a rounding bound to the aliasing bound, so the true
     limit lies within it of the returned value.  Only the aliasing part is
@@ -620,28 +609,13 @@ def series_oracle(
 
     h = math.pi / N  # half the node spacing
     half = N // 2
-    kept = N <= _RULE_MAX and not N & (N - 1)
-    if kept:
-        nodes = _rule(N)[0]
-        weights = (_weights if N <= _WEIGHTS_MAX else _weights.__wrapped__)(
-            N, S % N)
+    kept = N <= _KEEP_MAX and not N & (N - 1)
     re, im = [], []
     abs_total = 0.0
     for lo in range(0, half + 1, _BLOCK):
         hi = min(lo + _BLOCK, half + 1)
-        if not kept:
-            k = np.arange(lo, hi)
-            sin_x, cos_x, sin2, cos2 = _half_angles(N, k)
-            # S*k mod N, without int64 overflow below N = 2**46
-            w = 2 * np.cos(2 * h * ((lo * S % N + (k - lo) * (S % N)) % N))
-            if lo == 0:
-                w[0] = 1.0
-            if hi == half + 1 and N % 2 == 0:
-                w[-1] = -1.0 if S % 2 else 1.0
-        elif hi - lo == len(weights):  # one block: the tables whole
-            (k, sin_x, cos_x, sin2, cos2), w = nodes, weights
-        else:
-            k, sin_x, cos_x, sin2, cos2, w = (t[lo:hi] for t in (*nodes, weights))
+        k, sin_x, cos_x, sin2, cos2, w = (
+            _kept_nodes(N, S % N) if kept else _nodes(N, S, lo, hi))
         rows = [sin2 if a > 0 else cos2 for a in reals]
         for cos_c, sin_c in turns:  # sin(x -+ phi/2), squared
             sc, cs = sin_x * cos_c, cos_x * sin_c

@@ -3,6 +3,7 @@ import cmath
 import importlib.util
 import inspect
 import itertools
+import json
 import math
 import os
 import re
@@ -47,6 +48,7 @@ from serialsum.lambda_sums import (
     finite_sum_with_error,
 )
 from serialsum import lambda_sums
+from serialsum.cli import main
 from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
 from _references import f2_equal_reference, f3_triple_reference, finite_sum_direct
@@ -305,6 +307,26 @@ class TestRootMultiset:
         assert ms(0.3 + 0.2j, 0.3 - 0.2j).is_conjugate_closed()
         assert not ms(0.3 + 0.2j, 0.1).is_conjugate_closed()
         assert ms(0.5, 0.3).is_conjugate_closed()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_conjugate_chain_closer_than_tol(self, reverse, capsys):
+        # z, z + d, z + 2d and their exact conjugates, d below the tolerance:
+        # a greedy match can pair z + d with the conjugate of z and leave
+        # z + 2d without a partner, in either order
+        z = 0.3 + 0.4j
+        d = 0.9e-12 * (1 + abs(z))
+        lams = [z, z + d, z + 2 * d]
+        lams += [v.conjugate() for v in lams]
+        if reverse:
+            lams.reverse()
+        assert _conjugate_closed(lams)
+        assert ms(*lams).is_conjugate_closed()
+        assert f_general(ms(*lams), 2).is_real_certified
+        assert series_oracle(lams, 2, 1e-10).is_real_certified
+        assert linear_coefficient(lams, [2, 0, 0, 0, 0, 0], 60).is_real_certified
+        arg = ",".join(f"{v.real!r}{v.imag:+}i" for v in lams)
+        assert main(["eval", "--lambdas", arg, "--S", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["is_real_certified"]
 
     def test_conjugate_closure_of_the_roots_as_given(self):
         # The oracles and the multiset check the roots as given, with no
@@ -1086,45 +1108,43 @@ class TestSeriesOracle:
                     assert floor(N) < math.log(bound) - 1e-7, (mods, S, N)
 
     def test_kept_rules_are_bounded(self):
-        # one rule per power of two N <= 2**17, keyed by N alone, and one
-        # end-fixed weight vector per power of two N <= 2**12 and S mod N,
-        # keyed by those alone; a larger N keeps no weights, one above
-        # 2**17 no rule, and one at the budget's cap neither
+        # one entry of nodes and end-fixed weights per power of two
+        # N <= 2**12 and S mod N, keyed by those alone; a larger N, or one
+        # at the budget's cap, keeps nothing
         lams = [0.5, 0.3]
-        lambda_sums._rule.cache_clear()
-        lambda_sums._weights.cache_clear()
+        kept = lambda_sums._kept_nodes
+        kept.cache_clear()
+        assert lambda_sums._KEEP_MAX == 1 << 12
+        assert list(inspect.signature(kept).parameters) == ["N", "s"]
         alias, _ = lambda_sums._aliasing(lams, 0)
         tol = 1.5 * alias(2)
         assert alias(1) >= tol
         Ns = [series_oracle(lams, 0, 100.0).truncation,
               series_oracle(lams, 0, tol).truncation]
-        Ns += [series_oracle(lams, 1 << j, 100.0).truncation for j in range(16)]
-        assert Ns == [1 << j for j in range(18)]
-        info = lambda_sums._rule.cache_info()
-        assert info.currsize == info.maxsize == 18
-        assert list(inspect.signature(lambda_sums._rule).parameters) == ["N"]
-        weights = lambda_sums._weights
-        assert lambda_sums._WEIGHTS_MAX == 1 << 12
-        assert weights.cache_info().currsize == 13  # N = 2**0 .. 2**12
-        assert list(inspect.signature(weights).parameters) == ["N", "s"]
-        winfo = weights.cache_info()
+        Ns += [series_oracle(lams, 1 << j, 100.0).truncation for j in range(11)]
+        assert Ns == [1 << j for j in range(13)]
+        info = kept.cache_info()
+        assert info.currsize == 13  # N = 2**0 .. 2**12
+        assert series_oracle(lams, 1 << 11, 100.0).truncation == 1 << 13
         assert series_oracle(lams, 1 << 16, 100.0).truncation == 1 << 18
         assert series_oracle([0.9] * 4, 0, 1e-12, budget=1984).truncation == 496
-        assert lambda_sums._rule.cache_info() == info
-        assert series_oracle(lams, 1 << 11, 100.0).truncation == 1 << 13
-        assert weights.cache_info() == winfo
+        assert kept.cache_info() == info
         # other roots and tol at the same N and S read the same entry
         assert series_oracle([-0.4, 0.2j, -0.2j], 1 << 10, 1e-3).truncation == 1 << 12
-        assert weights.cache_info()[:2] == (winfo.hits + 1, winfo.misses)
-        # at most 128 vectors of N/2 + 1 <= 2,049 floats, 2.1 MB, read-only
+        assert kept.cache_info()[:2] == (info.hits + 1, info.misses)
+        # at most 64 entries of six arrays of N/2 + 1 <= 2,049 numbers,
+        # 6.3 MB, read-only
         for S in range(1 << 10, (1 << 10) + 200):
             assert series_oracle(lams, S, 100.0).truncation == 1 << 12
-        assert weights.cache_info().currsize == weights.cache_info().maxsize == 128
-        w = weights(1 << 12, (1 << 10) + 199)
-        assert w.size == (1 << 11) + 1 and 128 * w.nbytes <= 2.1e6
+        assert kept.cache_info().currsize == kept.cache_info().maxsize == 64
+        nodes = kept(1 << 12, (1 << 10) + 199)
+        assert [t.size for t in nodes] == [(1 << 11) + 1] * 6
+        assert 64 * sum(t.nbytes for t in nodes) <= 6.3e6
+        w = nodes[-1]
         assert (w[0], w[-1]) == (1.0, -1.0)
-        with pytest.raises(ValueError, match="read-only"):
-            w[1] = 0.0
+        for t in nodes:
+            with pytest.raises(ValueError, match="read-only"):
+                t[1] = 0
         script = ("import sys\n"
                   "from serialsum.lambda_sums import RootMultiset, f_general\n"
                   "f_general(RootMultiset.from_lambdas([0.5, 0.3]), 1)\n"
