@@ -272,8 +272,11 @@ _IN_FLIGHT = 1 << 15
 
 @functools.lru_cache(maxsize=1)
 def _filter_blocks(alphas: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """T and Z of `_filter` for one model, read-only.  The last model's
-    are kept, so the chunks and seeds of one command build them once."""
+    """T and Z of `_filter` for one model, read-only.  `_stream` takes them
+    once per call, whatever its chunks and seeds; the last model's are
+    kept for repeated `simulate` and `_stream` calls in one process, as
+    over the Tier-1 suite (296 hits, 29 misses by `cache_info()`).  A CLI
+    command makes one such call, so there it never hits."""
     import numpy as np
 
     a = np.asarray(alphas, dtype=float)

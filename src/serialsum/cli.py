@@ -9,10 +9,9 @@ one total, through `lambda_sums._charge`.
 Each command imports the library module it runs, `lambda_sums` or
 `ar_model`, before its clock starts, so `import serialsum.cli` and the
 parser load neither; `main` imports `ar_model` on a ValueError, to tell
-its model errors (exit 1) from usage errors.  Only `ar check` imports
-numpy here, for its statistics over seeds; the other commands load it, if
-at all, through the library calls that use it, so `eval`, and `ar roots`
-and `ar acf` for an AR(1) model, load none.
+its model errors (exit 1) from usage errors.  No command imports numpy
+here: each loads it, if at all, through the library calls that use it,
+so `eval`, and `ar roots` and `ar acf` for an AR(1) model, load none.
 `ar simulate` and `ar check` find the characteristic roots once and take
 their series from `ar_model`'s chunked engine, so their memory does not
 grow with --n or --seeds.
@@ -66,8 +65,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _plain(obj):
-    """JSON data: a complex number becomes {re, im}, a tuple a list, and an
+    """JSON data: a complex number becomes {re, im}, a record (a named
+    tuple) an object of its fields in order, another tuple a list, and an
     infinite or NaN float null, since RFC 8259 has no Infinity or NaN."""
+    if hasattr(obj, "_asdict"):
+        return _plain(obj._asdict())
     if isinstance(obj, complex):
         return {"re": _plain(obj.real), "im": _plain(obj.imag)}
     if isinstance(obj, float):
@@ -105,20 +107,31 @@ def _emit(args, inputs: dict, result: dict, err_estimate: float,
 
 
 def _budget(args) -> int:
+    """The work budget: --budget, else SERIALSUM_BUDGET, else the default.
+    Either is an integer, or a float literal with a whole-number value such
+    as 2e8; a fraction, a non-finite or a negative value is a usage error
+    that names its source."""
     from . import lambda_sums
 
-    if args.budget is not None:
-        name, budget = "--budget", args.budget
-    else:
-        env = os.environ.get("SERIALSUM_BUDGET")
-        if not env:
+    name, text = "--budget", args.budget
+    if text is None:
+        name, text = "SERIALSUM_BUDGET", os.environ.get("SERIALSUM_BUDGET")
+        if not text:
             return lambda_sums.DEFAULT_BUDGET
-        name, budget = "SERIALSUM_BUDGET", float(env)
-        if not math.isfinite(budget):  # a usage error, as a malformed one is
-            raise ValueError(f"SERIALSUM_BUDGET must be finite, got {env!r}")
+    try:
+        budget = int(text)
+    except ValueError:
+        try:
+            budget = float(text)
+        except ValueError:
+            budget = math.nan
+        if not (math.isfinite(budget) and budget.is_integer()):
+            raise ValueError(
+                f"{name} must be a whole number, such as 2e8, got {text!r}")
+        budget = int(budget)
     if budget < 0:  # a usage error too, not a budget that no work fits
-        raise ValueError(f"{name} must be >= 0, got {budget:g}")
-    return int(budget)
+        raise ValueError(f"{name} must be >= 0, got {text}")
+    return budget
 
 
 #: Work units charged per unit of CLI work, from measured costs at about
@@ -164,8 +177,9 @@ def _build_multiset(args):
         if len(mults) != len(lams):
             raise ValueError("--mult must have one entry per lambda")
         # checked before the roots are expanded
-        if any(m < 1 for m in mults) or sum(mults) > 6:
-            raise ValueError("--mult entries must be >= 1 and sum to at most 6")
+        if any(m < 1 for m in mults) or sum(mults) > lambda_sums.MAX_ROOTS:
+            raise ValueError("--mult entries must be >= 1 and sum to at most "
+                             f"{lambda_sums.MAX_ROOTS}")
         lams = [v for v, m in zip(lams, mults) for _ in range(m)]
     roots = lambda_sums.RootMultiset.from_lambdas(lams)
     if not args.allow_complex_result and not roots.is_conjugate_closed():
@@ -252,17 +266,7 @@ def _cmd_conjecture(args) -> int:
         "passed": report.passed,
         "failed": report.failed,
         "skipped": report.skipped,
-        "trials": [
-            {
-                "lambdas": list(t.lambdas),
-                "S": t.S,
-                "status": t.status,
-                "discrepancy": t.discrepancy,
-                "oracle_err": t.oracle_err,
-                "detail": t.detail,
-            }
-            for t in report.trials
-        ],
+        "trials": report.trials,
     }
     worst = max(
         (t.discrepancy for t in report.trials if t.discrepancy is not None),
@@ -307,12 +311,7 @@ def _cmd_ar(args) -> int:
     lambda_sums._charge(command, work, budget)
 
     if args.ar_command == "roots":
-        cr = ar_model.char_roots(alphas)
-        result = {
-            "roots": list(cr.roots),
-            "stationary": cr.stationary,
-        }
-        _emit(args, inputs, result, 0.0, started)
+        _emit(args, inputs, ar_model.char_roots(alphas), 0.0, started)
         return 0
 
     if args.ar_command == "acf":
@@ -364,8 +363,6 @@ def _cmd_ar(args) -> int:
         return 0
 
     # check: batch-mean empirical ACF across seeds vs the theoretical values
-    import numpy as np
-
     inputs.update(
         {"sigma": args.sigma, "n": args.n, "seed": args.seed,
          "seeds": args.seeds, "jmax": args.jmax}
@@ -375,7 +372,7 @@ def _cmd_ar(args) -> int:
         model, args.n, burn_in, range(args.seed, args.seed + args.seeds),
         args.jmax)
     means = batch.mean(axis=0)
-    ses = batch.std(axis=0, ddof=1) / np.sqrt(args.seeds)
+    ses = batch.std(axis=0, ddof=1) / math.sqrt(args.seeds)
     zs = [0.0]
     for j in range(1, args.jmax + 1):
         zs.append(float((means[j] - rhos[j]) / ses[j]) if ses[j] > 0 else 0.0)
@@ -387,7 +384,7 @@ def _cmd_ar(args) -> int:
         "z_max_allowed": args.zmax,
         "ok": ok,
     }
-    _emit(args, inputs, result, float(np.max(ses)), started)
+    _emit(args, inputs, result, float(ses.max()), started)
     return 0 if ok else 1
 
 
@@ -400,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit JSON envelope")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", default=None,
                        help="work budget of the series and finite-sum "
-                            "oracles, conjecture and the ar commands "
+                            "oracles, conjecture and the ar commands: an "
+                            "integer or a whole-number float such as 2e8 "
                             "(default: SERIALSUM_BUDGET or 2e8)")
 
     p = sub.add_parser("eval", help="evaluate the closed-form limit")

@@ -72,6 +72,9 @@ _CONJUGATE_TOL = 1e-12  # relative, for `_conjugate_closed`
 #: and of the finite-sum oracle (multiply-adds).
 DEFAULT_BUDGET = 200_000_000
 
+#: The most roots, repeats counted, that the evaluators and the CLI admit.
+MAX_ROOTS = 6
+
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
@@ -102,14 +105,14 @@ def _charge(what: str, work: int, budget: int) -> None:
 
 def _check_roots(values: Sequence[complex], ell: int) -> None:
     """Raise ValueError unless every value is finite and strictly inside
-    the unit disk and the total root count ``ell`` is in [2, 6]."""
+    the unit disk and the total root count ``ell`` is in [2, `MAX_ROOTS`]."""
     for v in values:
         if not abs(v) < 1:  # NaN too
             if not cmath.isfinite(v):
                 raise ValueError(f"non-finite root {v!r}")
             raise ValueError(f"root {v} not strictly inside the unit disk")
-    if not 2 <= ell <= 6:
-        raise ValueError(f"total root count must be in [2, 6], got {ell}")
+    if not 2 <= ell <= MAX_ROOTS:
+        raise ValueError(f"total root count must be in [2, {MAX_ROOTS}], got {ell}")
 
 
 def _conjugate_closed(values: Sequence[complex]) -> bool:
@@ -122,7 +125,7 @@ def _conjugate_closed(values: Sequence[complex]) -> bool:
 
 def _pair_off(rest: list) -> bool:
     """`_conjugate_closed` on the non-real roots ``rest``, by a search that
-    backtracks over the pairings, at most 76 among the six roots that
+    backtracks over the pairings, at most 76 among six roots, the most that
     `_check_roots` admits: it finds one wherever one exists, in a chain of
     roots closer than tol too.  A pair takes the tolerance of its later
     root, whose modulus is within 2*tol of the other's.  ``rest`` is left
@@ -567,8 +570,8 @@ def series_oracle(
             pairs.append(v)
         else:
             lone.append(v)
-    # real roots alone are conjugate-closed
-    conj_closed = not (pairs or lone) or _conjugate_closed(lams)
+    # each complex root paired with its exact conjugate proves closure
+    conj_closed = not lone or _conjugate_closed(lams)
     if not mods:
         value = 1.0 + 0j if S == 0 else 0j
         return LimitValue(value, 0.0, True, truncation=0)
@@ -769,15 +772,6 @@ def _powers(lam: complex, lo: int, count: int, floor: float) -> np.ndarray:
     return p
 
 
-def _ends(spec: FiniteSumSpec, grow: int = 0) -> list[tuple[int, int]]:
-    """Per factor A_m, the least and the greatest d + s_m over its diagonals
-    d = 1 - n_{m+1} .. n_m - 1 (cyclic), at n = spec.n + grow."""
-    top = spec.n + grow
-    ns = [top + d for d in spec.upper_adjust]
-    return [(s + 1 - q, s + r - 1)
-            for s, r, q in zip(spec.shifts, ns, ns[1:] + ns[:1])]
-
-
 def _span(a: int, b: int) -> tuple[int, int]:
     """The least and the greatest |e| over e = a .. b: the ends of a V, or
     of one of its arms."""
@@ -797,17 +791,20 @@ def _cut(table: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
     return np.concatenate((table[-a:0:-1], table[: b + 1]))
 
 
-def _diagonals(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list]:
-    """Per factor A_m at n = spec.n + grow, its `_ends` (a, b) and its
-    floored diagonals lambda_m**|e|, e = a .. b, each cut (`_cut`) from a
-    table of powers over their `_span` only, so a shift costs nothing."""
+def _diagonals(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list, list]:
+    """The box at n = spec.n + grow: its ranges n_m = n + d_m, and per
+    factor A_m (n_m x n_{m+1}, cyclic) the ends (a, b) of d + s_m over its
+    diagonals d = 1 - n_{m+1} .. n_m - 1 and those diagonals lambda_m**|e|,
+    floored and cut (`_cut`) from one table of powers over their `_span`."""
     floor = _floor(len(spec.lambdas))
-    ends = _ends(spec, grow)
-    diags = []
-    for lam, (a, b) in zip(spec.lambdas, ends):
+    ns = [spec.n + grow + d for d in spec.upper_adjust]
+    ends, diags = [], []
+    for lam, s, r, q in zip(spec.lambdas, spec.shifts, ns, ns[1:] + ns[:1]):
+        a, b = s + 1 - q, s + r - 1
         lo, hi = _span(a, b)
+        ends.append((a, b))
         diags.append(_cut(_powers(lam, lo, hi - lo + 1, floor), lo, a, b))
-    return ends, diags
+    return ns, ends, diags
 
 
 def _mass(rho: float, a: int, b: int) -> tuple[float, float]:
@@ -871,14 +868,17 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     weighs the step from i_m to i_{m+1}, so the trace sums every term of
     the cyclic lattice exactly once.  A_m is Toeplitz, A[a, b] = t(a - b),
     and is held as the vector of its diagonals, diags[m][d + n_{m+1} - 1]
-    = t(d), cut from one table of the root's powers (`_diagonals`).
+    = t(d), cut from one table of the root's powers; `_diagonals` gives
+    them with the ranges n_m and their ends, which the bound takes.
 
     No product is formed.  P_k = A_1 ... A_k has displacement rank 2(k - 1)
     (Kailath, Kung & Morf, J. Math. Anal. Appl. 68, 1979): for i, j >= 1,
     P_k[i, j] - P_k[i-1, j-1] = sum_r g_r[i] * h_r[j].  With r rows in
     A = A_{k+1}, the step to P_{k+1} = P_k A keeps each generator as
     (g, h A[1:, 1:]) and adds (P_k[1:, 0], A[0, 1:]) and
-    (-P_k[:-1, r-1], t(r - j) for j >= 1).  A column of P_k is a chain of
+    (-P_k[:-1, r-1], t(r - j) for j >= 1).  Where A has one row or one
+    column, A[1:, 1:] is empty, every later term of the kept generators is
+    zero, and they are dropped.  A column of P_k is a chain of
     Toeplitz matrix-vector products from a column of A_k, and every
     product is a direct 1-D convolution.  Summing the displacements along
     the diagonal of the square P_l gives
@@ -892,8 +892,7 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     import numpy as np
 
     ell = len(spec.lambdas)
-    ns = [spec.n + d for d in spec.upper_adjust]
-    ends, diags = _diagonals(spec)
+    ns, ends, diags = _diagonals(spec)
 
     def column(m: int, j: int) -> np.ndarray:  # A_m[:, j], m from 0
         start = ns[(m + 1) % ell] - 1 - j
@@ -911,10 +910,9 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     for k in range(1, ell):  # P_{k+1} = P_k A_{k+1}, A_{k+1} = diags[k]
         r, q = ns[k], ns[(k + 1) % ell]
         inner = diags[k][1:-1]  # A[1:, 1:], (r - 1) x (q - 1)
-        if r > 1 and q > 1:  # h A[1:, 1:] is h reversed, convolved, reversed
-            gens = [(g, np.convolve(inner, h[::-1], "valid")[::-1]) for g, h in gens]
-        else:  # A[1:, 1:] is empty
-            gens = [(g, np.zeros(q - 1, np.result_type(h, inner))) for g, h in gens]
+        # h A[1:, 1:] is h reversed, convolved, reversed, or empty
+        gens = [(g, np.convolve(inner, h[::-1], "valid")[::-1])
+                for g, h in gens] if r > 1 and q > 1 else []
         first = times(diags[: k - 1], column(k - 1, 0))
         last = times(diags[: k - 1], column(k - 1, r - 1))
         gens += [(weights * first[1:], diags[k][: q - 1][::-1]),
@@ -949,8 +947,7 @@ def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     import numpy as np
 
     ell = len(spec.lambdas)
-    ns = [spec.n + d for d in spec.upper_adjust]
-    ends, diags = _diagonals(spec, 1)
+    ns, ends, diags = _diagonals(spec, 1)  # ns: the new ranges, n_j + 1
 
     # Part m keeps the old range, n_j long, of each j < m and the new one,
     # n_j + 1, of each j > m.  Of A_j's diagonals, diags[j][d + cols - 1] =
@@ -958,16 +955,16 @@ def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     # last.
     value = 0j
     for m in range(ell):
-        x = diags[m - 1][: ns[m - 1] + (m == 0)]  # A_{m-1}[:, n_m]
+        x = diags[m - 1][: ns[m - 1] - (m > 0)]  # A_{m-1}[:, n_m]
         for j in range(m + ell - 2, m, -1):
             j %= ell
             d = diags[j]
             x = np.convolve(d[(j + 1) % ell < m : d.size - (j < m)], x, "valid")
-        row = diags[m][ns[m] + (m == ell - 1) :]  # A_m[n_m, ::-1]
+        row = diags[m][ns[m] - (m < ell - 1) :]  # A_m[n_m, ::-1]
         value += complex(row @ x[::-1])
 
-    shell = math.prod(n + 1 for n in ns) - math.prod(ns)
-    return value, _rounding_bound(spec, ends, ell, max(ns) + 1, shell)
+    shell = math.prod(ns) - math.prod(n - 1 for n in ns)
+    return value, _rounding_bound(spec, ends, ell, max(ns), shell)
 
 
 def linear_coefficient(

@@ -1,7 +1,29 @@
-"""Test references for the library's evaluators: the printed closed forms
-for repeated roots, and the direct enumeration of the finite cyclic sum."""
+"""Test references for the library's evaluators: the distinct-root closed
+form in mpmath, the printed closed forms for repeated roots, and the
+direct enumeration of the finite cyclic sum."""
 
 import itertools
+
+import pytest
+
+
+def mp_closed_form(nodes, S: int, dps: int):
+    """F(nodes; S) from the distinct-root closed form at ``dps`` digits,
+    each node converted at that precision, so a decimal string is read to
+    it.  A zero root contributes the factor 1 to the symbol, so zeros are
+    dropped; the remaining nodes must be distinct."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        ls = [v for v in map(mpmath.mpc, nodes) if v != 0]
+        if not ls:
+            return mpmath.mpf(1 if S == 0 else 0)
+        return mpmath.fsum(
+            li ** (S + len(ls) - 1) * mpmath.fprod(
+                (1 - lj**2) / ((li - lj) * (1 - li * lj))
+                for j, lj in enumerate(ls) if j != i
+            )
+            for i, li in enumerate(ls)
+        )
 
 
 def f2_equal_reference(lam: complex, S: int) -> complex:

@@ -6,9 +6,20 @@ import sys
 from pathlib import Path
 
 import serialsum
-from serialsum import BudgetExceededError, series_oracle
+from serialsum import (BudgetExceededError, FiniteSumSpec, RootMultiset,
+                       f_general, linear_coefficient, series_oracle)
+from serialsum.lambda_sums import finite_sum_with_error
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: each evaluator of the snapshot, called here on its drawn input
+CALLS = {
+    "series": lambda lams, S, tol, budget: series_oracle(lams, S, tol, budget=budget),
+    "general": lambda lams, S: f_general(RootMultiset.from_lambdas(lams), S),
+    "finite": lambda lams, shifts, n, adjust: finite_sum_with_error(
+        FiniteSumSpec(lams, shifts, n, adjust)),
+    "linear": linear_coefficient,
+}
 
 
 def _snapshot_module():
@@ -20,8 +31,9 @@ def _snapshot_module():
 
 
 def test_snapshot_smoke():
-    # 20 inputs as a fresh process, where nothing is kept yet, give the
-    # lines of the oracle's outputs in this process, whatever it keeps
+    # 20 inputs per evaluator as a fresh process, where nothing is kept
+    # yet, give the lines of the evaluators' outputs in this process,
+    # whatever it keeps
     snapshot = _snapshot_module()
     src = os.path.dirname(os.path.dirname(serialsum.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -31,14 +43,17 @@ def test_snapshot_smoke():
         capture_output=True, text=True, env=env, check=True).stdout
     lines = out.splitlines()
     assert lines == list(snapshot.snapshot(20, 0))
-    assert len(lines) == 20
-    rng = random.Random(0)
-    for line in lines:
-        lams, S, tol, budget = snapshot.draw_input(rng)
-        assert line.startswith(f"{lams!r} {S} {tol!r} {budget}|")
-        try:
-            got = series_oracle(lams, S, tol, budget=budget)
-        except BudgetExceededError:
-            assert line.endswith("|refused")
-        else:
-            assert line.endswith(f"|{got!r}|{got.truncation}")
+    assert [line.split(" ", 1)[0] for line in lines] == [
+        name for name in CALLS for _ in range(20)]
+    for i, (name, call) in enumerate(CALLS.items()):
+        draw = snapshot.EVALUATORS[name][0]
+        rng = random.Random(0)
+        for line in lines[20 * i : 20 * (i + 1)]:
+            args = draw(rng)
+            assert line.startswith(f"{name} {' '.join(map(repr, args))}|")
+            try:
+                got = call(*args)
+            except (BudgetExceededError, ValueError, ArithmeticError):
+                assert line.endswith("|refused")
+            else:
+                assert f"|{got!r}" in line and not line.endswith("|refused")

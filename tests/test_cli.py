@@ -22,6 +22,7 @@ from serialsum.ar_model import (
     simulate,
 )
 from serialsum.cli import main
+from _references import mp_closed_form
 
 
 def run(capsys, *argv):
@@ -219,6 +220,37 @@ class TestOracle:
         code, out, _ = run(capsys, *argv, *budget("0"))
         assert code == 1
         assert json.loads(out)["error"] == "BudgetExceeded"
+
+    @pytest.mark.parametrize("source", ["option", "env"])
+    def test_budget_is_one_whole_number_from_either_source(
+        self, capsys, monkeypatch, source
+    ):
+        name = {"option": "--budget", "env": "SERIALSUM_BUDGET"}[source]
+
+        def budget(value):
+            if source == "option":
+                return ["--budget", value]
+            monkeypatch.setenv("SERIALSUM_BUDGET", value)
+            return []
+
+        argv = ["oracle", "series", "--lambdas", "0.5,0.3", "--S", "1", "--json"]
+        # the help's default, 2e8, is the default budget in either form
+        for value in ["2e8", "200000000.0", "200000000"]:
+            code, out, _ = run(capsys, *argv, *budget(value))
+            assert code == 0 and json.loads(out)["result"]["truncation_J"] == 64
+        # a float literal with a whole value is that integer: S = 1 and two
+        # roots charge 4 units before the first node count
+        for value in ["3e0", "3.0", "3"]:
+            code, out, _ = run(capsys, *argv, *budget(value))
+            assert code == 1
+            assert json.loads(out)["message"] == (
+                "the series oracle at S=1 needs 4 work units, over the budget of 3")
+        # a fraction is not truncated, to 0 or to 12 say, nor is any other
+        # value that is not a whole number >= 0
+        for value in ["0.5", "12.9", "inf", "nan", "1e400", "-5.0", "abc"]:
+            code, out, err = run(capsys, *argv, *budget(value))
+            assert (code, out) == (2, ""), value
+            assert err.startswith(f"error: {name} must be "), (value, err)
 
 
 class TestConjecture:
@@ -635,15 +667,9 @@ class TestCleanExits:
             capsys, "eval", "--lambdas", ",".join(lams), "--S", "0")
         assert code == 0, err
         assert env["result"]["route"] == "distinct"
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            ls = [mpmath.mpf(v) for v in lams]
-            want = mpmath.fsum(
-                li ** 2 * mpmath.fprod((1 - lj**2) / ((li - lj) * (1 - li * lj))
-                                       for lj in ls if lj is not li)
-                for li in ls)
+        want = mp_closed_form(lams, 0, 50)
         got = env["result"]["value"]["re"]
-        assert abs(got - float(want)) <= 1e-9 * (1 + abs(got))
+        assert abs(got - float(want.real)) <= 1e-9 * (1 + abs(got))
 
     def test_ar_acf_charges_roots_and_lags_as_one_total(self, capsys):
         # 1 unit for the roots of an AR(1) model, 25 * 11 * 4 for 4 lags

@@ -36,7 +36,6 @@ from serialsum.lambda_sums import (
     DEFAULT_BUDGET,
     _conjugate_closed,
     _diagonals,
-    _ends,
     _mass,
     _power_column,
     _powers,
@@ -51,7 +50,8 @@ from serialsum import lambda_sums
 from serialsum.cli import main
 from serialsum.numerics import Jet
 from _gen import draw_multiset, draw_roots
-from _references import f2_equal_reference, f3_triple_reference, finite_sum_direct
+from _references import (f2_equal_reference, f3_triple_reference,
+                         finite_sum_direct, mp_closed_form)
 
 # Values frozen from independent brute-force summations (plain nested-loop
 # lattice sums and hand enumeration) computed before the evaluators existed.
@@ -62,24 +62,6 @@ F3EQ_05_S2 = 2.6666666666666665        # triple root 0.5, S=2
 F5_05_S0 = 23.716049382716044          # F({0.5 x5}; S=0)
 T50_SLOPE_CASE = 66.8605988600234      # finite sum, (0.5,0.3,0.2), s=(1,-1,1), n=50
 T100_SLOPE_CASE = 135.74531586738303   # same at n=100
-
-
-def mp_limit(lams, S, dps=50):
-    """F(lams; S) from the distinct-root closed form at ``dps`` digits.
-    A zero root contributes the factor 1 to the symbol, so zeros are
-    dropped; the remaining roots must be distinct."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(dps):
-        ls = [mpmath.mpc(v) for v in lams if v != 0]
-        if not ls:
-            return mpmath.mpf(1 if S == 0 else 0)
-        return mpmath.fsum(
-            li ** (S + len(ls) - 1) * mpmath.fprod(
-                (1 - lj**2) / ((li - lj) * (1 - li * lj))
-                for j, lj in enumerate(ls) if j != i
-            )
-            for i, li in enumerate(ls)
-        )
 
 
 def mp_trace(spec, dps=50):
@@ -572,17 +554,11 @@ def closed_form_reference(entries, S):
     of a repeated root spread 1e-60 apart, at 60 digits per root and 60
     more, so that the cancellation among them leaves over 40 digits."""
     mpmath = pytest.importorskip("mpmath")
-    ell = sum(m for _, m in entries)
-    with mpmath.workdps(60 * ell + 60):
+    dps = 60 * sum(m for _, m in entries) + 60
+    with mpmath.workdps(dps):
         nodes = [mpmath.mpc(v) + c * mpmath.mpf("1e-60")
                  for v, m in entries for c in range(m)]
-        return mpmath.fsum(
-            li ** (S + ell - 1) * mpmath.fprod(
-                (1 - lj**2) / ((li - lj) * (1 - li * lj))
-                for j, lj in enumerate(nodes) if j != i
-            )
-            for i, li in enumerate(nodes)
-        )
+    return mp_closed_form(nodes, S, dps)
 
 
 class TestErrEstimate:
@@ -866,15 +842,8 @@ class TestSeriesOracle:
         for k, (lams, S) in enumerate(cases):
             tol = (1e-6, 1e-10, 1e-13)[k % 3]
             got = series_oracle(lams, S, tol)
+            ref = mp_closed_form(lams, S, 50)
             with mpmath.workdps(50):
-                ls = [mpmath.mpc(v) for v in lams]
-                ref = mpmath.fsum(
-                    li ** (S + len(ls) - 1) * mpmath.fprod(
-                        (1 - lj**2) / ((li - lj) * (1 - li * lj))
-                        for j, lj in enumerate(ls) if j != i
-                    )
-                    for i, li in enumerate(ls)
-                )
                 err = float(abs(mpmath.mpc(got.value) - ref))
             assert err <= got.err_estimate, (lams, S, tol, err, got.err_estimate)
 
@@ -894,7 +863,7 @@ class TestSeriesOracle:
         for k, (lams, S) in enumerate(cases):
             tol = (1e-6, 1e-10, 1e-13)[k % 3]
             got = series_oracle(lams, S, tol)
-            err = float(abs(complex(got.value) - mp_limit(lams, S)))
+            err = float(abs(complex(got.value) - mp_closed_form(lams, S, 50)))
             assert err <= got.err_estimate, (lams, S, tol, err, got.err_estimate)
 
     @pytest.mark.parametrize("lam", [0.99999, -0.99999])
@@ -971,7 +940,7 @@ class TestSeriesOracle:
         self, lams, S, tol, budget
     ):
         got = series_oracle(lams, S, tol, budget=budget)
-        err = float(abs(complex(got.value) - mp_limit(lams, S)))
+        err = float(abs(complex(got.value) - mp_closed_form(lams, S, 50)))
         assert err <= got.err_estimate, (err, got.err_estimate)
 
     def test_root_near_circle_is_refused_without_warning(self):
@@ -1306,7 +1275,7 @@ class TestFiniteSum:
             spec = FiniteSumSpec(tuple(lams), tuple(shifts), n, adjust)
             floor = sys.float_info.min ** (1 / ell)
             with np.errstate(over="ignore", invalid="ignore"):
-                ends, cut = _diagonals(spec)
+                _, ends, cut = _diagonals(spec)
                 ref = gathered_diagonals(spec)
                 for lam, (a, b), c, g in zip(lams, ends, cut, ref):
                     assert c.dtype == g.dtype and np.array_equal(c, g, equal_nan=True)
@@ -1541,13 +1510,13 @@ class TestLinearCoefficient:
         # within its rounding bound alone, while the limit, F = -2.04e-4 for
         # the pair, is off by more than that and within the residue's bound
         spec = FiniteSumSpec(lams, shifts, n_base)
-        assert any(_span(*ends)[0] > 0 for ends in _ends(spec, 1))
+        assert any(_span(*ends)[0] > 0 for ends in _diagonals(spec, 1)[1])
         value, err = _shell_sum(spec)
         t1 = finite_sum_direct(spec)
         t2 = finite_sum_direct(FiniteSumSpec(lams, shifts, n_base + 1))
         assert abs(value - (t2 - t1)) <= err
         got = linear_coefficient(lams, shifts, n_base)
-        ref = mp_limit(lams, abs(sum(shifts)))
+        ref = mp_closed_form(lams, abs(sum(shifts)), 50)
         assert err < float(abs(got.value - ref)) <= got.err_estimate
 
     def test_rejects_insufficient_n_base(self):
