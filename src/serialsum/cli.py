@@ -110,7 +110,7 @@ def _budget(args) -> int:
     """The work budget: --budget, else SERIALSUM_BUDGET, else the default.
     Either is an integer, or a float literal with a whole-number value such
     as 2e8; a fraction, a non-finite or a negative value is a usage error
-    that names its source."""
+    that names its source.  `main` resolves it once, for every command."""
     from . import lambda_sums
 
     name, text = "--budget", args.budget
@@ -216,7 +216,7 @@ def _cmd_oracle_series(args) -> int:
     started = time.perf_counter()
     lams = _parse_complex_list(args.lambdas)
     S = _resolve_S(args, len(lams))
-    res = lambda_sums.series_oracle(lams, S, args.tol, budget=_budget(args))
+    res = lambda_sums.series_oracle(lams, S, args.tol, budget=args.budget)
     inputs = {"lambdas": lams, "S": S, "tol": args.tol}
     result = {
         "value": res.value,
@@ -235,7 +235,7 @@ def _cmd_oracle_finite(args) -> int:
     shifts = _parse_int_list(args.shifts)
     adjust = _parse_int_list(args.adjust) if args.adjust else []
     spec = lambda_sums.FiniteSumSpec(tuple(lams), tuple(shifts), args.n, tuple(adjust))
-    value, err = lambda_sums.finite_sum_with_error(spec, _budget(args))
+    value, err = lambda_sums.finite_sum_with_error(spec, args.budget)
     inputs = {
         "lambdas": lams,
         "shifts": shifts,
@@ -251,10 +251,9 @@ def _cmd_conjecture(args) -> int:
     from . import lambda_sums
 
     started = time.perf_counter()
-    budget = _budget(args)
-    lambda_sums._charge("conjecture", _UNITS_PER_TRIAL * args.trials, budget)
+    lambda_sums._charge("conjecture", _UNITS_PER_TRIAL * args.trials, args.budget)
     report = lambda_sums.conjecture_probe(
-        args.ell, args.trials, args.seed, args.tol, budget=budget
+        args.ell, args.trials, args.seed, args.tol, budget=args.budget
     )
     inputs = {
         "ell": args.ell,
@@ -304,7 +303,7 @@ def _cmd_ar(args) -> int:
     if not alphas:
         raise ValueError("--alpha requires at least one coefficient")
     inputs = {"alpha": alphas}
-    command, budget = _command_name(args), _budget(args)
+    command, budget = _command_name(args), args.budget
     # every subcommand finds the roots, an O(k**3) eigenvalue problem: they
     # are charged before they are found, and then once more in the total
     work = len(alphas) ** 3
@@ -475,6 +474,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        args.budget = _budget(args)  # in every command, eval too
         return args.func(args)
     except OSError as exc:  # a path that cannot be written, such as --out
         print(f"error: {exc}", file=sys.stderr)

@@ -246,11 +246,14 @@ class TestOracle:
             assert json.loads(out)["message"] == (
                 "the series oracle at S=1 needs 4 work units, over the budget of 3")
         # a fraction is not truncated, to 0 or to 12 say, nor is any other
-        # value that is not a whole number >= 0
+        # value that is not a whole number >= 0, also by eval, which
+        # charges no work
+        eval_argv = ["eval", "--lambdas", "0.5,0.3", "--S", "1", "--json"]
         for value in ["0.5", "12.9", "inf", "nan", "1e400", "-5.0", "abc"]:
-            code, out, err = run(capsys, *argv, *budget(value))
-            assert (code, out) == (2, ""), value
-            assert err.startswith(f"error: {name} must be "), (value, err)
+            for command in (argv, eval_argv):
+                code, out, err = run(capsys, *command, *budget(value))
+                assert (code, out) == (2, ""), (command[0], value)
+                assert err.startswith(f"error: {name} must be "), (value, err)
 
 
 class TestConjecture:
