@@ -17,7 +17,16 @@ the type and message of the error it raises.  The evaluators are
   l = 2 and 40 above;
 - ``linear``: `linear_coefficient` with n_base drawn from the largest
   modulus r, mostly at or above the least n_base with r**n_base < 1e-12,
-  so that most calls return a value.
+  so that most calls return a value;
+- ``cli``: `serialsum.cli.main` on a ``--json`` argv of every command,
+  valid and invalid: such roots at radii up to 0.9, S up to 2**70,
+  stationary and non-stationary AR models, negative counts, malformed
+  numbers and budgets, and small ``ar simulate`` and ``ar check`` runs.
+  Its lines end in the exit code, the stdout envelope without
+  ``elapsed_ms`` (empty on a usage error, which writes to stderr) and the
+  SHA-256 of the CSV file that ``ar simulate`` wrote to the relative path
+  ``x.csv``, or ``-``.  Each call runs in a fresh scratch directory, and
+  the default budget applies unless SERIALSUM_BUDGET is set.
 
 Two source trees give the same bits on these inputs when their snapshots
 do not differ:
@@ -37,10 +46,17 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
+import hashlib
+import io
+import json
 import math
+import os
 import random
 import sys
+import tempfile
 
+from serialsum.cli import main as cli_main
 from serialsum.lambda_sums import (DEFAULT_BUDGET, BudgetExceededError,
                                    FiniteSumSpec, RootMultiset, f_general,
                                    finite_sum_with_error, linear_coefficient,
@@ -135,6 +151,101 @@ def draw_linear(rng: random.Random) -> tuple:
     return lams, shifts, n_base, adjust
 
 
+def _text(z: complex) -> str:
+    """A root as the CLI reads it, such as 0.5 or -0.3+0.2i."""
+    if not z.imag:
+        return repr(z.real)
+    return f"{z.real!r}{'+' if z.imag > 0 else ''}{z.imag!r}i"
+
+
+def _draw_alphas(rng: random.Random) -> str:
+    """--alpha of an AR(1)..AR(4) model: from roots inside the disk, from
+    raw coefficients (often non-stationary), or malformed."""
+    kind = rng.random()
+    if kind < 0.04:
+        return rng.choice(("0.5,0", "abc", ",", "0.5,nan", "1e300,-1e300,1e300"))
+    if kind < 0.3:
+        return ",".join(repr(rng.uniform(-1.5, 1.5)) for _ in range(rng.randint(1, 3)))
+    roots: list[complex] = []
+    k = rng.randint(1, 4)
+    while len(roots) < k:
+        if len(roots) + 2 <= k and rng.random() < 0.5:
+            z = cmath.rect(rng.uniform(0.05, 0.95), rng.uniform(0.1, 3.0))
+            roots += [z, z.conjugate()]
+        else:
+            roots.append(complex(rng.uniform(-0.95, 0.95)))
+    poly = [1 + 0j]  # prod (x - root), highest power first
+    for z in roots:
+        poly = [a - z * b for a, b in zip(poly + [0], [0] + poly)]
+    return ",".join(repr(-c.real) for c in poly[1:])
+
+
+def draw_cli(rng: random.Random) -> tuple:
+    """The argv of one `serialsum.cli.main` call, in a 1-tuple.  Each
+    option is malformed or out of range in a few percent of the calls."""
+    def pick(good, *bad, p=0.04):
+        return rng.choice(bad) if rng.random() < p else good
+
+    command = rng.choice(("eval", "eval", "oracle series", "oracle finite",
+                          "conjecture", "ar roots", "ar acf", "ar simulate",
+                          "ar simulate", "ar check", "ar check"))
+    argv = command.split()
+    if command in ("eval", "oracle series", "oracle finite"):
+        ell = rng.randint(2, 4 if command == "oracle finite" else 6)
+        lams = draw_roots(rng, ell, (0.5, 0.9))
+        lams[0] = pick(lams[0], 1.0, 2j, -1.5)
+        argv += ["--lambdas", ",".join(map(_text, lams)) + pick("", ",x", ",1+", ",,")]
+        shifts = ",".join(str(rng.randint(-4, 4)) for _ in range(ell))
+        shifts = pick(shifts, shifts + ",0", "1.5," * ell)
+        if command == "oracle finite":
+            n = pick(rng.randint(1, 30), -1, 0)
+            argv += ["--shifts", shifts, "--n", str(n)]
+            if rng.random() < 0.4:
+                argv += ["--adjust", ",".join(str(-rng.randint(0, max(0, n - 1)))
+                                              for _ in range(ell))]
+        else:
+            S = pick(rng.randint(0, 100), -1)
+            if command == "eval" and rng.random() < 0.4:  # up to 2**70
+                S = int(math.exp(rng.uniform(0.0, 70 * math.log(2))))
+            by_S, by_shifts = ["--S", str(S)], ["--shifts", shifts]
+            argv += pick(by_S, by_shifts, by_shifts, by_S + by_shifts, [], p=0.3)
+        if command == "eval":
+            if ell <= 3 and rng.random() < 0.2:
+                argv += ["--mult", ",".join(str(pick(rng.randint(1, 2), 0))
+                                            for _ in lams)]
+            if rng.random() < 0.8:
+                argv.append("--allow-complex-result")
+        if command == "oracle series":
+            argv += ["--tol", pick(repr(10 ** rng.uniform(-10.0, -2.0)),
+                                   "inf", "0", "nan")]
+    elif command == "conjecture":
+        argv += ["--ell", str(pick(rng.choice((5, 6)), 4, 7)),
+                 "--trials", str(pick(rng.randint(1, 2), 0)),
+                 "--seed", str(rng.randint(0, 99)),
+                 "--tol", pick(rng.choice(("1e-8", "1e-6", "1e-12")), "inf")]
+    else:
+        argv += ["--alpha", _draw_alphas(rng)]
+        if command in ("ar acf", "ar check"):
+            argv += ["--jmax", str(pick(rng.randint(0, 4), -1))]
+        if command in ("ar simulate", "ar check"):
+            top = 300 if command == "ar check" else 2000
+            argv += ["--n", str(pick(rng.randint(1, top), 0, -1)),
+                     "--seed", str(pick(rng.randint(0, 99), -1))]
+            if rng.random() < 0.4:
+                argv += ["--burn-in", str(pick(rng.randint(0, 60), -1, -3))]
+            if rng.random() < 0.3:
+                argv += ["--sigma", pick(rng.choice(("0", "0.5", "2")), "-1", "nan")]
+        if command == "ar simulate":
+            argv += ["--out", pick("x.csv", "no/x.csv")]
+        if command == "ar check":
+            argv += ["--seeds", str(pick(rng.randint(2, 4), 0, 1)),
+                     "--zmax", pick(rng.choice(("4", "2")), "nan", "-1")]
+    if rng.random() < 0.1:
+        argv += ["--budget", pick(rng.choice(("1000", "2e8", "30000")),
+                                  "1.5", "-1", "abc", p=0.3)]
+    return (argv + ["--json"],)
+
+
 def run_series(lams, S, tol, budget) -> str:
     got = series_oracle(lams, S, tol, budget=budget)
     return f"{got!r}|{got.truncation}"
@@ -152,12 +263,32 @@ def run_linear(lams, shifts, n_base, adjust) -> str:
     return repr(linear_coefficient(lams, shifts, n_base, adjust))
 
 
+def run_cli(argv) -> str:
+    out, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(argv)
+            digest = "-"
+            if os.path.exists("x.csv"):
+                with open("x.csv", "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+        finally:
+            os.chdir(cwd)
+    envelope = json.loads(out.getvalue()) if out.getvalue() else {}
+    envelope.pop("elapsed_ms", None)
+    return f"{code}|{json.dumps(envelope) if envelope else ''}|{digest}"
+
+
 #: name: (the generator of one input, the call that gives its line's output)
 EVALUATORS = {
     "series": (draw_series, run_series),
     "general": (draw_general, run_general),
     "finite": (draw_finite, run_finite),
     "linear": (draw_linear, run_linear),
+    "cli": (draw_cli, run_cli),
 }
 
 

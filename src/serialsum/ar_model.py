@@ -14,10 +14,12 @@ term for lambda_i) divided by their sum: `f_general`'s one residue
 routine (`confluent_divided_difference_cond`) over the roots as given,
 with no `RootMultiset`, so a model of any order has them.
 
-Simulation has one engine, `_stream`: it draws each seed's noise from
-that seed's generator chunk by chunk, and runs a group of seeds through
-the blocked filter together, so it holds about `_IN_FLIGHT` samples at
-once, however long the series and however many the seeds.  `simulate`
+A simulation request has one check, `_burn_in`, which `simulate` and
+the CLI's `ar simulate` and `ar check` call, and one engine, `_stream`:
+it draws each seed's noise from that seed's generator chunk by chunk,
+and runs a group of seeds through the blocked filter together, so it
+holds about `_IN_FLIGHT` samples at once, however long the series and
+however many the seeds.  `simulate`
 fills its array from it, `_simulate_csv` (`ar simulate`) writes each
 chunk to the CSV file, and `_sample_acfs` (`ar check`) passes its chunks
 to `_lag_sums`.  `_lag_sums` is the one routine that forms the lag sums
@@ -248,16 +250,20 @@ def acf(alphas: Sequence[float], j_max: int) -> tuple[AcfModel, list[float]]:
     return AcfModel(cr.roots, coeffs), rho
 
 
-def _burn_in(cr: CharRoots) -> int:
-    """Smallest burn-in with max|lambda|**burn_in < 1e-12, at least k,
-    from the model's roots, found once by the caller."""
+def _burn_in(cr: CharRoots, n: int = 1, burn_in: int | None = None) -> int:
+    """The one check of a simulation request, on the model's roots: it is
+    stationary, n >= 1 and burn_in >= 0.  Returns burn_in, by default the
+    smallest with max|lambda|**burn_in < 1e-12, at least k."""
     if not cr.stationary:
-        raise NotStationaryError("burn-in requires a stationary model")
-    k = len(cr.roots)
-    r = max(abs(lam) for lam in cr.roots)
-    if r == 0:
-        return k
-    return max(k, math.ceil(math.log(1e-12) / math.log(r)))
+        raise NotStationaryError("cannot simulate a non-stationary model")
+    if burn_in is None:
+        k, r = len(cr.roots), max(map(abs, cr.roots))
+        burn_in = max(k, math.ceil(math.log(1e-12) / math.log(r))) if r else k
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    return burn_in
 
 
 #: Block length of the blocked recursion in `_filter`, raised to k for
@@ -331,8 +337,7 @@ def _stream(model: ARModel, n: int, burn_in: int, seeds: Sequence[int]):
     default_rng(seed) piece by piece, which gives the same stream as one
     draw, and each chunk of a group is one call of `_filter`, so about
     `_IN_FLIGHT` samples are held at once, however long or many the
-    series.  The caller checks that the model is stationary, n >= 1 and
-    burn_in >= 0.
+    series.  The caller checks the request (`_burn_in`).
     """
     import numpy as np
 
@@ -377,15 +382,7 @@ def simulate(
     k values of the block before.  The series is made in chunks
     (`_stream`), so besides the n returned values it holds a few hundred KB.
     """
-    cr = char_roots(model.alphas)
-    if not cr.stationary:
-        raise NotStationaryError("cannot simulate a non-stationary model")
-    if burn_in is None:
-        burn_in = _burn_in(cr)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    burn_in = _burn_in(char_roots(model.alphas), n, burn_in)
     import numpy as np
 
     values = np.empty(n)
@@ -434,8 +431,8 @@ def _sample_acfs(model: ARModel, n: int, burn_in: int, seeds: Sequence[int],
                  j_max: int) -> np.ndarray:
     """`empirical_acf(simulate(model, n, burn_in, seed), j_max)` for each
     seed, as the rows of one array, with no series held whole: the lag
-    sums of `_stream`'s chunks over Q_0.  The caller checks what
-    `simulate` checks.
+    sums of `_stream`'s chunks over Q_0.  The caller checks the request
+    (`_burn_in`).
     """
     if j_max < 0 or j_max >= n:
         raise BadLagError(f"j_max {j_max} out of range for n={n}")
@@ -449,8 +446,8 @@ _CSV_ROWS = 1 << 12
 
 def _simulate_csv(model: ARModel, n: int, burn_in: int, seed: int, path) -> None:
     """`simulate(model, n, burn_in, seed)` as a CSV file (`_write_rows`),
-    each chunk of `_stream` written as it is made.  The caller checks what
-    `simulate` checks."""
+    each chunk of `_stream` written as it is made.  The caller checks the
+    request (`_burn_in`)."""
     _write_rows(path, (x[0] for _, _, x in _stream(model, n, burn_in, [seed])))
 
 

@@ -12,7 +12,8 @@ parser load neither; `main` imports `ar_model` on a ValueError, to tell
 its model errors (exit 1) from usage errors.  No command imports numpy
 here: each loads it, if at all, through the library calls that use it,
 so `eval`, and `ar roots` and `ar acf` for an AR(1) model, load none.
-`ar simulate` and `ar check` find the characteristic roots once and take
+`ar simulate` and `ar check` find the characteristic roots once, check
+the request by `ar_model._burn_in` before the budget is charged, and take
 their series from `ar_model`'s chunked engine, so their memory does not
 grow with --n or --seeds.
 """
@@ -331,14 +332,10 @@ def _cmd_ar(args) -> int:
     if args.ar_command == "check" and not args.zmax >= 0:  # NaN too
         raise ValueError("--zmax must be >= 0")
     seeds = args.seeds if args.ar_command == "check" else 1
-    # the command's one root-finding: the burn-in, the stationarity check
-    # and the simulation all use these roots
-    cr = ar_model.char_roots(alphas)
-    burn_in = (args.burn_in if args.burn_in is not None
-               else ar_model._burn_in(cr))
-    if args.n < 1 or burn_in < 0 or getattr(args, "jmax", 0) < 0:
-        # a negative count would take work off the total
-        raise ValueError("--n must be >= 1, and --burn-in and --jmax >= 0")
+    # the command's one root-finding, for the request's one check
+    burn_in = ar_model._burn_in(ar_model.char_roots(alphas), args.n, args.burn_in)
+    if getattr(args, "jmax", 0) < 0:  # a negative count would take work off the total
+        raise ValueError("--jmax must be >= 0")
     if args.seed < 0:  # refused here, before `ar simulate` opens its file
         raise ValueError("--seed must be >= 0")
     # the roots, each seed and its simulated samples, and the CSV rows of
@@ -351,8 +348,6 @@ def _cmd_ar(args) -> int:
         work += (_acf_units(len(alphas), args.jmax)
                  + (args.jmax + 1) * args.n * seeds // 8)
     lambda_sums._charge(command, work, budget)
-    if not cr.stationary:  # reached only with an explicit --burn-in
-        raise ar_model.NotStationaryError("cannot simulate a non-stationary model")
 
     if args.ar_command == "simulate":
         inputs.update({"sigma": args.sigma, "n": args.n, "seed": args.seed})

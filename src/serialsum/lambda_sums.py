@@ -20,7 +20,8 @@ is the closed form's term
 and `f_distinct` names `f_general` too.  One pass of first-order
 recurrences over a cluster's nodes (a repeat's m times) applies the root
 factors to x**(S+l-1)'s divided differences (`_power_column`) and divides
-by the other clusters' nodes.
+by the other clusters' nodes.  Past r**(S+l-m) < 2**-(2**13), r the
+largest modulus and m the largest cluster, it returns 0 (the zero rule).
 
 Two independent oracles back every closed form: `series_oracle` (the limit
 as the S-th Fourier coefficient of prod_m (1 - lambda_m**2) /
@@ -257,16 +258,9 @@ def _integers(name: str, values) -> tuple[int, ...]:
         raise TypeError(f"{name} must be integers, got {values!r}") from None
 
 
-def _certify(value: complex, roots_conjugate_closed: bool) -> tuple[complex, bool]:
-    real_ok = roots_conjugate_closed and abs(value.imag) <= REALNESS_TOL * (
-        1 + abs(value)
-    )
-    return value, real_ok
-
-
-#: S is capped here: from S = 2**64, lambda**S * S**5 is 0 in float64 for every
-#: |lambda| <= 1 - 2**-53, and neither S nor C(S + 5, k) then exceeds a float.
-_S_CAP = 1 << 64
+def _certify(value: complex, roots_conjugate_closed: bool) -> bool:
+    return roots_conjugate_closed and abs(value.imag) <= REALNESS_TOL * (
+        1 + abs(value))
 
 
 def f_distinct(roots: RootMultiset, S: int) -> LimitValue:
@@ -289,34 +283,51 @@ def _ipow(z: complex, n: int) -> complex:
     return out
 
 
-def _power_column(xs: Sequence[complex], power: int, shift: int = 0) -> list:
-    """2**shift * J**power e_1, J lower bidiagonal with the nodes ``xs`` on
-    its diagonal and ones below: x**power's divided differences over
-    xs[:k+1].  Where all nodes are equal and there is no shift they are its
-    Taylor coefficients C(power, k)*x**(power-k) (0**0 = 1).  Else, up to
-    power 8*m*m (m nodes), about the cost of log2(power) squares, it
-    applies J, (J v)[k] = x_k*v[k] + v[k-1]; above, or with a shift, it
-    squares J, held as its lower triangle's rows times 2**e."""
-    if not shift and xs.count(xs[0]) == len(xs):
+def _power_column(xs: Sequence[complex], power: int) -> list:
+    """J**power e_1, J lower bidiagonal with the nodes ``xs`` on its
+    diagonal and ones below: x**power's divided differences over xs[:k+1].
+    Where all nodes are equal they are its Taylor coefficients
+    C(power, k)*x**(power-k) (0**0 = 1).  Else, up to power 8*m*m (m
+    nodes), about the cost of log2(power) squares, it applies J,
+    (J v)[k] = x_k*v[k] + v[k-1]; above, it scales `_scaled_power` back."""
+    if xs.count(xs[0]) == len(xs):
         return [math.comb(power, k) * _ipow(x, power - k) if k <= power else 0j
                 for k, x in enumerate(xs)]
-    col = [1 + 0j] + [0j] * (len(xs) - 1)
-    if not shift and power <= 8 * len(xs) ** 2:
+    if power <= 8 * len(xs) ** 2:
+        col = [1 + 0j] + [0j] * (len(xs) - 1)
         for _ in range(power):
             col = [x * c + d for x, c, d in zip(xs, col, [0j] + col)]
         return col
+    return _ldexp_column(*_scaled_power(xs, power))
+
+
+def _scaled_power(xs: Sequence[complex], power: int) -> tuple[list, int]:
+    """J**power e_1 (see `_power_column`) as a column times 2**shift, so
+    that no power underflows or overflows: it squares J, and holds J and
+    the column each as a list with a largest entry near 1 times 2**e."""
+    col = [1 + 0j] + [0j] * (len(xs) - 1)
     J = [[0] * (i - 1) + [1, x] if i else [x] for i, x in enumerate(xs)]
-    e = 0
+    e = shift = 0
     while power:
         if power & 1:
-            col, shift = [sum(map(operator.mul, r, col)) for r in J], shift + e
+            col = [sum(map(operator.mul, r, col)) for r in J]
+            top = _exponent(col)
+            col, shift = [v * 2.0 ** -top for v in col], shift + e + top
         power >>= 1
         if power:
             cols = [[r[j] for r in J[j:]] for j in range(len(J))]
             J = [[sum(map(operator.mul, r[j:], cols[j])) for j in range(len(r))]
                  for r in J]
-            top = math.frexp(max(_TINY, *map(abs, itertools.chain(*J))))[1]
+            top = _exponent(itertools.chain(*J))
             J, e = [[v * 2.0 ** -top for v in r] for r in J], 2 * e + top
+    return col, shift
+
+
+def _exponent(values) -> int:
+    return math.frexp(max(_TINY, *map(abs, values)))[1]
+
+
+def _ldexp_column(col: Sequence[complex], shift: int) -> list:
     return [complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
             for c in col]
 
@@ -370,14 +381,15 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     2*m*sum_j (1 + 2r|l_j|)/(1 - r|l_j|), m the largest cluster and
     r = max |l_j|: 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) /
     |1 - x*l_j| relative, raised to powers up to m.  Where r**(S+l-m) <
-    2**-600, G is taken 2**shift times too large, so no power underflows;
-    scaling back rounds the value and the bound by half a subnormal unit
-    at most, so the bound adds two.
+    2**-(2**13), for any S, the value and the bound are 0.  Else where it
+    is below 2**-600, G is taken 2**shift times too large, the largest
+    power as computed near 2**-300, so no power underflows; scaling back
+    rounds the value and the bound by half a subnormal unit at most, so
+    the bound adds two.
     """
     S = _integer("S", S)
     if S < 0:
         raise ValueError("S must be >= 0")
-    S = min(S, _S_CAP)
     lams = roots.lambdas
     power = S + len(lams) - 1
     mods = list(map(abs, lams))
@@ -394,19 +406,36 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
         clusters = [sum((xs for f, xs in zip(label, clusters) if f == c), ())
                     for c in dict.fromkeys(label)]  # in first-member order
     m = max(map(len, clusters))
-    shift = max(0, math.ceil((m - 1 - power) * math.log2(r)) - 600) if r else 0
-    residues, cond = confluent_divided_difference_cond(
-        clusters, [_power_column(xs, power, shift) for xs in clusters], lams)
+    # The zero rule, n*b > 2**13 with n = S + l - m and b = -log2(r) >
+    # 2**-53.  A residue sums x**(power - k), |x| <= r and k < m <= 6, times
+    # C(power, k) <= power**5 and at most 12*m factors below 2**54 each
+    # (1/|1 - x*l| < 2**53, 1/gap < 2**20), so its log2 is below
+    # 5*log2(power) + 4000 - n*b.  That falls with n, and at n*b = 2**13,
+    # n < 2**66, it is below -3800: every residue is 0 in float64.  The int
+    # n against the float 2**13 / b compares exactly for any S; r = 0
+    # enters as the least normal float.
+    n, b = power - m + 1, -math.log2(r or _TINY)
+    if n > 2**13 / b:
+        return LimitValue(0j, 0.0, _conjugate_closed(lams))
+    if r and n * b > 600:
+        # The shift comes from the powers as computed, not from -n*b, which
+        # misses their log2 by two errors: the rounding of the product n*b,
+        # and the squarings', which raise the first one's 2**-53 relative
+        # error to the power, so near r = 1 the drift reaches about
+        # power * 2**-53 bits, thousands below the threshold.
+        cols = [_scaled_power(xs, power) for xs in clusters]
+        shift = -300 - max((e for col, e in cols if any(col)), default=-300)
+        cols = [_ldexp_column(col, e + shift) for col, e in cols]
+    else:
+        shift, cols = 0, [_power_column(xs, power) for xs in clusters]
+    residues, cond = confluent_divided_difference_cond(clusters, cols, lams)
     value = functools.reduce(operator.add, residues, 0j)  # in cluster order
     kappa = 2 * m * sum((1 + 2 * r * a) / (1 - r * a) for a in mods)
     err = _EPS * ((power + 1 + kappa) * cond + abs(value))
     if shift:
-        value = complex(math.ldexp(value.real, -shift),
-                        math.ldexp(value.imag, -shift))
-        err = math.ldexp(err, -shift)
+        (value,), err = _ldexp_column([value], -shift), math.ldexp(err, -shift)
     err += 2 * math.ulp(0.0) if value or err else 0.0
-    value, real_ok = _certify(value, _conjugate_closed(lams))
-    return LimitValue(value, err, real_ok)
+    return LimitValue(value, err, _certify(value, _conjugate_closed(lams)))
 
 
 def _aliasing(mods: Sequence[float], S: int):
@@ -669,8 +698,8 @@ def series_oracle(
     ) + sum(44 + 33 / (1 - abs(v)) for v in lone)
     err_round = per_sample * _EPS * abs_total / N + _EPS * abs(value)
 
-    value, real_ok = _certify(value, conj_closed)
-    return LimitValue(value, bound + err_round, real_ok, truncation=N)
+    return LimitValue(value, bound + err_round, _certify(value, conj_closed),
+                      truncation=N)
 
 
 def finite_sum(spec: FiniteSumSpec) -> complex:
@@ -1028,8 +1057,8 @@ def linear_coefficient(
         theta = max(0.0, 1 - (ell - 1) / (K * -math.log(r))) if K > 0 else 0.0
         g = [(1 + a) / (1 - a) for a in (m ** (1 - theta) for m in mods)]
         err_exp = r ** (theta * max(K, 0)) * math.prod(g) * sum(1 / x for x in g)
-    value, real_ok = _certify(value, _conjugate_closed(lams))
-    return LimitValue(value, err_exp + err_round, real_ok)
+    return LimitValue(value, err_exp + err_round,
+                      _certify(value, _conjugate_closed(lams)))
 
 
 class ProbeTrial(namedtuple(
@@ -1100,14 +1129,13 @@ def conjecture_probe(
     (`draw_roots`) and a random S in 0..4, and compares the closed-form
     evaluator against the series oracle.  A trial passes when the
     discrepancy is at most tol + oracle err_estimate; an oracle over the
-    budget or with err_estimate >= tol makes a skip, never a pass.
+    budget or with err_estimate >= tol makes a skip, never a pass.  The
+    first trial's oracle call refuses a tol that is not finite and > 0.
     """
     if ell not in (5, 6):
         raise ValueError("the conjecture probe covers ell in {5, 6} only")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 < tol < math.inf:  # an infinite tol would pass any discrepancy
-        raise ValueError("tol must be finite and > 0")
     import numpy as np
 
     rng = np.random.default_rng(seed)

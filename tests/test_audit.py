@@ -12,6 +12,17 @@ from serialsum.lambda_sums import finite_sum_with_error
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+def _snapshot_module():
+    spec = importlib.util.spec_from_file_location(
+        "snapshot", ROOT / "audit" / "snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+snapshot = _snapshot_module()
+
 #: each evaluator of the snapshot: its call on a drawn input, the errors
 #: it refuses that input with, and its line's output for a value
 CALLS = {
@@ -24,22 +35,14 @@ CALLS = {
         lambda lams, shifts, n, adjust: finite_sum_with_error(
             FiniteSumSpec(lams, shifts, n, adjust)), (), repr),
     "linear": (linear_coefficient, ValueError, repr),
+    "cli": (snapshot.run_cli, (), lambda line: line),
 }
-
-
-def _snapshot_module():
-    spec = importlib.util.spec_from_file_location(
-        "snapshot", ROOT / "audit" / "snapshot.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_snapshot_smoke():
     # 20 inputs per evaluator as a fresh process, where nothing is kept
     # yet, give the lines of the evaluators' outputs in this process,
     # whatever it keeps
-    snapshot = _snapshot_module()
     src = os.path.dirname(os.path.dirname(serialsum.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -398,6 +398,22 @@ class TestAr:
         assert code == 1
         assert json.loads(out)["error"] == "NotStationaryError"
 
+    def test_non_stationary_is_refused_before_the_budget(self, capsys, monkeypatch,
+                                                         tmp_path):
+        # an explicit burn-in and an n far over the budget: the model is
+        # refused first, and no noise is drawn
+        def work_started(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(serialsum.ar_model, "_stream", work_started)
+        out = tmp_path / "x.csv"
+        code, stdout, _ = run(
+            capsys, "ar", "simulate", "--alpha", "1.2", "--burn-in", "5",
+            "--n", "1000000000000", "--out", str(out), "--json")
+        assert code == 1
+        assert json.loads(stdout)["error"] == "NotStationaryError"
+        assert not out.exists()
+
     def test_check_small(self, capsys):
         code, env, _ = run_json(
             capsys,

@@ -394,14 +394,47 @@ class TestFDistinct:
     def test_pair_s1(self):
         assert f_distinct(ms(0.5, 0.3), 1).value == pytest.approx(16 / 17, rel=1e-13)
 
-    @pytest.mark.parametrize("S", [10**63, 2**1024, 10**400])
+    @pytest.mark.parametrize("S", [2**64, 9106233685234741248, 10**20, 10**21,
+                                   10**22, 10**63, 2**1024, 10**400])
     def test_huge_S_gives_zero_with_a_zero_bound(self, S):
-        # lambda**S underflows to 0, and no OverflowError on the way
-        for evaluate, roots in [(f_distinct, ms(0.5, -0.3 + 0.2j, -0.3 - 0.2j)),
-                                (f_general, ms(0.5, -0.3 + 0.2j, -0.3 - 0.2j)),
-                                (f_general, RootMultiset(((0.9, 6),)))]:
+        # lambda**S underflows to 0, with no OverflowError, non-finite value
+        # or infinite bound on the way, which the three sets after the
+        # sixfold root risk near S = 2**64, and moduli near 1 past it
+        a, b = -0.30903989784319735, 0.1573422964467565
+        c, d = -0.06666162408899125, 0.409610167941223
+        quad = [0.029119746356463853 - 0.08375050692791008j,
+                0.30529399083607345 - 0.12781156161439017j]
+        quad += [v.conjugate() for v in quad]
+        cases = [(f_distinct, ms(0.5, -0.3 + 0.2j, -0.3 - 0.2j)),
+                 (f_general, ms(0.5, -0.3 + 0.2j, -0.3 - 0.2j)),
+                 (f_general, RootMultiset(((0.9, 6),))),
+                 (f_general, ms(*quad)),
+                 (f_general, ms(complex(a, b), complex(a, -b), 0)),
+                 (f_general, ms(complex(c, d), complex(c, -d)))]
+        for r in (1 - 1e-7, 1 - 1e-8, 1 - 3e-8):
+            z = cmath.rect(r, 1.1)
+            cases += [(f_general, ms(r, 0.5)),
+                      (f_general, ms(z, z.conjugate(), 0.5)),
+                      (f_general, RootMultiset(((z, 2), (z.conjugate(), 2))))]
+        for evaluate, roots in cases:
             got = evaluate(roots, S)
             assert got.value == 0 and got.err_estimate == 0
+
+    def test_power_drift_below_the_zero_rule_stays_finite(self):
+        # within a few units in the last place of 1, the squarings that take
+        # x**(S+l-1) drift from r**(S+l-1) by up to about S * 2**-53 bits,
+        # there about as many as r**S is below 1: a shift sized from r**S
+        # overflows
+        for k in (1, 2, 5, 20):
+            r = 1 - k * 2.0**-53
+            for angle in (0.0, 0.1, 1.1, 2.9):
+                z = cmath.rect(r, angle)
+                for roots in (ms(z, z.conjugate()), ms(z, z, 0.5),
+                              ms(z, z * (1 - 1e-9), z.conjugate(), -0.3)):
+                    for bits in (700, 3000, 8000):
+                        got = f_general(roots, int(bits / -math.log2(r)))
+                        assert all(map(math.isfinite, (
+                            got.value.real, got.value.imag, got.err_estimate)))
 
     @pytest.mark.parametrize("S", [0, 1, 3])
     def test_absorbing_zero(self, S):
@@ -575,6 +608,11 @@ class TestErrEstimate:
 
     @pytest.mark.parametrize("lams, S", [
         ([-0.8, 0.3], 50), ([-0.8, 0.3], 300), ([-0.9, 0.5, -0.2], 300),
+        # repeats near the circle, whose column of powers underflowed to 0
+        # unless scaled after each product
+        ([1 - 2**-40] * 4 + [0.5], 495380200110551),
+        ([1 - 2**-40] * 3 + [0.5], 685911046306917),
+        ([1 - 2**-45] * 3 + [0.5], 15852166403544634),
     ])
     def test_large_S(self, lams, S):
         roots = ms(*lams)
