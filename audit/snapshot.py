@@ -18,6 +18,12 @@ the type and message of the error it raises.  The evaluators are
 - ``linear``: `linear_coefficient` with n_base drawn from the largest
   modulus r, mostly at or above the least n_base with r**n_base < 1e-12,
   so that most calls return a value;
+- ``roots``: `char_roots` and, for a stationary model, `acf` with j_max
+  up to 6, on AR(1)..AR(8) models: products of roots inside the disk
+  (conjugate pairs, exact repeats, radii up to 0.999), raw coefficients
+  (often non-stationary), and products of 2..6 roots whose moduli spread
+  over up to 300 decades; its lines end in the repr of both, acf's None
+  for a non-stationary model;
 - ``cli``: `serialsum.cli.main` on a ``--json`` argv of every command,
   valid and invalid: such roots at radii up to 0.9, S up to 2**70,
   stationary and non-stationary AR models, negative counts, malformed
@@ -56,6 +62,7 @@ import random
 import sys
 import tempfile
 
+from serialsum.ar_model import acf, char_roots
 from serialsum.cli import main as cli_main
 from serialsum.lambda_sums import (DEFAULT_BUDGET, BudgetExceededError,
                                    FiniteSumSpec, RootMultiset, f_general,
@@ -151,6 +158,43 @@ def draw_linear(rng: random.Random) -> tuple:
     return lams, shifts, n_base, adjust
 
 
+def _expand(roots) -> list[float]:
+    """alpha_1..alpha_k of the AR model whose characteristic roots are
+    ``roots``, closed under conjugation: minus the real parts of the
+    coefficients of prod (x - root), highest power first."""
+    poly = [1 + 0j]
+    for z in roots:
+        poly = [a - z * b for a, b in zip(poly + [0], [0] + poly)]
+    return [-c.real for c in poly[1:]]
+
+
+def draw_model(rng: random.Random) -> tuple:
+    """alpha_1..alpha_k and j_max of one `char_roots` and `acf` call."""
+    kind, j_max = rng.random(), rng.randint(0, 6)
+    if kind < 0.2:
+        return [rng.uniform(-1.5, 1.5) for _ in range(rng.randint(1, 4))], j_max
+    roots: list[complex] = []
+    k = rng.randint(1, 8) if kind < 0.6 else rng.randint(2, 6)
+    spread = 0.0 if kind < 0.6 else rng.uniform(0.0, 300.0)
+    while len(roots) < k:
+        if spread:  # log-uniform over the spread, centred on 1
+            r = 10 ** rng.uniform(-spread / 2, spread / 2)
+        else:
+            r = rng.choice((0.5, 0.9, 0.99, 0.999)) * rng.random()
+        if roots and rng.random() < 0.2:  # an exact repeat, with its conjugate
+            z = rng.choice(roots)
+            copies = [z, z.conjugate()] if z.imag else [z]
+        elif rng.random() < 0.4:
+            z = cmath.rect(r, rng.uniform(0.1, 3.0))
+            copies = [z, z.conjugate()]
+        else:
+            copies = [complex(rng.choice((-r, r)))]
+        if len(roots) + len(copies) <= k:
+            roots += copies
+    rng.shuffle(roots)
+    return _expand(roots), j_max
+
+
 def _text(z: complex) -> str:
     """A root as the CLI reads it, such as 0.5 or -0.3+0.2i."""
     if not z.imag:
@@ -174,10 +218,7 @@ def _draw_alphas(rng: random.Random) -> str:
             roots += [z, z.conjugate()]
         else:
             roots.append(complex(rng.uniform(-0.95, 0.95)))
-    poly = [1 + 0j]  # prod (x - root), highest power first
-    for z in roots:
-        poly = [a - z * b for a, b in zip(poly + [0], [0] + poly)]
-    return ",".join(repr(-c.real) for c in poly[1:])
+    return ",".join(map(repr, _expand(roots)))
 
 
 def draw_cli(rng: random.Random) -> tuple:
@@ -263,6 +304,11 @@ def run_linear(lams, shifts, n_base, adjust) -> str:
     return repr(linear_coefficient(lams, shifts, n_base, adjust))
 
 
+def run_roots(alphas, j_max) -> str:
+    roots = char_roots(alphas)
+    return repr((roots, acf(alphas, j_max) if roots.stationary else None))
+
+
 def run_cli(argv) -> str:
     out, cwd = io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -288,6 +334,7 @@ EVALUATORS = {
     "general": (draw_general, run_general),
     "finite": (draw_finite, run_finite),
     "linear": (draw_linear, run_linear),
+    "roots": (draw_model, run_roots),
     "cli": (draw_cli, run_cli),
 }
 
@@ -308,7 +355,7 @@ def snapshot(count: int, seed: int):
             args = draw(rng)
             try:
                 out = run(*args)
-            except (BudgetExceededError, ValueError, ArithmeticError) as exc:
+            except (RuntimeError, ValueError, ArithmeticError) as exc:
                 out = refusal(exc)
             yield f"{name} {' '.join(map(repr, args))}|{out}"
 

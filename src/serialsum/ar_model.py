@@ -30,15 +30,22 @@ Note: `empirical_acf` uses the known-zero-mean estimator (no sample-mean
 subtraction) because the process mean is exactly zero.  Generic ACF tools
 subtract the mean and will differ slightly.
 
-The records are named tuples, and numpy is imported inside the functions
-that use it, so importing this module loads neither `dataclasses` nor
-numpy, and neither do `char_roots` and `acf` for an AR(1) model.
+The characteristic roots come from one pure-Python Aberth-Ehrlich
+iteration started on the Newton polygon (`_aberth`), whatever the order
+and however far apart the roots' scales, and each passes one residual
+check (`char_roots`); the Yule-Walker system is solved by Gaussian
+elimination (`_solve`).  The records are named tuples, and numpy is
+imported only to simulate, inside the functions that do, so importing
+this module loads neither `dataclasses` nor numpy, and neither do
+`char_roots` and `acf` for any order.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -110,58 +117,165 @@ class SeriesSample(namedtuple("SeriesSample", "values seed burn_in")):
         return len(self.values)
 
 
-#: Groups of roots whose scales differ by more than this factor, above the
-#: 1/eps = 2**52 that one companion matrix resolves, are found apart
-#: (`_roots_by_scale`).  Over random products of roots, no set that plain
-#: np.roots finds is lost at 2**60, and at 2**40 to 2**50 a few are.
-_SCALE_GAP = 2.0**60
+#: Aberth sweeps over the roots (`_aberth`) before the iteration stops; a
+#: root that has not converged by then fails the residual check.
+_SWEEPS = 50
 
 
-def _roots_by_scale(poly: np.ndarray) -> np.ndarray:
-    """The roots of poly[0]*lam**k + ... + poly[k], poly[0] != 0: np.roots,
-    or np.roots on each group of roots of one scale where the scales are
-    too far apart for one companion matrix.
+def _horner(terms: Sequence[tuple[float, float]], z: complex) -> tuple:
+    """p(z), p'(z) and sum_i |c_i| * |z|**(k-i), p = c_0*z**k + ... + c_k,
+    by Horner's rule over the pairs (c_i, |c_i|)."""
+    p, dp, scale, r = 0j, 0j, 0.0, abs(z)
+    for c, a in terms:
+        dp = dp * z + p
+        p = p * z + c
+        scale = scale * r + a
+    return p, dp, scale
 
-    The upper convex hull of the points (i, log|poly[i]|), the Newton
-    polygon, estimates the roots' moduli: an edge from i to j of slope m
-    carries j - i roots of modulus about exp(m) (Ostrowski 1940).  Where
-    two consecutive slopes differ by more than log(`_SCALE_GAP`), the
-    other groups' terms are negligible at a group's roots, so each group is
-    found from its own coefficients poly[i] .. poly[j] alone, balanced
-    exactly by lam = 2**e * mu, 2**e about the geometric mean of the
-    group's moduli.  The roots past the last nonzero coefficient are 0.
+
+def _newton(terms: Sequence[tuple[float, float]], z: complex) -> tuple:
+    """p(z), `_horner`'s modulus sum and p'(z)/p(z) (None where p(z) is 0),
+    with no overflow: inside the unit circle by `_horner` at z, outside by
+    `_horner` on the reversed polynomial q(y) = y**k * p(1/y) at y = 1/z,
+    whose value and sum stand for p's over z**k and |z|**k, and p'/p =
+    y*(k - y*q'(y)/q(y))."""
+    if abs(z) <= 1:
+        p, dp, scale = _horner(terms, z)
+        return p, scale, dp / p if p else None
+    y = 1 / z
+    q, dq, scale = _horner(terms[::-1], y)
+    return q, scale, y * (len(terms) - 1 - y * dq / q) if q else None
+
+
+def _aberth(coeffs: Sequence[float]) -> list[complex]:
+    """The roots of coeffs[0]*z**k + ... + coeffs[k], real and both ends
+    nonzero, by the Aberth-Ehrlich iteration (Aberth, Math. Comp. 27,
+    1973), real roots exactly real and the others in exact conjugate pairs
+    (`_conjugate_pairs`), and the two roots of a double root equal
+    (`_double_roots`).
+
+    The starts lie on circles from the Newton polygon (Bini, Numer.
+    Algorithms 13, 1996): the upper convex hull of the points
+    (i, log|coeffs[i]|) has an edge from i to j of slope m for j - i roots
+    of modulus about exp(m) (Ostrowski 1940), so each root starts at its
+    own scale, however far apart the scales.  A sweep moves each
+    unconverged root z_i in turn by 1/(p'/p(z_i) - sum_{j != i} 1/(z_i -
+    z_j)), with `_newton`'s ratio, and a root stops once |p(z_i)| is within
+    the rounding of Horner's rule, 2k*eps times its modulus sum, after that
+    step.
     """
-    import numpy as np
+    k = len(coeffs) - 1
 
     def slope(a: tuple, b: tuple) -> float:
         return (b[1] - a[1]) / (b[0] - a[0])
 
-    c = poly.tolist()
-    last = max(i for i, v in enumerate(c) if v)
     hull = []  # the upper hull, by Andrew's monotone chain
-    for pt in ((i, math.log(abs(v))) for i, v in enumerate(c[: last + 1]) if v):
+    for pt in ((i, math.log(abs(v))) for i, v in enumerate(coeffs) if v):
         while len(hull) > 1 and slope(hull[-2], hull[-1]) <= slope(hull[-1], pt):
             hull.pop()
         hull.append(pt)
-    slopes = [slope(a, b) for a, b in zip(hull, hull[1:])]
-    cuts = [v for v in range(1, len(slopes))
-            if slopes[v - 1] - slopes[v] > math.log(_SCALE_GAP)]
-    if not cuts:
-        return np.roots(poly)
-    found = [np.zeros(len(c) - 1 - last, complex)]
-    ends = [0, *cuts, len(hull) - 1]
-    for a, b in zip(ends, ends[1:]):
-        lo, hi = hull[a][0], hull[b][0]
-        e = math.floor(slope(hull[a], hull[b]) / math.log(2))
-        top = math.frexp(c[lo])[1]
-        sub = [math.ldexp(v, -(i - lo) * e - top)
-               for i, v in enumerate(c[lo : hi + 1], lo)]
-        found.append(np.roots(sub) * 2.0**e)
-    return np.concatenate(found)
+    z = []
+    for a, b in zip(hull, hull[1:]):
+        n, r = b[0] - a[0], math.exp(min(slope(a, b), 709.0))  # finite
+        z += [cmath.rect(r, 2 * math.pi * (t / n + a[0] / k) + 0.7) for t in range(n)]
+    terms = [(c, abs(c)) for c in coeffs]
+    tol, active = 2 * k * sys.float_info.epsilon, set(range(k))
+    for _ in range(_SWEEPS):
+        for i in sorted(active):
+            x = z[i]
+            p, scale, ratio = _newton(terms, x)
+            if ratio is None:  # p(x) = 0: an exact root
+                active.discard(i)
+                continue
+            near = ratio - sum([1 / (x - w) for w in z if w != x])
+            step = 1 / near if near else 0j
+            if cmath.isfinite(x - step):
+                z[i] = x - step
+            if abs(p) <= tol * scale:
+                active.discard(i)
+        if not active:
+            break
+    return _double_roots(terms, _conjugate_pairs(z))
+
+
+def _conjugate_pairs(z: list[complex]) -> list[complex]:
+    """The roots of a real polynomial as found, made exactly closed under
+    conjugation: greedily by distance, each root is either its own
+    conjugate, at cost 2|Im z|, and made real, or the conjugate of a root
+    across the real axis, at cost |z_i - conj(z_j)|, and both become the
+    mean of z_i and conj(z_j) and its conjugate."""
+    costs = sorted(
+        [(2 * abs(x.imag), i, i) for i, x in enumerate(z)]
+        + [(abs(x - w.conjugate()), i, j) for i, x in enumerate(z)
+           for j, w in enumerate(z) if x.imag > 0 >= w.imag])
+    out = [None] * len(z)
+    for _, i, j in costs:
+        if out[i] is None and out[j] is None:
+            m = z[i] + (z[j].conjugate() - z[i]) / 2  # no overflow
+            out[i], out[j] = m, m.conjugate()
+            if not m.imag:
+                out[i] = out[j] = complex(m.real)
+    return out
+
+
+def _double_roots(terms: Sequence[tuple[float, float]], z: list[complex]) -> list[complex]:
+    """The roots z of p, `_horner`'s pairs `terms`, with each two that are
+    one double root to rounding made equal.
+
+    Two roots that are each other's nearest are one where their mean c
+    passes the iteration's stop test, |p(c)| within 2k*eps times its
+    modulus sum: with p(x) = (x - z_i)(x - z_j)q(x), that puts |z_i - z_j|/2
+    within sqrt(2k*eps*S(|c|)/|q(c)|), the error radius of a double root.
+    Both become c, which is real for a conjugate pair, unless the mean of
+    the two and the root nearest c passes the test too: the roots of a
+    cluster of three or more stay as found.
+    """
+    k = len(z)
+    if k < 2:
+        return z
+    tol = 2 * k * sys.float_info.epsilon
+
+    def is_root(c: complex) -> bool:
+        p, scale, _ = _newton(terms, c)
+        return abs(p) <= tol * scale
+
+    nearest = [min((j for j in range(k) if j != i), key=lambda j: abs(x - z[j]))
+               for i, x in enumerate(z)]
+    out = list(z)
+    for i, j in enumerate(nearest):
+        if i < j and nearest[j] == i:
+            c = z[i] / 2 + z[j] / 2  # exactly real for a conjugate pair
+            others = [w for m, w in enumerate(z) if m != i and m != j]
+            third = min(others, key=lambda w: abs(w - c), default=None)
+            if is_root(c) and (third is None or not is_root(c + (third - c) / 3)):
+                out[i] = out[j] = c
+    return out
+
+
+def _residual(coeffs: Sequence[float], lam: complex) -> tuple[float, float]:
+    """|p(lam)| and sum_i |c_i| * |lam|**(k-i), p = coeffs[0]*z**k + ... +
+    coeffs[k], both over 2**g, the power of two of their largest term: by
+    Horner's rule at w = lam / 2**e, 1/2 <= |w| < 1, on the coefficients
+    c_i * 2**(e*(k-i) - g), none above 1, so nothing overflows and only
+    terms below 2**-1074 of the largest underflow, at any scale of lam."""
+    k = len(coeffs) - 1
+    e = math.frexp(abs(lam))[1]
+    g = max(math.frexp(c)[1] + e * (k - i) for i, c in enumerate(coeffs) if c)
+    w = complex(math.ldexp(lam.real, -e), math.ldexp(lam.imag, -e))
+    scaled = [math.ldexp(c, e * (k - i) - g) for i, c in enumerate(coeffs)]
+    p, _, scale = _horner([(d, abs(d)) for d in scaled], w)
+    return abs(p), scale
 
 
 def char_roots(alphas: Sequence[float]) -> CharRoots:
-    """Roots of lambda**k = alpha_1*lambda**(k-1) + ... + alpha_k."""
+    """Roots of lambda**k = alpha_1*lambda**(k-1) + ... + alpha_k, largest
+    modulus first, by the Aberth-Ehrlich iteration (`_aberth`).
+
+    Every root found passes one check: |p(lam)| is at most 1e-10 times
+    sum_i |c_i| * |lam|**(k-i), both by Horner's rule at lam's own scale
+    (`_residual`), so that neither side overflows or underflows.  Else it
+    raises RuntimeError.
+    """
     alphas = [float(a) for a in alphas]
     k = len(alphas)
     if k < 1:
@@ -169,58 +283,64 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
     if not all(map(math.isfinite, alphas)):
         raise ValueError("coefficients must be finite")
     if k == 1:
-        roots = (complex(alphas[0]),)  # exact: no residual to check
+        roots = [complex(alphas[0])]  # exact: no residual to check
     else:
-        import numpy as np
-
-        poly = np.concatenate([[1.0], -np.asarray(alphas)])
-        found = _roots_by_scale(poly)
-        # |p(lam)| against sum_i |c_i| * |lam|**(k-i), both by Horner's
-        # rule; a root outside the unit circle is checked on the reversed
-        # polynomial at 1/lam, and the coefficients are divided by the
-        # largest modulus, so neither side can overflow
-        poly /= np.abs(poly).max()
-        inside = np.abs(found) <= 1
-        for coeffs, z, lams in (
-            (poly, found[inside], found[inside]),
-            (poly[::-1], 1 / found[~inside], found[~inside]),
-        ):
-            resid, scale = np.zeros(len(z), complex), np.zeros(len(z))
-            for c in coeffs:
-                resid = resid * z + c
-                scale = scale * np.abs(z) + abs(c)
-            bad = np.abs(resid) > 1e-10 * scale
-            if bad.any():
-                i = int(np.argmax(bad))
+        # for the iteration, scaled by a power of two only where a
+        # coefficient is above 2**1000, so that Horner's sums of k + 1
+        # terms stay finite and no coefficient that scaling would leave in
+        # range underflows
+        shift = min(0, 1000 - math.frexp(max(map(abs, alphas)))[1])
+        coeffs = [math.ldexp(c, shift) for c in (1.0, *(-a for a in alphas))]
+        last = max(i for i, c in enumerate(coeffs) if c)
+        # the roots past the last nonzero coefficient are 0
+        roots = [0j] * (k - last) + (_aberth(coeffs[: last + 1]) if last else [])
+        for lam in roots:
+            resid, scale = _residual(coeffs, lam)
+            if not resid <= 1e-10 * scale:  # NaN too
                 raise RuntimeError(
-                    f"root residual {abs(resid[i]):g} too large at {lams[i]}"
-                )
-        roots = tuple(sorted(found, key=lambda z: (-abs(z), -z.real, -z.imag)))
-    stationary = all(abs(lam) < 1 for lam in roots)
-    return CharRoots(tuple(complex(z) for z in roots), stationary)
+                    f"root residual {resid / scale:g} of its scale, too large at {lam}")
+        roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
+    return CharRoots(tuple(roots), all(abs(lam) < 1 for lam in roots))
+
+
+def _solve(rows: list[list[float]]) -> list[float]:
+    """x with sum_j rows[i][j] * x[j] = rows[i][-1] for every row i, by
+    Gaussian elimination with partial pivoting; rows is overwritten."""
+    n = len(rows)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        rows[c], rows[p] = rows[p], rows[c]
+        top = rows[c]
+        for row in rows[c + 1 :]:
+            f = row[c] / top[c]
+            row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], top[c + 1 :])]
+    x = [0.0] * n
+    for c in reversed(range(n)):
+        row = rows[c]
+        x[c] = (row[-1] - sum(map(float.__mul__, row[c + 1 : n], x[c + 1 :]))) / row[c]
+    return x
 
 
 def _rho_recursion(alphas: Sequence[float], j_max: int) -> list[float]:
-    """rho_0..rho_{j_max} via Yule-Walker: solve for the first k-1 lags,
-    then extend by rho_j = sum_i alpha_i * rho_{j-i}."""
+    """rho_0..rho_{j_max} via Yule-Walker: solve for the first k-1 lags
+    (`_solve`), then extend by rho_j = sum_i alpha_i * rho_{j-i}."""
     alphas = [float(a) for a in alphas]
     k = len(alphas)
     rho = [1.0]
     if k > 1:
-        import numpy as np
-
-        # unknowns rho_1..rho_{k-1}: rho_j = sum_i alpha_i * rho_{|j-i|}
-        a = np.zeros((k - 1, k - 1))
-        b = np.zeros(k - 1)
+        # unknowns rho_1..rho_{k-1}: rho_j = sum_i alpha_i * rho_{|j-i|},
+        # each row with its right-hand side last
+        rows = []
         for j in range(1, k):
-            a[j - 1, j - 1] += 1.0
-            for i in range(1, k + 1):
-                lag = abs(j - i)
-                if lag == 0:
-                    b[j - 1] += alphas[i - 1]
+            row = [0.0] * k
+            row[j - 1] = 1.0
+            for i, a in enumerate(alphas, 1):
+                if i == j:
+                    row[-1] += a
                 else:
-                    a[j - 1, lag - 1] -= alphas[i - 1]
-        rho.extend(np.linalg.solve(a, b).tolist())
+                    row[abs(j - i) - 1] -= a
+            rows.append(row)
+        rho += _solve(rows)
     for j in range(k, j_max + 1):
         rho.append(sum(alphas[i] * rho[j - 1 - i] for i in range(k)))
     return rho[: j_max + 1]

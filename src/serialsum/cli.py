@@ -11,7 +11,7 @@ Each command imports the library module it runs, `lambda_sums` or
 parser load neither; `main` imports `ar_model` on a ValueError, to tell
 its model errors (exit 1) from usage errors.  No command imports numpy
 here: each loads it, if at all, through the library calls that use it,
-so `eval`, and `ar roots` and `ar acf` for an AR(1) model, load none.
+so `eval`, `ar roots` and `ar acf` load none.
 `ar simulate` and `ar check` find the characteristic roots once, check
 the request by `ar_model._burn_in` before the budget is charged, and take
 their series from `ar_model`'s chunked engine, so their memory does not
@@ -140,16 +140,20 @@ def _budget(args) -> int:
 #: generator and its share of the filter's set-up take 27-33 us, a CSV
 #: row 1.1-1.6 us to format and write, and a probe trial 1.3-2.0 ms; a
 #: theoretical ACF lag about (0.5 + 0.15k) us for an AR(k) model, and
-#: 1-2 us more to emit; an empirical ACF lag about 0.6 ns per sample; the
-#: characteristic roots of an AR(k) model 4-10 ns per k**3.
+#: 1-2 us more to emit; an empirical ACF lag about 0.6 ns per sample.  An
+#: Aberth sweep over the characteristic roots of an AR(k) model takes
+#: 0.47-0.48 us per k*(k-1) from k = 100 up, and the Yule-Walker solve
+#: 42-47 ns per (k-1)**3.
 _UNITS_PER_SAMPLE = 10
 _UNITS_PER_SEED = 4_000
 _UNITS_PER_ROW = 160
 _UNITS_PER_TRIAL = 250_000
+_UNITS_PER_SWEEP = 70
+_UNITS_PER_SOLVE = 6
 
 
 def _acf_units(k: int, jmax: int) -> int:
-    return 25 * (k + 10) * (jmax + 1)
+    return _UNITS_PER_SOLVE * (k - 1) ** 3 + 25 * (k + 10) * (jmax + 1)
 
 
 def _resolve_S(args, n_lambdas: int) -> int:
@@ -305,9 +309,18 @@ def _cmd_ar(args) -> int:
         raise ValueError("--alpha requires at least one coefficient")
     inputs = {"alpha": alphas}
     command, budget = _command_name(args), args.budget
-    # every subcommand finds the roots, an O(k**3) eigenvalue problem: they
-    # are charged before they are found, and then once more in the total
-    work = len(alphas) ** 3
+    # the lag range, a usage error before any work: `ar check`'s lag sums
+    # need j_max below n (an n below 1 is `_burn_in`'s to refuse)
+    n = getattr(args, "n", 0)
+    if hasattr(args, "jmax") and not 0 <= args.jmax < (n if n >= 1 else math.inf):
+        below = f" and below --n ({n})" if n >= 1 else ""
+        raise ValueError(f"--jmax must be >= 0{below}, got {args.jmax}")
+    # every subcommand finds the roots, charged at the iteration's worst
+    # before they are found, and then once more in the total: each sweep up
+    # to the cap moves all k roots, by a Horner pass over k + 1 coefficients
+    # and a sum over the k - 1 others; an AR(1) root is read off
+    k = len(alphas)
+    work = _UNITS_PER_SWEEP * ar_model._SWEEPS * k * (k - 1)
     lambda_sums._charge(command, work, budget)
 
     if args.ar_command == "roots":
@@ -316,7 +329,7 @@ def _cmd_ar(args) -> int:
 
     if args.ar_command == "acf":
         inputs["jmax"] = args.jmax
-        lambda_sums._charge(command, work + _acf_units(len(alphas), args.jmax), budget)
+        lambda_sums._charge(command, work + _acf_units(k, args.jmax), budget)
         model, rhos = ar_model.acf(alphas, args.jmax)
         result = {
             "roots": list(model.roots),
@@ -334,8 +347,6 @@ def _cmd_ar(args) -> int:
     seeds = args.seeds if args.ar_command == "check" else 1
     # the command's one root-finding, for the request's one check
     burn_in = ar_model._burn_in(ar_model.char_roots(alphas), args.n, args.burn_in)
-    if getattr(args, "jmax", 0) < 0:  # a negative count would take work off the total
-        raise ValueError("--jmax must be >= 0")
     if args.seed < 0:  # refused here, before `ar simulate` opens its file
         raise ValueError("--seed must be >= 0")
     # the roots, each seed and its simulated samples, and the CSV rows of
@@ -345,7 +356,7 @@ def _cmd_ar(args) -> int:
     if args.ar_command == "simulate":
         work += _UNITS_PER_ROW * args.n
     else:
-        work += (_acf_units(len(alphas), args.jmax)
+        work += (_acf_units(k, args.jmax)
                  + (args.jmax + 1) * args.n * seeds // 8)
     lambda_sums._charge(command, work, budget)
 

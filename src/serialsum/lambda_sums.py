@@ -377,7 +377,9 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     divided differences from `_power_column`) over each single-linkage
     cluster of entries within the clustering threshold, so no residue
     divides by a gap inside a cluster.  err_estimate scales their modulus
-    scale by S + l, for the rounding of x**(S+l-1), plus kappa =
+    scale by S + l, for the rounding of x**(S+l-1) (above S + l = 2**26
+    by its compounded form, expm1((S+l)*eps)/eps, with the bound capped at
+    |value| plus an a priori bound on |F|), plus kappa =
     2*m*sum_j (1 + 2r|l_j|)/(1 - r|l_j|), m the largest cluster and
     r = max |l_j|: 1 - x*l_j and 1 - l_j**2 err by eps*(1 + 2|x*l_j|) /
     |1 - x*l_j| relative, raised to powers up to m.  Where r**(S+l-m) <
@@ -431,9 +433,24 @@ def f_general(roots: RootMultiset, S: int) -> LimitValue:
     residues, cond = confluent_divided_difference_cond(clusters, cols, lams)
     value = functools.reduce(operator.add, residues, 0j)  # in cluster order
     kappa = 2 * m * sum((1 + 2 * r * a) / (1 - r * a) for a in mods)
-    err = _EPS * ((power + 1 + kappa) * cond + abs(value))
+    # x**power takes at most power products, each within eps relative, so
+    # it errs by at most (1 + eps)**power - 1 <= expm1(y), y = power*eps.
+    # Where S + l = power + 1 <= 2**26, y < 2**-26 and expm1(y) - y <
+    # y*y*(1 + y)/2 < eps, so the factor S + l covers the compounding.
+    # Above, the compounded factor expm1((S + l)*eps)/eps is charged, and
+    # the bound is capped at |value| + |F|: F is the S-th Fourier
+    # coefficient of prod_j (1 - l_j**2) / ((1 - l_j*z) * (1 - l_j/z)) on
+    # |z| = 1, so |F| <= prod_j (1 + |l_j|**2) / (1 - |l_j|)**2, below
+    # 2**650 for six roots, where the factor overflows (S*eps above 709).
+    compounded = power + 1 > 2**26
+    grow = power + 1
+    if compounded:
+        grow = math.expm1(grow * _EPS) / _EPS if grow * _EPS < 709 else math.inf
+    err = _EPS * ((grow + kappa) * cond + abs(value))
     if shift:
         (value,), err = _ldexp_column([value], -shift), math.ldexp(err, -shift)
+    if compounded:  # NaN, from an infinite factor times 0, takes the cap too
+        err = min(abs(value) + math.prod((1 + a * a) / (1 - a) ** 2 for a in mods), err)
     err += 2 * math.ulp(0.0) if value or err else 0.0
     return LimitValue(value, err, _certify(value, _conjugate_closed(lams)))
 

@@ -1,6 +1,8 @@
 import cmath
 import csv
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -70,7 +72,107 @@ def mixture_weights_reference(alphas, dps=50):
         return [(complex(r), complex(w)) for r, w in zip(roots, weights)]
 
 
+def draw_product(rng):
+    """2..8 roots closed under conjugation, and the float coefficients of
+    their product, highest power first: reals and conjugate pairs, exact
+    repeats, radii up to 0.999 or moduli log-uniform over up to 300
+    decades; drawn again until every coefficient is a normal float with
+    room to spare, so that Horner's rule resolves every root."""
+    mpmath = pytest.importorskip("mpmath")
+    while True:
+        k = rng.randint(2, 8)
+        spread = rng.choice((0.0, 0.0, 20.0, 300.0))
+        roots = []
+        while len(roots) < k:
+            if spread:
+                r = 10 ** rng.uniform(-spread / 2, spread / 2)
+            else:
+                r = rng.choice((0.5, 0.9, 0.99, 0.999)) * rng.uniform(0.05, 1.0)
+            if roots and rng.random() < 0.25:
+                z = rng.choice(roots)
+                copies = [z, z.conjugate()] if z.imag else [z]
+            elif rng.random() < 0.4:
+                z = cmath.rect(r, rng.uniform(0.1, 3.0))
+                copies = [z, z.conjugate()]
+            else:
+                copies = [complex(rng.choice((-r, r)))]
+            if len(roots) + len(copies) <= k:
+                roots += copies
+        with mpmath.workdps(60):
+            poly = [mpmath.mpc(1)]
+            for z in roots:
+                poly = [a - z * b for a, b in zip(poly + [0], [0] + poly)]
+            coeffs = [float(c.real) for c in poly]
+        if all(1e-290 < abs(c) < 1e290 for c in coeffs):
+            return roots, coeffs
+
+
 class TestCharRoots:
+    def test_roots_agree_with_mpmath_polyroots(self):
+        # each root found lies within the first-order bound
+        # eta*S(|xi|)/|p'(xi)| of mpmath's root xi, eta = 2k*eps the
+        # backward error where the iteration stops and S(r) = sum_i |c_i| *
+        # r**(k-i); an m-fold drawn root c is found m times, each within
+        # (m! * eta*S(|c|)/|p^(m)(c)|)**(1/m) of c, which bounds the float
+        # polynomial's own roots there too.  mpmath's Durand-Kerner
+        # iteration starts from the roots found, turned off the real axis
+        # by 1e-3 radians, so that it converges in few steps, at a
+        # precision that holds the smallest and the largest root
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(1)
+        for _ in range(80):
+            roots, coeffs = draw_product(rng)
+            k, eta = len(roots), 2 * len(roots) * 2.0**-52
+            found = char_roots([-c for c in coeffs[1:]]).roots
+            nearest = [min(roots, key=lambda c: abs(c - z)) for z in found]
+            assert Counter(nearest) == Counter(roots), (roots, found)
+            dps = 30 + int(max(abs(math.log10(abs(z))) for z in found))
+            with mpmath.workdps(dps):
+                starts = [z * cmath.exp(1e-3j * (i + 1)) for i, z in enumerate(found)]
+                ref = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * dps,
+                                       roots_init=starts, cleanup=False)
+
+                def S(r):
+                    return sum(abs(c) * mpmath.mpf(r) ** (k - i)
+                               for i, c in enumerate(coeffs))
+
+                def deriv(x, m):  # |p^(m)(x)|
+                    top = coeffs[: k - m + 1]
+                    return abs(mpmath.polyval(
+                        [c * mpmath.ff(k - i, m) for i, c in enumerate(top)], x))
+
+                for z, c in zip(found, nearest):
+                    m = roots.count(c)
+                    if m == 1:
+                        xi = min(ref, key=lambda w: abs(w - z))
+                        assert abs(z - xi) <= eta * S(abs(xi)) / deriv(xi, 1), (roots, z)
+                    else:
+                        c = mpmath.mpc(c)
+                        bound = (math.factorial(m) * eta * S(abs(c)) / deriv(c, m))
+                        assert abs(z - c) <= bound ** (mpmath.mpf(1) / m), (roots, z)
+
+    def test_real_roots_are_real_and_pairs_conjugate_exactly(self):
+        rng = random.Random(2)
+        for _ in range(200):
+            roots, coeffs = draw_product(rng)
+            found = char_roots([-c for c in coeffs[1:]]).roots
+            assert Counter(found) == Counter(z.conjugate() for z in found), found
+            for c in roots:
+                if not c.imag and roots.count(c) == 1:  # a simple real root
+                    assert min(found, key=lambda z: abs(z - c)).imag == 0, (roots, found)
+
+    def test_triple_root(self):
+        # (lambda - 0.9)**3: split by about eps**(1/3), within the bound
+        # (3! * eta*S(0.9)/3!)**(1/3) = 2.0e-5, eta = 6*eps, into exactly
+        # real roots and exact conjugate pairs; the correlations stay exact
+        alphas = (2.7, -2.43, 0.729)
+        roots = char_roots(alphas).roots
+        assert all(abs(z - 0.9) <= 2.0e-5 for z in roots)
+        assert Counter(roots) == Counter(z.conjugate() for z in roots)
+        _, rho = acf(alphas, 60)
+        ref = yule_walker_reference(alphas, 60)
+        assert max(abs(a - float(b)) for a, b in zip(rho, ref)) <= 1e-12
+
     def test_quadratic_factorization(self):
         cr = char_roots(AR2_ALPHAS)
         got = sorted(z.real for z in cr.roots)
@@ -106,11 +208,11 @@ class TestCharRoots:
         # near the circle, (1 + |lam|)**k overflows once k is above 1,023;
         # a scale that overflows lets every residual pass
         k = 1100
-        wrong = 0.999 * np.exp(2j * np.pi * (np.arange(k) + 0.5) / k)
-        monkeypatch.setattr(np, "roots", lambda poly: wrong.copy())
+        wrong = (0.999 * np.exp(2j * np.pi * (np.arange(k) + 0.5) / k)).tolist()
+        monkeypatch.setattr(ar_model, "_aberth", lambda coeffs: list(wrong))
         with pytest.raises(RuntimeError, match="residual"):
             char_roots([0.5 / k] * k)
-        wrong[:] = 3.0  # outside the circle, checked on the reversed polynomial
+        wrong[:] = [3 + 0j] * k  # outside the circle, checked on the reversed polynomial
         with pytest.raises(RuntimeError, match="residual"):
             char_roots([0.5 / k] * k)
 
@@ -130,18 +232,17 @@ class TestCharRoots:
     @pytest.mark.parametrize("which", [0, 1])  # outside the circle, inside it
     def test_perturbed_root_with_huge_coefficients_is_refused(
             self, monkeypatch, alphas, which):
-        # the roots near 1e308 and 1 are found apart, the larger first
-        roots, calls = np.roots, []
+        # the root near 1e308 or the one near 1, moved by 1e-6 relative
+        aberth = ar_model._aberth
 
-        def perturbed(poly):
-            found = roots(poly) * (1 + 1e-6 * (len(calls) == which))
-            calls.append(poly)
+        def perturbed(coeffs):
+            found = sorted(aberth(coeffs), key=abs, reverse=True)
+            found[which] *= 1 + 1e-6
             return found
 
-        monkeypatch.setattr(np, "roots", perturbed)
+        monkeypatch.setattr(ar_model, "_aberth", perturbed)
         with pytest.raises(RuntimeError, match="residual"):
             char_roots(alphas)
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("roots", [
         (1e300, cmath.exp(1j * math.pi / 3), cmath.exp(-1j * math.pi / 3)),
@@ -208,8 +309,27 @@ class TestAcf:
         for h, r in enumerate(rho):
             assert abs(r - (1 + 0.6 * h) * 0.5**h) <= 1e-14
 
+    @pytest.mark.parametrize("roots, double", [
+        ((0.4, 0.4), 0.4),
+        ((0.9, 0.9, 0.0, 0.0), 0.9),  # beside the double zero, read off
+        ((0.5j, 0.5j, -0.5j, -0.5j), 0.5j),  # a double conjugate pair
+        ((-0.7, -0.7, 0.3 + 0.4j, 0.3 - 0.4j), -0.7),
+        ((0.5, 0.5, 0.501), 0.5),  # beside a distinct root 1e-3 away
+    ])
+    def test_double_roots_found_equal(self, roots, double):
+        # the iteration splits a double root by about sqrt(eps); the two
+        # roots are one where their mean is a root to rounding, and the
+        # other roots stay as they were
+        alphas = (-np.poly(roots)[1:].real).tolist()
+        found = char_roots(alphas).roots
+        for c in {double, double.conjugate()}:
+            near = [z for z in found if abs(z - c) <= 1e-6]
+            assert len(near) == 2 and near[0] == near[1], found
+        assert len(set(found)) == len(set(roots)), found
+        assert acf(alphas, 3)[0].coeffs is None
+
     def test_triple_root_matches_yule_walker_reference(self):
-        # (lambda - 0.5)**3: np.roots splits the triple root by about 1e-5
+        # (lambda - 0.5)**3: the iteration splits the triple root by about 5e-6
         alphas = (1.5, -0.75, 0.125)
         model, rho = acf(alphas, 60)
         assert len(set(model.roots)) == 3
@@ -245,7 +365,7 @@ class TestAcf:
 
     def test_weights_are_pinned(self):
         # reference weights of the residue pass for one AR(3) model with a
-        # conjugate pair, matched by root, as np.roots orders its roots
+        # conjugate pair, matched by root, whatever order the roots take
         want = [(0.9461655037747716, 0.8629077371436814 - 1.4853405122611115e-18j),
                 (-0.32308275188738567 + 0.32710402754140644j,
                  0.06854613142815932 + 0.01858948110638981j),
@@ -364,8 +484,8 @@ class TestStream:
         assert np.all(got.values == 0)
 
     def test_simulate_order_above_block(self, monkeypatch):
-        # the block is k long, and a chunk one block; finding the roots is
-        # an eigenvalue problem of order 298 per call, so two cases only
+        # the block is k long, and a chunk one block; finding the 298 roots
+        # takes 0.15-0.2 s per call, so two cases only
         monkeypatch.setattr(ar_model, "_IN_FLIGHT", 2 * _BLOCK)
         B = len(K_ABOVE_BLOCK)
         self.check_simulate(K_ABOVE_BLOCK, [(2 * B + 1, 0), (B - 1, B + 1)])

@@ -23,6 +23,7 @@ def _snapshot_module():
 
 snapshot = _snapshot_module()
 
+
 #: each evaluator of the snapshot: its call on a drawn input, the errors
 #: it refuses that input with, and its line's output for a value
 CALLS = {
@@ -35,6 +36,7 @@ CALLS = {
         lambda lams, shifts, n, adjust: finite_sum_with_error(
             FiniteSumSpec(lams, shifts, n, adjust)), (), repr),
     "linear": (linear_coefficient, ValueError, repr),
+    "roots": (snapshot.run_roots, (RuntimeError, ValueError), lambda line: line),
     "cli": (snapshot.run_cli, (), lambda line: line),
 }
 

@@ -317,7 +317,8 @@ class TestAr:
         assert env["result"]["stationary"] is False
 
     def test_roots_of_widely_scaled_coefficients(self, capsys):
-        # np.roots lost the unit-modulus pair next to the root near 1e300
+        # one companion matrix lost the unit-modulus pair next to the root
+        # near 1e300
         code, env, _ = run_json(capsys, "ar", "roots", "--alpha", "1e300,-1e300,1e300")
         assert code == 0
         roots = [complex(r["re"], r["im"]) for r in env["result"]["roots"]]
@@ -457,7 +458,6 @@ class TestAr:
 
     @pytest.mark.parametrize("argv", [
         ["ar", "acf", "--alpha", "0.6", "--jmax", "1000000000"],
-        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--jmax", "1000000000"],
         # 1,000 lags of 20 seeds x 200,000 samples
         ["ar", "check", "--alpha", "0.5,-0.06", "--n", "200000", "--jmax", "1000"],
         ["conjecture", "--ell", "5", "--trials", "1000000000"],
@@ -481,18 +481,18 @@ class TestAr:
         assert payload["achievable_bound"] is None
 
     def test_budget_counts_ten_units_per_sample(self, capsys):
-        # one total: 1 unit for the roots; 2 seeds x (4,000 for the seed +
-        # 10 x (55 burn-in + 1000) samples) = 2 x 14,550 = 29,100; and
-        # 1,100 + 1,000 for the ACF: 1 + 29,100 + 2,100 = 31,201.
-        # Acceptance criterion 7 runs the README check (20 x 200,023
-        # samples) at the default budget
+        # one total: no unit for the root of an AR(1) model, read off; 2
+        # seeds x (4,000 for the seed + 10 x (55 burn-in + 1000) samples) =
+        # 2 x 14,550 = 29,100; and 1,100 + 1,000 for the ACF: 29,100 +
+        # 2,100 = 31,200.  Acceptance criterion 7 runs the README check
+        # (20 x 200,023 samples) at the default budget
         argv = ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2"]
-        code, env, _ = run_json(capsys, *argv, "--budget", "31201")
+        code, env, _ = run_json(capsys, *argv, "--budget", "31200")
         # two seeds give a noisy standard error, so the z-test may fail
         assert code in (0, 1)
         assert env["command"] == "ar check"
         assert "result" in env
-        code, out, _ = run(capsys, *argv, "--budget", "31200", "--json")
+        code, out, _ = run(capsys, *argv, "--budget", "31199", "--json")
         assert code == 1
         assert json.loads(out)["error"] == "BudgetExceeded"
 
@@ -514,16 +514,36 @@ class TestAr:
         assert code == 2
         assert not out.exists()
 
+    def test_lags_from_n_up_are_refused_before_any_work(self, capsys, monkeypatch):
+        def work_started(*args, **kwargs):
+            raise AssertionError("work started before the lag range check")
+
+        monkeypatch.setattr(serialsum.ar_model, "char_roots", work_started)
+        monkeypatch.setattr(serialsum.ar_model, "_stream", work_started)
+        code, out, err = run(capsys, "ar", "check", "--alpha", "0.6", "--n", "2",
+                             "--jmax", "3", "--seeds", "2", "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --jmax must be >= 0 and below --n (2), got 3\n"
+
+    def test_n_below_one_is_blamed_on_n(self, capsys):
+        # the lag range is checked against an n of at least 1 only, so a
+        # bad --n is named as such, with the default --jmax 3
+        code, out, err = run(capsys, "ar", "check", "--alpha", "0.6", "--n", "0",
+                             "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be >= 1\n"
+
     def test_error_envelope_names_subcommand(self, capsys):
         code, out, _ = run(
             capsys,
-            "ar", "check", "--alpha", "0.6", "--n", "1000", "--jmax", "2000",
-            "--json",
+            "ar", "check", "--alpha", "1.2", "--n", "1000", "--json",
         )
         assert code == 1
         payload = json.loads(out)
         assert payload["command"] == "ar check"
-        assert payload["error"] == "BadLagError"
+        assert payload["error"] == "NotStationaryError"
 
         code, out, _ = run(
             capsys,
@@ -625,6 +645,8 @@ class TestCleanExits:
         ["ar", "check", "--alpha", "0.6", "--n", "1000", "--seeds", "2",
          "--zmax", "nan"],
         ["ar", "acf", "--alpha", "0.6", "--jmax", "-5"],
+        # lags at or above --n, refused before the budget is charged
+        ["ar", "check", "--alpha", "0.6", "--n", "1000", "--jmax", "1000000000"],
         ["ar", "roots", "--alpha", "nan"],
         # a negative n must not take the lags' work off the one total: the
         # recursion over 1e30 lags would run without limit
@@ -691,14 +713,34 @@ class TestCleanExits:
         assert abs(got - float(want.real)) <= 1e-9 * (1 + abs(got))
 
     def test_ar_acf_charges_roots_and_lags_as_one_total(self, capsys):
-        # 1 unit for the roots of an AR(1) model, 25 * 11 * 4 for 4 lags
+        # no unit for the root of an AR(1) model, read off, and none for a
+        # Yule-Walker system of no unknowns; 25 * 11 * 4 for 4 lags
         argv = ["ar", "acf", "--alpha", "0.6", "--jmax", "3"]
-        code, _, _ = run_json(capsys, *argv, "--budget", "1101")
+        code, _, _ = run_json(capsys, *argv, "--budget", "1100")
         assert code == 0
-        code, out, _ = run(capsys, *argv, "--budget", "1100", "--json")
+        code, out, _ = run(capsys, *argv, "--budget", "1099", "--json")
         assert code == 1
         assert json.loads(out)["message"] == (
-            "ar acf needs 1,101 work units, over the budget of 1,100")
+            "ar acf needs 1,100 work units, over the budget of 1,099")
+
+    def test_roots_are_charged_at_the_iterations_worst(self, capsys, monkeypatch):
+        # 70 units x 50 sweeps x k*(k-1): 7,000 for an AR(2) model
+        argv = ["ar", "roots", "--alpha", "0.5,-0.06"]
+        code, _, _ = run_json(capsys, *argv, "--budget", "7000")
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--budget", "6999", "--json")
+        assert json.loads(out)["message"] == (
+            "ar roots needs 7,000 work units, over the budget of 6,999")
+        # the default budget admits k up to 239
+
+        def found(alphas):
+            raise RuntimeError("root finding started")
+
+        monkeypatch.setattr(serialsum.ar_model, "char_roots", found)
+        for k, error in [(239, "RuntimeError"), (240, "BudgetExceeded")]:
+            code, out, _ = run(capsys, "ar", "roots", "--alpha",
+                               ",".join(["0.001"] * k), "--json")
+            assert json.loads(out)["error"] == error
 
     def test_envelope_data(self):
         from serialsum.cli import _plain
