@@ -33,8 +33,12 @@ subtract the mean and will differ slightly.
 The characteristic roots come from one pure-Python Aberth-Ehrlich
 iteration started on the Newton polygon (`_aberth`), whatever the order
 and however far apart the roots' scales, and each passes one residual
-check (`char_roots`); the Yule-Walker system is solved by Gaussian
-elimination (`_solve`).  The records are named tuples, and numpy is
+check (`char_roots`).  The iteration, its double-root test and that check
+evaluate p with one evaluator (`_evaluate`), at each point's own binary
+scale, so nothing overflows and only terms below 2**-1074 of the largest
+underflow, even where the coefficients reach the subnormals.  The
+Yule-Walker system is solved by Gaussian elimination (`_solve`), which
+refuses a zero pivot.  The records are named tuples, and numpy is
 imported only to simulate, inside the functions that do, so importing
 this module loads neither `dataclasses` nor numpy, and neither do
 `char_roots` and `acf` for any order.
@@ -133,18 +137,24 @@ def _horner(terms: Sequence[tuple[float, float]], z: complex) -> tuple:
     return p, dp, scale
 
 
-def _newton(terms: Sequence[tuple[float, float]], z: complex) -> tuple:
-    """p(z), `_horner`'s modulus sum and p'(z)/p(z) (None where p(z) is 0),
-    with no overflow: inside the unit circle by `_horner` at z, outside by
-    `_horner` on the reversed polynomial q(y) = y**k * p(1/y) at y = 1/z,
-    whose value and sum stand for p's over z**k and |z|**k, and p'/p =
-    y*(k - y*q'(y)/q(y))."""
-    if abs(z) <= 1:
-        p, dp, scale = _horner(terms, z)
-        return p, scale, dp / p if p else None
-    y = 1 / z
-    q, dq, scale = _horner(terms[::-1], y)
-    return q, scale, y * (len(terms) - 1 - y * dq / q) if q else None
+def _evaluate(coeffs: Sequence[float], rows: dict, z: complex) -> tuple:
+    """The one evaluator of p = coeffs[0]*z**k + ... + coeffs[k]: p(z) and
+    sum_i |c_i| * |z|**(k-i), both over 2**g, the power of two of their
+    largest term, and p'(z)/p(z) (None where p(z) is 0).  It runs `_horner`
+    at w = z / 2**e, 1/2 <= |w| < 1, on the row c_i * 2**(e*(k-i) - g),
+    none above 1, so nothing overflows and only terms below 2**-1074 of the
+    largest underflow, at any scale of z; p'/p is P'(w)/P(w) scaled back by
+    2**-e.  ``rows`` keeps each e's row, for one polynomial."""
+    e = math.frexp(abs(z))[1]
+    if e not in rows:
+        k = len(coeffs) - 1
+        g = max(math.frexp(c)[1] + e * (k - i) for i, c in enumerate(coeffs) if c)
+        rows[e] = [(d, abs(d)) for d in (
+            math.ldexp(c, e * (k - i) - g) for i, c in enumerate(coeffs))]
+    w = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+    p, dp, scale = _horner(rows[e], w)
+    h = -e // 2  # 2**-e in two halves: no float for |z| below 2**-1023
+    return p, scale, dp / p * 2.0**h * 2.0**(-e - h) if p else None
 
 
 def _aberth(coeffs: Sequence[float]) -> list[complex]:
@@ -160,9 +170,10 @@ def _aberth(coeffs: Sequence[float]) -> list[complex]:
     of modulus about exp(m) (Ostrowski 1940), so each root starts at its
     own scale, however far apart the scales.  A sweep moves each
     unconverged root z_i in turn by 1/(p'/p(z_i) - sum_{j != i} 1/(z_i -
-    z_j)), with `_newton`'s ratio, and a root stops once |p(z_i)| is within
-    the rounding of Horner's rule, 2k*eps times its modulus sum, after that
-    step.
+    z_j)), and a root stops once |p(z_i)| is within the rounding of
+    Horner's rule, 2k*eps times its modulus sum, after that step; p, p'/p
+    and the sum all come from `_evaluate`, at z_i's own scale, so a root
+    whose terms lie near the subnormals is placed as well as any.
     """
     k = len(coeffs) - 1
 
@@ -178,12 +189,12 @@ def _aberth(coeffs: Sequence[float]) -> list[complex]:
     for a, b in zip(hull, hull[1:]):
         n, r = b[0] - a[0], math.exp(min(slope(a, b), 709.0))  # finite
         z += [cmath.rect(r, 2 * math.pi * (t / n + a[0] / k) + 0.7) for t in range(n)]
-    terms = [(c, abs(c)) for c in coeffs]
+    at = functools.partial(_evaluate, coeffs, {})
     tol, active = 2 * k * sys.float_info.epsilon, set(range(k))
     for _ in range(_SWEEPS):
         for i in sorted(active):
             x = z[i]
-            p, scale, ratio = _newton(terms, x)
+            p, scale, ratio = at(x)
             if ratio is None:  # p(x) = 0: an exact root
                 active.discard(i)
                 continue
@@ -195,7 +206,7 @@ def _aberth(coeffs: Sequence[float]) -> list[complex]:
                 active.discard(i)
         if not active:
             break
-    return _double_roots(terms, _conjugate_pairs(z))
+    return _double_roots(at, _conjugate_pairs(z))
 
 
 def _conjugate_pairs(z: list[complex]) -> list[complex]:
@@ -218,9 +229,10 @@ def _conjugate_pairs(z: list[complex]) -> list[complex]:
     return out
 
 
-def _double_roots(terms: Sequence[tuple[float, float]], z: list[complex]) -> list[complex]:
-    """The roots z of p, `_horner`'s pairs `terms`, with each two that are
-    one double root to rounding made equal.
+def _double_roots(at, z: list[complex]) -> list[complex]:
+    """The roots z of p, evaluated by ``at`` (`_evaluate` on p's
+    coefficients), with each two that are one double root to rounding made
+    equal.
 
     Two roots that are each other's nearest are one where their mean c
     passes the iteration's stop test, |p(c)| within 2k*eps times its
@@ -236,7 +248,7 @@ def _double_roots(terms: Sequence[tuple[float, float]], z: list[complex]) -> lis
     tol = 2 * k * sys.float_info.epsilon
 
     def is_root(c: complex) -> bool:
-        p, scale, _ = _newton(terms, c)
+        p, scale, _ = at(c)
         return abs(p) <= tol * scale
 
     nearest = [min((j for j in range(k) if j != i), key=lambda j: abs(x - z[j]))
@@ -252,29 +264,14 @@ def _double_roots(terms: Sequence[tuple[float, float]], z: list[complex]) -> lis
     return out
 
 
-def _residual(coeffs: Sequence[float], lam: complex) -> tuple[float, float]:
-    """|p(lam)| and sum_i |c_i| * |lam|**(k-i), p = coeffs[0]*z**k + ... +
-    coeffs[k], both over 2**g, the power of two of their largest term: by
-    Horner's rule at w = lam / 2**e, 1/2 <= |w| < 1, on the coefficients
-    c_i * 2**(e*(k-i) - g), none above 1, so nothing overflows and only
-    terms below 2**-1074 of the largest underflow, at any scale of lam."""
-    k = len(coeffs) - 1
-    e = math.frexp(abs(lam))[1]
-    g = max(math.frexp(c)[1] + e * (k - i) for i, c in enumerate(coeffs) if c)
-    w = complex(math.ldexp(lam.real, -e), math.ldexp(lam.imag, -e))
-    scaled = [math.ldexp(c, e * (k - i) - g) for i, c in enumerate(coeffs)]
-    p, _, scale = _horner([(d, abs(d)) for d in scaled], w)
-    return abs(p), scale
-
-
 def char_roots(alphas: Sequence[float]) -> CharRoots:
     """Roots of lambda**k = alpha_1*lambda**(k-1) + ... + alpha_k, largest
     modulus first, by the Aberth-Ehrlich iteration (`_aberth`).
 
     Every root found passes one check: |p(lam)| is at most 1e-10 times
-    sum_i |c_i| * |lam|**(k-i), both by Horner's rule at lam's own scale
-    (`_residual`), so that neither side overflows or underflows.  Else it
-    raises RuntimeError.
+    sum_i |c_i| * |lam|**(k-i), both from the evaluator that the iteration
+    uses (`_evaluate`), at lam's own scale, so that neither side
+    overflows or underflows.  Else it raises RuntimeError.
     """
     alphas = [float(a) for a in alphas]
     k = len(alphas)
@@ -285,32 +282,33 @@ def char_roots(alphas: Sequence[float]) -> CharRoots:
     if k == 1:
         roots = [complex(alphas[0])]  # exact: no residual to check
     else:
-        # for the iteration, scaled by a power of two only where a
-        # coefficient is above 2**1000, so that Horner's sums of k + 1
-        # terms stay finite and no coefficient that scaling would leave in
-        # range underflows
-        shift = min(0, 1000 - math.frexp(max(map(abs, alphas)))[1])
-        coeffs = [math.ldexp(c, shift) for c in (1.0, *(-a for a in alphas))]
+        coeffs = [1.0, *(-a for a in alphas)]
         last = max(i for i, c in enumerate(coeffs) if c)
         # the roots past the last nonzero coefficient are 0
         roots = [0j] * (k - last) + (_aberth(coeffs[: last + 1]) if last else [])
+        at = functools.partial(_evaluate, coeffs, {})
         for lam in roots:
-            resid, scale = _residual(coeffs, lam)
-            if not resid <= 1e-10 * scale:  # NaN too
+            p, scale, _ = at(lam)
+            if not abs(p) <= 1e-10 * scale:  # NaN too
                 raise RuntimeError(
-                    f"root residual {resid / scale:g} of its scale, too large at {lam}")
+                    f"root residual {abs(p) / scale:g} of its scale, too large at {lam}")
         roots.sort(key=lambda z: (-abs(z), -z.real, -z.imag))
     return CharRoots(tuple(roots), all(abs(lam) < 1 for lam in roots))
 
 
 def _solve(rows: list[list[float]]) -> list[float]:
     """x with sum_j rows[i][j] * x[j] = rows[i][-1] for every row i, by
-    Gaussian elimination with partial pivoting; rows is overwritten."""
+    Gaussian elimination with partial pivoting; rows is overwritten.  A
+    zero pivot, as for a model whose roots lie within rounding of the unit
+    circle, raises RuntimeError."""
     n = len(rows)
     for c in range(n):
         p = max(range(c, n), key=lambda r: abs(rows[r][c]))
         rows[c], rows[p] = rows[p], rows[c]
         top = rows[c]
+        if not top[c]:
+            raise RuntimeError(
+                f"the Yule-Walker system is singular (zero pivot in column {c + 1})")
         for row in rows[c + 1 :]:
             f = row[c] / top[c]
             row[c + 1 :] = [x - f * y for x, y in zip(row[c + 1 :], top[c + 1 :])]

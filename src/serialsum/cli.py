@@ -141,9 +141,10 @@ def _budget(args) -> int:
 #: row 1.1-1.6 us to format and write, and a probe trial 1.3-2.0 ms; a
 #: theoretical ACF lag about (0.5 + 0.15k) us for an AR(k) model, and
 #: 1-2 us more to emit; an empirical ACF lag about 0.6 ns per sample.  An
-#: Aberth sweep over the characteristic roots of an AR(k) model takes
-#: 0.47-0.48 us per k*(k-1) from k = 100 up, and the Yule-Walker solve
-#: 42-47 ns per (k-1)**3.
+#: Aberth sweep over the characteristic roots of an AR(k) model, with every
+#: root active, takes 0.29-0.47 us per k*(k-1) from k = 20 up, within its
+#: 70 units (0.56 us), but 0.64-0.68 us at k = 2 and 0.88-1.09 us at k = 5;
+#: the Yule-Walker solve takes 42-47 ns per (k-1)**3.
 _UNITS_PER_SAMPLE = 10
 _UNITS_PER_SEED = 4_000
 _UNITS_PER_ROW = 160

@@ -107,49 +107,79 @@ def draw_product(rng):
             return roots, coeffs
 
 
+def assert_near_polyroots(coeffs, found, drawn=None):
+    """Each root found lies within the first-order bound eta*S(|xi|)/|p'(xi)|
+    of mpmath's root xi of coeffs, highest power first, eta = 2k*eps the
+    backward error where the iteration stops and S(r) = sum_i |c_i| *
+    r**(k-i); an m-fold root c of the ``drawn`` roots is found m times, each
+    within (m! * eta*S(|c|)/|p^(m)(c)|)**(1/m) of c, which bounds the float
+    polynomial's own roots there too.  mpmath's Durand-Kerner iteration
+    starts from the roots found, turned off the real axis by 1e-3 radians,
+    so that it converges in few steps, at a precision that holds the
+    smallest and the largest root."""
+    mpmath = pytest.importorskip("mpmath")
+    k, eta = len(found), 2 * len(found) * 2.0**-52
+    dps = 30 + int(max(abs(math.log10(abs(z))) for z in found))
+    with mpmath.workdps(dps):
+        starts = [z * cmath.exp(1e-3j * (i + 1)) for i, z in enumerate(found)]
+        ref = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * dps,
+                               roots_init=starts, cleanup=False)
+
+        def S(r):
+            return sum(abs(c) * mpmath.mpf(r) ** (k - i) for i, c in enumerate(coeffs))
+
+        def deriv(x, m):  # |p^(m)(x)|
+            top = coeffs[: k - m + 1]
+            return abs(mpmath.polyval(
+                [c * mpmath.ff(k - i, m) for i, c in enumerate(top)], x))
+
+        for z in found:
+            c = min(drawn, key=lambda c: abs(c - z)) if drawn else None
+            m = drawn.count(c) if drawn else 1
+            if m == 1:
+                xi = min(ref, key=lambda w: abs(w - z))
+                assert abs(z - xi) <= eta * S(abs(xi)) / deriv(xi, 1), (coeffs, z)
+            else:
+                c = mpmath.mpc(c)
+                bound = (math.factorial(m) * eta * S(abs(c)) / deriv(c, m))
+                assert abs(z - c) <= bound ** (mpmath.mpf(1) / m), (drawn, z)
+
+
 class TestCharRoots:
     def test_roots_agree_with_mpmath_polyroots(self):
-        # each root found lies within the first-order bound
-        # eta*S(|xi|)/|p'(xi)| of mpmath's root xi, eta = 2k*eps the
-        # backward error where the iteration stops and S(r) = sum_i |c_i| *
-        # r**(k-i); an m-fold drawn root c is found m times, each within
-        # (m! * eta*S(|c|)/|p^(m)(c)|)**(1/m) of c, which bounds the float
-        # polynomial's own roots there too.  mpmath's Durand-Kerner
-        # iteration starts from the roots found, turned off the real axis
-        # by 1e-3 radians, so that it converges in few steps, at a
-        # precision that holds the smallest and the largest root
-        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(1)
         for _ in range(80):
             roots, coeffs = draw_product(rng)
-            k, eta = len(roots), 2 * len(roots) * 2.0**-52
             found = char_roots([-c for c in coeffs[1:]]).roots
             nearest = [min(roots, key=lambda c: abs(c - z)) for z in found]
             assert Counter(nearest) == Counter(roots), (roots, found)
-            dps = 30 + int(max(abs(math.log10(abs(z))) for z in found))
-            with mpmath.workdps(dps):
-                starts = [z * cmath.exp(1e-3j * (i + 1)) for i, z in enumerate(found)]
-                ref = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * dps,
-                                       roots_init=starts, cleanup=False)
+            assert_near_polyroots(coeffs, found, roots)
 
-                def S(r):
-                    return sum(abs(c) * mpmath.mpf(r) ** (k - i)
-                               for i, c in enumerate(coeffs))
-
-                def deriv(x, m):  # |p^(m)(x)|
-                    top = coeffs[: k - m + 1]
-                    return abs(mpmath.polyval(
-                        [c * mpmath.ff(k - i, m) for i, c in enumerate(top)], x))
-
-                for z, c in zip(found, nearest):
-                    m = roots.count(c)
-                    if m == 1:
-                        xi = min(ref, key=lambda w: abs(w - z))
-                        assert abs(z - xi) <= eta * S(abs(xi)) / deriv(xi, 1), (roots, z)
-                    else:
-                        c = mpmath.mpc(c)
-                        bound = (math.factorial(m) * eta * S(abs(c)) / deriv(c, m))
-                        assert abs(z - c) <= bound ** (mpmath.mpf(1) / m), (roots, z)
+    @pytest.mark.parametrize("alphas", [
+        [1.0474263621396384e-42, -3.201327761577116e-124, -1.7507670690073674e-221,
+         1.3607e-320, -0.0],
+        [-3.1664853807738396e-16, 3.3474439136173706e-49, 7.389717730375586e-93,
+         1.948049165941012e-136, 5.1429446908324655e-227, 3.394404e-318],
+        [-5.258331836193921e-65, -9.333531620362054e-130, 1.473926381953791e-226, -4e-323],
+        [9.494680740034618e-42, -2.2537240588796078e-83, -9.114019745664851e-187,
+         7.8176e-320],
+        [4.988280382215125e-49, -2.8042645776007183e-96, 1.822475839531247e-145,
+         -8.1141929317038e-222, 6.92212e-318],
+        # a double root at 6.586e-93 and a root at 1.58e-132
+        [1.317276196300752e-92, -4.338041443351444e-185, 6.8521836e-317],
+        [-6.521873335983166e-45, -2.1987912637391622e-89, -5.699528580674593e-139,
+         6.088118822830353e-196, -1.6940491665567936e-253, 1.599e-320],
+        [11.750291601147435, -1.1101820658936207e-75, 1.564686820813603e-198, -5.24e-322],
+    ])
+    def test_roots_of_subnormal_coefficients(self, alphas):
+        # Horner's terms near these roots fall below the normal floats
+        # unless p is evaluated at each point's own scale, and a root
+        # evaluated unscaled stalled off its place and was refused
+        found = char_roots(alphas).roots
+        coeffs = [1.0, *(-a for a in alphas)]
+        zeros = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c)
+        assert found.count(0) == zeros
+        assert_near_polyroots(coeffs[: len(coeffs) - zeros], [z for z in found if z])
 
     def test_real_roots_are_real_and_pairs_conjugate_exactly(self):
         rng = random.Random(2)

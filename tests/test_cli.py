@@ -699,6 +699,24 @@ class TestCleanExits:
         assert payload["command"] == "oracle finite"
         assert payload["error"] == "OverflowError"
 
+    @pytest.mark.parametrize("argv", [
+        ["ar", "acf", "--alpha", "3.4916941401029393,-4.284023620087512,"
+         "1.7151257681883456,0.45088585931887587,-0.3752064067204315"],
+        ["ar", "check", "--alpha", "-0.6260441425332097,1.6260441425332033,"
+         "1.6260441425331962,-0.6260441425332033,-0.9999999999999865",
+         "--n", "50", "--seeds", "2", "--burn-in", "5"],
+    ])
+    def test_singular_yule_walker_system_is_an_error(self, capsys, argv):
+        # stationary by their roots, within rounding of the unit circle,
+        # but the Yule-Walker elimination meets a zero pivot: once a
+        # ZeroDivisionError traceback
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1, err
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["command"] == "ar " + argv[1]
+        assert payload["error"] == "RuntimeError"
+        assert "Yule-Walker system is singular" in payload["message"]
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_near_coincident_roots_in_any_order(self, capsys, order):
         # 0.3 and 0.30000132 are 1.32e-6 apart, over the threshold of
