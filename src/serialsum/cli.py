@@ -11,7 +11,8 @@ Each command imports the library module it runs, `lambda_sums` or
 parser load neither; `main` imports `ar_model` on a ValueError, to tell
 its model errors (exit 1) from usage errors.  No command imports numpy
 here: each loads it, if at all, through the library calls that use it,
-so `eval`, `ar roots` and `ar acf` load none.
+so `eval`, `ar roots`, `ar acf` and `oracle finite` on a box whose every
+range is at most `lambda_sums._DENSE_RANGE` load none.
 `ar simulate` and `ar check` find the characteristic roots once, check
 the request by `ar_model._burn_in` before the budget is charged, and take
 their series from `ar_model`'s chunked engine, so their memory does not

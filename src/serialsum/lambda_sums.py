@@ -36,7 +36,9 @@ and the rounding bound is a few dozen eps per root, with a part growing as
 1/(1 - |lambda|) for complex roots only) and `finite_sum`
 (the exact finite-n sum, as the trace of a product of l Toeplitz
 matrices, taken through the displacement structure of their partial
-products as 1-D convolutions without forming any matrix), plus
+products as 1-D convolutions without forming any matrix, or, on boxes of
+at most `_DENSE_RANGE` points a side, by dense products of Python
+lists), plus
 `linear_coefficient`, which takes the n-slope as the first difference
 T(n+1) - T(n): the sum over the shell of lattice points that growing
 every range by one adds, one chain of Toeplitz matrix-vector products per
@@ -44,8 +46,9 @@ corner, with a bound on the residue left by the finite box.
 
 The records (`RootMultiset`, `LimitValue`, ...) are named tuples, which
 validate their fields in `__new__`: the module imports no `dataclasses`.
-The closed forms need no numpy: the oracles and the root sampler import it
-where they use it, so importing this module and `f_general` load none.
+The closed forms and the small finite sums need no numpy: the oracles and
+the root sampler import it where they use it, so importing this module,
+`f_general` and `finite_sum` on such a box load none.
 """
 
 from __future__ import annotations
@@ -75,6 +78,13 @@ DEFAULT_BUDGET = 200_000_000
 
 #: The most roots, repeats counted, that the evaluators and the CLI admit.
 MAX_ROOTS = 6
+
+#: The largest range n + d_m of a box that `finite_sum_with_error` sums
+#: by dense products (`_dense_sum`) rather than by `_trace_sum`: timed in
+#: process on a 2-core Xeon, the dense products were the faster at every
+#: l = 2..6 up to n = 4 in each of three tables, in most at n = 5, and the
+#: trace from n = 6 or 7 on.
+_DENSE_RANGE = 4
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -729,8 +739,10 @@ def finite_sum_with_error(
 ) -> tuple[complex, float]:
     """The exact finite cyclic sum and a bound on its rounding error.
 
-    The sum is the trace of a product of l Toeplitz matrices, taken from
-    their displacement structure without forming any matrix (`_trace_sum`):
+    The sum is the trace of a product of l Toeplitz matrices.  Where every
+    range n + d_m is at most `_DENSE_RANGE`, it is taken by dense products
+    of Python lists (`_dense_sum`), with no numpy; above, from their
+    displacement structure without forming any matrix (`_trace_sum`):
     O(n) work for l = 2 and (l-2)*(2l-1)*n**2 multiply-adds above, in
     O(l*n) memory.  The bound (`_rounding_bound`) is taken from the roots'
     moduli in closed form, with no pass over the powers.
@@ -739,11 +751,17 @@ def finite_sum_with_error(
     finite in float64 (a root outside the unit disk, raised to a power).
     """
     budget = _integer("budget", budget)
-    import numpy as np
-
     _charge("finite sum", _finite_sum_work(len(spec.lambdas), spec.n), budget)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value, err = _trace_sum(spec)
+    if spec.n + max(spec.upper_adjust) <= _DENSE_RANGE:
+        try:
+            value, err = _dense_sum(spec)
+        except OverflowError:  # ** raises where a power overflows float64
+            value, err = math.inf, math.inf
+    else:
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            value, err = _trace_sum(spec)
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise OverflowError("the finite sum overflows float64")
     return value, err
@@ -837,18 +855,23 @@ def _cut(table: np.ndarray, lo: int, a: int, b: int) -> np.ndarray:
     return np.concatenate((table[-a:0:-1], table[: b + 1]))
 
 
-def _diagonals(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list, list]:
+def _box(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list]:
     """The box at n = spec.n + grow: its ranges n_m = n + d_m, and per
     factor A_m (n_m x n_{m+1}, cyclic) the ends (a, b) of d + s_m over its
-    diagonals d = 1 - n_{m+1} .. n_m - 1 and those diagonals lambda_m**|e|,
-    floored and cut (`_cut`) from one table of powers over their `_span`."""
-    floor = _floor(len(spec.lambdas))
+    diagonals d = 1 - n_{m+1} .. n_m - 1."""
     ns = [spec.n + grow + d for d in spec.upper_adjust]
-    ends, diags = [], []
-    for lam, s, r, q in zip(spec.lambdas, spec.shifts, ns, ns[1:] + ns[:1]):
-        a, b = s + 1 - q, s + r - 1
+    return ns, [(s + 1 - q, s + r - 1)
+                for s, r, q in zip(spec.shifts, ns, ns[1:] + ns[:1])]
+
+
+def _diagonals(spec: FiniteSumSpec, grow: int = 0) -> tuple[list, list, list]:
+    """`_box`, and per factor its diagonals lambda_m**|e|, floored and cut
+    (`_cut`) from one table of powers over their `_span`."""
+    floor = _floor(len(spec.lambdas))
+    ns, ends = _box(spec, grow)
+    diags = []
+    for lam, (a, b) in zip(spec.lambdas, ends):
         lo, hi = _span(a, b)
-        ends.append((a, b))
         diags.append(_cut(_powers(lam, lo, hi - lo + 1, floor), lo, a, b))
     return ns, ends, diags
 
@@ -968,6 +991,42 @@ def _trace_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
     value = complex(n1 * corner + sum(g @ h for g, h in gens))
     return value, _rounding_bound(
         spec, ends, (2 * ell - 1) * n1, max(ns), math.prod(ns))
+
+
+def _dense_sum(spec: FiniteSumSpec) -> tuple[complex, float]:
+    """tr(A_1 ... A_l) by dense products of Python lists, and a bound on
+    its rounding error (`_rounding_bound`), for boxes of a few points a side.
+
+    A_m[i][j] = lambda_m**|i - j + s_m| (`_trace_sum` has the layout) is
+    read from one power per exponent of the `_span` at the ends `_box`
+    gives, floored as `_diagonals` floors them: float ** for a real root,
+    `_ipow` for a complex one, each within 4*k*eps of lambda**k.  The
+    diagonal of A_1 ... A_l holds n_1 cycle sums with i_1 fixed, each
+    closed by l - 1 sums of at most max(n) terms through l - 1 products
+    and no weight.  The bound counts one product and 2l - 1 roundings
+    more than that, which cover the n_1 - 1 of the closing sum while
+    n_1 <= 2l + 3, as every n_1 <= `_DENSE_RANGE` is.
+    """
+    ns, ends = _box(spec)
+    floor = _floor(len(ns))
+    mats = []
+    for lam, s, (a, b), r, q in zip(spec.lambdas, spec.shifts, ends, ns,
+                                    ns[1:] + ns[:1]):
+        lo, hi = _span(a, b)
+        base, power = (lam.real, pow) if lam.imag == 0 else (lam, _ipow)
+        table = [power(base, k) for k in range(lo, hi + 1)]
+        table = [0.0 if abs(p) < floor else p for p in table]
+        mats.append([[table[abs(i - j + s) - lo] for j in range(q)]
+                     for i in range(r)])
+    prod = mats[0]
+    for mat in mats[1:-1]:
+        cols = list(zip(*mat))
+        prod = [[sum(map(operator.mul, row, col)) for col in cols]
+                for row in prod]
+    value = sum(sum(map(operator.mul, row, col))
+                for row, col in zip(prod, zip(*mats[-1])))
+    return complex(value), _rounding_bound(
+        spec, ends, ns[0], max(ns), math.prod(ns))
 
 
 def _shell_sum(spec: FiniteSumSpec) -> tuple[complex, float]:

@@ -136,20 +136,27 @@ class TestOracle:
         assert code == 0
         assert env["result"]["value"]["re"] == pytest.approx(1.15)
 
-    def test_finite_err_estimate_bounds_exact_sum(self, capsys):
-        lams = [Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4)]
-        shifts, n, adjust = [1, 0, -2], 20, [0, -1, 0]
+    @pytest.mark.parametrize("lambdas, shifts, n, adjust", [
+        ("0.5,-0.25,0.75", "1,0,-2", 20, "0,-1,0"),
+        ("0.3,-0.7,0.45", "2,-1,0", 3, "0,-1,0"),  # dense products
+    ])
+    def test_finite_err_estimate_bounds_exact_sum(
+        self, capsys, lambdas, shifts, n, adjust
+    ):
+        # the roots' doubles, exactly
+        lams = [Fraction(float(v)) for v in lambdas.split(",")]
+        steps = [int(s) for s in shifts.split(",")]
+        ranges = (range(1, n + int(d) + 1) for d in adjust.split(","))
         exact = Fraction(0)
-        ranges = (range(1, n + d + 1) for d in adjust)
         for idx in itertools.product(*ranges):
             term = Fraction(1)
             for m, lam in enumerate(lams):
-                term *= lam ** abs(idx[m] - idx[(m + 1) % 3] + shifts[m])
+                term *= lam ** abs(idx[m] - idx[(m + 1) % 3] + steps[m])
             exact += term
         code, env, _ = run_json(
             capsys,
-            "oracle", "finite", "--lambdas", "0.5,-0.25,0.75",
-            "--shifts", "1,0,-2", "--n", str(n), "--adjust", "0,-1,0",
+            "oracle", "finite", "--lambdas", lambdas,
+            "--shifts", shifts, "--n", str(n), "--adjust", adjust,
         )
         assert code == 0
         assert list(env) == ["command", "inputs", "result", "err_estimate", "elapsed_ms"]
@@ -841,8 +848,8 @@ class TestContracts:
 
     def test_eval_loads_no_numpy(self):
         # importing numpy costs more than the closed form itself; eval, on
-        # the distinct and the confluent route, and the AR(1) roots and ACF
-        # need none
+        # the distinct and the confluent route, the AR(1) roots and ACF and
+        # the README's finite sum need none
         script = (
             "import sys\n"
             "import serialsum, serialsum.cli\n"
@@ -852,6 +859,8 @@ class TestContracts:
             "assert main(['eval', '--lambdas', '0.5,0.3', '--S', '0']) == 0\n"
             "assert main(['ar', 'acf', '--alpha', '0.6', '--json']) == 0\n"
             "assert main(['ar', 'roots', '--alpha', '0.6', '--json']) == 0\n"
+            "assert main(['oracle', 'finite', '--lambdas', '0.5,0.3', '--shifts',"
+            " '0,0', '--n', '2', '--adjust', '0,-1', '--json']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
         )
         out = subprocess.run(

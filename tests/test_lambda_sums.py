@@ -96,6 +96,65 @@ def mp_trace(spec, dps=50):
         return mpmath.fsum(cols[i][i] for i in range(ns[0]))
 
 
+def mp_enumeration(spec, dps=50):
+    """The finite sum by enumerating its n_1 * ... * n_l terms at ``dps``
+    digits, each power lambda_m**e taken once."""
+    mpmath = pytest.importorskip("mpmath")
+    ell = len(spec.lambdas)
+    ns = [spec.n + d for d in spec.upper_adjust]
+    with mpmath.workdps(dps):
+        roots = [mpmath.mpf(v.real) if v.imag == 0 else mpmath.mpc(v)
+                 for v in spec.lambdas]
+        powers = [{} for _ in range(ell)]
+        total = 0
+        for idx in itertools.product(*map(range, ns)):
+            term = 1
+            for m, s in enumerate(spec.shifts):
+                e = abs(idx[m] - idx[(m + 1) % ell] + s)
+                if e not in powers[m]:
+                    powers[m][e] = roots[m] ** e
+                term *= powers[m][e]
+            total += term
+        return total
+
+
+def small_boxes(seed, count):
+    """Boxes whose every range is at most `_DENSE_RANGE`: l = 2..6 with
+    ranges adjusted down to 1; per factor a V cut (|s| <= 2) or a rising or
+    falling one, a few steps past zero or, for one in five roots in the
+    closed disk, up to 10**9; moduli 0, below 1e-9, below 1, 1 and above
+    1 (so no power overflows); real roots, conjugate pairs and complex
+    roots without their conjugate."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ell = int(rng.integers(2, 7))
+        n = int(rng.integers(1, lambda_sums._DENSE_RANGE + 1))
+        adjust = tuple(int(d) for d in rng.integers(1 - n, 1, size=ell))
+        lams = []
+        while len(lams) < ell:
+            rho = (0.0, 10 ** -rng.uniform(9.5, 40), rng.uniform(0.05, 1), 1.0,
+                   rng.uniform(1, 1.05))[rng.integers(5)]
+            kind = rng.random()
+            if kind < 0.3 and len(lams) + 2 <= ell:
+                z = cmath.rect(rho, rng.uniform(0.1, math.pi - 0.1))
+                lams += [z, z.conjugate()]
+            elif kind < 0.5:
+                lams.append(cmath.rect(rho, rng.uniform(-math.pi, math.pi)))
+            else:
+                lams.append(complex(rng.choice((-1, 1)) * rho))
+        lams = [lams[i] for i in rng.permutation(ell)]
+        ns = [n + d for d in adjust]
+        shifts = []
+        for m in range(ell):
+            rows, cols = ns[m], ns[(m + 1) % ell]
+            huge = abs(lams[m]) <= 1 and rng.random() < 0.2
+            far = int(rng.integers(0, 10**9 if huge else 4))
+            shifts.append((int(rng.integers(-2, 3)),  # a V, or near one
+                           cols - 1 + far,  # rising: every exponent >= 0
+                           1 - rows - far)[rng.integers(3)])  # falling
+        yield FiniteSumSpec(tuple(lams), tuple(shifts), n, adjust)
+
+
 def plain_powers(lam, lo, count, floor):
     """lam**lo .. lam**(lo + count - 1) by one cumulative product over the
     whole count, floored: the reference for `_powers`, which stops early."""
@@ -1486,6 +1545,43 @@ class TestFiniteSum:
         spec = FiniteSumSpec(lams, shifts, n, adjust)
         value, err = finite_sum_with_error(spec)
         assert float(abs(mpmath.mpc(value) - mp_trace(spec))) <= err
+
+    def test_small_boxes_bound_mpmath_enumeration(self, monkeypatch):
+        # every range at most `_DENSE_RANGE` takes the dense products, with
+        # no trace; each value lies within its bound of the sum at 50 digits.
+        # The bound's count has 2l + 2 roundings to spare for the closing
+        # sum of n_1 entries, so n_1 <= 7 at l = 2
+        assert lambda_sums._DENSE_RANGE <= 2 * 2 + 3
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.delattr(lambda_sums, "_trace_sum")
+        ells, cuts, moduli, kinds, far = set(), set(), set(), set(), set()
+        for spec in small_boxes(43, 300):
+            value, err = finite_sum_with_error(spec)
+            assert float(abs(mpmath.mpc(value) - mp_enumeration(spec))) <= err, spec
+            ns, ends = lambda_sums._box(spec)
+            ells.add(len(ns))
+            if min(ns) == 1 < spec.n:
+                kinds.add("adjusted to 1")
+            for lam, s, (a, b) in zip(spec.lambdas, spec.shifts, ends):
+                cuts.add("rising" if a >= 0 else "falling" if b <= 0 else "V")
+                rho = abs(lam)
+                moduli.add("0" if rho == 0 else "tiny" if rho < 1e-9 else
+                           "<1" if rho < 1 else "=1" if rho == 1 else ">1")
+                far.add(int(math.copysign(1, s)) if abs(s) > 10**8 else 0)
+            if any(v.imag for v in spec.lambdas):
+                closed = _conjugate_closed(spec.lambdas)
+                kinds.add("pairs" if closed else "lone complex")
+        assert ells == {2, 3, 4, 5, 6} and far == {-1, 0, 1}
+        assert cuts == {"rising", "falling", "V"}
+        assert moduli == {"0", "tiny", "<1", "=1", ">1"}
+        assert kinds >= {"adjusted to 1", "pairs", "lone complex"}
+
+    def test_trace_on_small_boxes_matches_enumeration(self):
+        # the boxes above no longer reach the trace through `finite_sum`;
+        # their single rows and columns drop its kept generators
+        for spec in small_boxes(43, 300):
+            value, err = _trace_sum(spec)
+            assert abs(value - finite_sum_direct(spec)) <= err, spec
 
     def test_memory_is_linear_in_n(self):
         # l = 3 at n = 2000 holds O(l*n) numbers; one n x n matrix is 32 MB
